@@ -7,6 +7,9 @@ slips show up; everything else is pinned through an independent route
 (boundary matching, dense grids, wavefunction profiles) before freezing.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import mpmath as mp
 
@@ -19,7 +22,10 @@ from dirac_double_barrier import (
     solve_amplitudes,
     wavefunction_profile,
 )
-from dirac_double_barrier.transfer import factor_matrices
+
+# the paper's literal tables are the reference kept with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from paper_tables import factor_matrices  # noqa: E402
 
 mp.mp.dps = 50
 

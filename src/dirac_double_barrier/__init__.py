@@ -44,10 +44,8 @@ from .resonance import (
     find_resonances,
 )
 from .transfer import (
-    BoundaryFactors,
     Matrix2x2,
     ScatteringResult,
-    boundary_factors,
     factor_determinants,
     factor_matrices,
     full_matrix,
@@ -61,7 +59,6 @@ __all__ = [
     "AmplitudeSet",
     "BOUNDED_ZONES",
     "BoundaryEnergy",
-    "BoundaryFactors",
     "CheckResult",
     "ConfigError",
     "DegenerateMatrix",
@@ -86,7 +83,6 @@ __all__ = [
     "Zone",
     "alpha_beta",
     "attach_widths",
-    "boundary_factors",
     "classify",
     "estimate_fwhm",
     "factor_determinants",

@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trans.add_argument("--svg", metavar="PATH",
                          help="also render the curve as SVG")
     p_trans.add_argument("--threads", type=int, default=1,
-                         help="parallel workers (default 1)")
+                         help="ignored; kept for compatibility (must be at "
+                              "least 1)")
     p_trans.set_defaults(handler=_cmd_transmission)
 
     p_res = sub.add_parser("resonances", help="write a resonance report as JSON")
@@ -242,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--with-resonances", action="store_true",
                          help="also write a resonance report per frame")
     p_sweep.add_argument("--threads", type=int, default=1,
-                         help="parallel workers (default 1)")
+                         help="ignored; kept for compatibility (must be at "
+                              "least 1)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the randomized invariant suite")

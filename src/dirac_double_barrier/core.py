@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import BoundaryEnergy, ConfigError, SingularEnergy
 
@@ -28,7 +31,7 @@ class Region(Enum):
 
 
 class MatrixRange(Enum):
-    """Energy ranges selecting which transfer-matrix formula set applies."""
+    """Energy ranges of the paper's three transfer-matrix formula sets."""
 
     I = "I"      # m < E < v_minus
     II = "II"    # v_minus < E < v_plus
@@ -185,39 +188,60 @@ def kinematics(e: float, region: Region, cfg: PotentialConfig) -> Kinematics:
     return Kinematics(k=k, alpha=alpha, beta=beta)
 
 
-def classify(e: float, cfg: PotentialConfig) -> tuple[MatrixRange, Zone]:
-    """Matrix range and zone containing E.
+#: Matrix ranges in order of increasing energy.
+_RANGE_ORDER = (MatrixRange.I, MatrixRange.II, MatrixRange.III)
 
-    Raises BoundaryEnergy for E at or below threshold or within the
-    singular tolerance of any range or zone boundary.
-    """
-    tol = SINGULAR_TOL * cfg.m
+
+def _cuts(cfg: PotentialConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Lower edges of matrix ranges II, III and of zones 2..5."""
     m, vm, vp = cfg.m, cfg.v_minus, cfg.v_plus
-    if e <= m + tol:
+    return (vm, vp), (vm - m, vm + m, vp - m, vp + m)
+
+
+def _boundaries(cfg: PotentialConfig) -> tuple[float, ...]:
+    m, vm, vp = cfg.m, cfg.v_minus, cfg.v_plus
+    return (vm - m, vm, vm + m, vp - m, vp, vp + m)
+
+
+def _reject_boundary(e: float, cfg: PotentialConfig) -> None:
+    tol = SINGULAR_TOL * cfg.m
+    if e <= cfg.m + tol:
         raise BoundaryEnergy(
-            e, f"E = {e!r} is at or below the scattering threshold m = {m:g}"
+            e, f"E = {e!r} is at or below the scattering threshold m = {cfg.m:g}"
         )
-    for b in (vm - m, vm, vm + m, vp - m, vp, vp + m):
+    for b in _boundaries(cfg):
         if abs(e - b) < tol:
             raise BoundaryEnergy(
                 e, f"E = {e!r} lies within {tol:g} of the boundary energy {b:g}"
             )
 
-    if e < vm:
-        rng = MatrixRange.I
-    elif e < vp:
-        rng = MatrixRange.II
-    else:
-        rng = MatrixRange.III
 
-    if e < vm - m:
-        zone = Zone.LOWER_KLEIN
-    elif e < vm + m:
-        zone = Zone.GAP_LOWER
-    elif e < vp - m:
-        zone = Zone.HIGHER_KLEIN
-    elif e < vp + m:
-        zone = Zone.CONVENTIONAL
-    else:
-        zone = Zone.ABOVE_BARRIER
-    return rng, zone
+def _classify_array(e: np.ndarray, cfg: PotentialConfig) -> tuple[np.ndarray, np.ndarray]:
+    tol = SINGULAR_TOL * cfg.m
+    bad = e <= cfg.m + tol
+    for b in _boundaries(cfg):
+        bad |= np.abs(e - b) < tol
+    if bad.any():
+        # raises, with the message a single energy would get
+        _reject_boundary(float(e[bad.argmax()]), cfg)
+    range_cuts, zone_cuts = _cuts(cfg)
+    return (
+        np.array(_RANGE_ORDER, dtype=object)[np.searchsorted(range_cuts, e, side="right")],
+        np.array(ZONE_ORDER, dtype=object)[np.searchsorted(zone_cuts, e, side="right")],
+    )
+
+
+def classify(e: "float | np.ndarray",
+             cfg: PotentialConfig) -> "tuple[MatrixRange, Zone] | tuple[np.ndarray, np.ndarray]":
+    """Matrix range and zone containing E.
+
+    For a 1-D array of energies, returns two object arrays with one
+    MatrixRange and one Zone per energy.  Raises BoundaryEnergy for E at
+    or below threshold or within the singular tolerance of any range or
+    zone boundary; for an array, at the first such energy.
+    """
+    if isinstance(e, np.ndarray):
+        return _classify_array(e, cfg)
+    _reject_boundary(e, cfg)
+    range_cuts, zone_cuts = _cuts(cfg)
+    return _RANGE_ORDER[bisect_right(range_cuts, e)], ZONE_ORDER[bisect_right(zone_cuts, e)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -56,25 +56,24 @@ def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
     return grid
 
 
-def _rows_for_energies(task: tuple) -> "list[ScatteringResult]":
-    cfg, energies = task
-    return [scatter(float(e), cfg) for e in energies]
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
                       points: int, workers: int = 1) -> list[ScatteringResult]:
-    """Scattering results over the admissible grid, optionally fanned out.
+    """Scattering results over the admissible grid, one per grid point.
 
-    Chunk order is preserved, so the result is identical for any worker
-    count.
+    The whole grid goes through one array evaluation.  workers is
+    validated but otherwise ignored; it is kept for compatibility.
     """
+    _check_workers(workers)
     grid = admissible_grid(cfg, e_min, e_max, points)
-    if workers <= 1 or points < 256:
-        return _rows_for_energies((cfg, grid))
-    chunks = np.array_split(grid, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_rows_for_energies, [(cfg, c) for c in chunks]))
-    return [row for part in parts for row in part]
+    batch = scatter(grid, cfg)
+    columns = (batch.e, batch.t, batch.r, batch.t2, batch.r2,
+               batch.matrix_range, batch.zone)
+    return [ScatteringResult(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def format_curve_csv(rows: "list[ScatteringResult]") -> str:
@@ -157,9 +156,12 @@ def write_json(path: "str | Path", doc: dict) -> Path:
     return path
 
 
-def _frame_rows(task: tuple) -> list[ScatteringResult]:
-    cfg, e_min, e_max, points = task
-    return transmission_rows(cfg, e_min, e_max, points)
+def _created() -> str:
+    """Manifest timestamp, from SOURCE_DATE_EPOCH when set so reruns match."""
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    when = (datetime.fromtimestamp(int(epoch), timezone.utc) if epoch
+            else datetime.now(timezone.utc))
+    return when.isoformat(timespec="seconds")
 
 
 def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
@@ -170,9 +172,11 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
     """Emit one transmission curve per swept value plus a manifest.
 
     The swept parameter takes `frames` evenly spaced values from start to
-    stop inclusive while everything else stays fixed.  Files land in
-    outdir as frame_0000.csv, frame_0001.csv, ...; anything written is
-    removed again if a later frame fails.
+    stop inclusive while everything else stays fixed.  Frames are computed
+    and written one at a time, to outdir as frame_0000.csv,
+    frame_0001.csv, ...; anything written is removed again if a later
+    frame fails.  workers is validated but otherwise ignored; it is kept
+    for compatibility.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -180,8 +184,8 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
         raise ValueError(f"frames must be at least 2, got {frames}")
     if not stop > start:
         raise ValueError("sweep range must be increasing")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
+    created = _created()
     field = param.replace("-", "_")
     values = np.linspace(start, stop, frames)
     configs = [replace(cfg, **{field: float(v)}) for v in values]
@@ -190,16 +194,10 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        tasks = [(c, e_min, e_max, points) for c in configs]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                all_rows = list(pool.map(_frame_rows, tasks))
-        else:
-            all_rows = [_frame_rows(t) for t in tasks]
-
         manifest_frames = []
-        for i, (frame_cfg, rows, value) in enumerate(zip(configs, all_rows, values)):
+        for i, (frame_cfg, value) in enumerate(zip(configs, values)):
             name = f"frame_{i:04d}.csv"
+            rows = transmission_rows(frame_cfg, e_min, e_max, points)
             written.append(write_curve_csv(outdir / name, rows))
             entry = {"value": _sig12(float(value)), "file": name}
             if with_resonances:
@@ -222,7 +220,7 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
             "fixed": fixed,
             "window": {"e_min": e_min, "e_max": e_max, "points": points},
             "frames": manifest_frames,
-            "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "created": created,
         }
         written.append(write_json(outdir / "manifest.json", manifest))
         return manifest

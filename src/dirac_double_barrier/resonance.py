@@ -2,9 +2,9 @@
 
 Full transmission |T|^2 = 1 happens exactly where the off-diagonal
 element of the full transfer matrix vanishes.  The search scans
-|M21|^2 on a uniform grid over a zone, takes interior local minima as
-brackets, and refines each bracket with a root solve on a sign-changing
-real component of M21.
+|M21|^2 on a uniform grid over a zone in one array evaluation, takes
+interior local minima as brackets, and refines each bracket with a root
+solve on a sign-changing real component of M21.
 
 On the real energy axis M21 is numerically confined near one of the two
 real components, with the other one only roundoff away from zero.  A
@@ -131,15 +131,15 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
         if lo < s < hi
     ]
     grid = _nudged_grid(lo, hi, settings.grid_points_per_zone, avoid, margin)
-    g = [abs(_m21(float(e), cfg)) ** 2 for e in grid]
+    g = np.abs(full_matrix(grid, cfg).m21) ** 2
+    minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     hits: list[tuple[float, float]] = []
-    for i in range(1, len(grid) - 1):
-        if g[i] < g[i - 1] and g[i] < g[i + 1]:
-            try:
-                hits.append(_refine_bracket(cfg, float(grid[i - 1]),
-                                            float(grid[i + 1]), settings))
-            except RefinementFailed as exc:
-                log.debug("bracket near E = %.9g rejected: %s", grid[i], exc)
+    for i in minima:
+        try:
+            hits.append(_refine_bracket(cfg, float(grid[i - 1]),
+                                        float(grid[i + 1]), settings))
+        except RefinementFailed as exc:
+            log.debug("bracket near E = %.9g rejected: %s", grid[i], exc)
     hits.sort(key=lambda h: h[0])
     # adjacent brackets occasionally converge to the same root
     deduped: list[tuple[float, float]] = []

@@ -1,42 +1,57 @@
 """Boundary transfer matrices and the scattering amplitudes they encode.
 
-The structure has four potential steps, so the full transfer matrix is a
-product M = M1 M2 M3 M4 of 2x2 blocks, one per step.  The explicit form
-of each block depends on which of the three energy ranges E falls in;
-the three literal formula tables live in _range_i, _range_ii and
-_range_iii below and are deliberately kept free of algebraic shortcuts
-so they can be checked entry by entry.
+In a region of constant potential U the spinor is a superposition
+A e^{kx} u(k) + B e^{-kx} u(-k) on the basis u(k) = (1, s)^T, with
+k = sqrt((m - d)(m + d)), d = E - U (principal branch) and
+s = k / (m + E - U).  Continuity of both components at an interface x
+between a left region L and a right region R maps the right amplitudes
+onto the left ones through one interface matrix,
 
-Flux conservation shows up as det M = 1 together with M11 = conj(M22)
-and M12 = conj(M21), giving |T|^2 + |R|^2 = 1 for T = 1/M11 and
-R = M21/M11.
+    P = W_L(x)^-1 W_R(x),   W = [[e^{kx}, e^{-kx}], [s e^{kx}, -s e^{-kx}]],
+
+and the structure has four of them, at x = -a, -a_minus, a_minus and a,
+so the full transfer matrix is M = P1 P2 P3 P4.  Each det P = s_R / s_L,
+which telescopes to det M = 1.  With M11 = conj(M22) and M12 = conj(M21)
+this gives |T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.
+
+Every function here takes either a float or a 1-D numpy array of
+energies and runs the same formula on it: a float goes through cmath and
+yields Python complex numbers, an array goes through numpy ufuncs
+entrywise and yields arrays.  Keep single energies scalar: a one-element
+array costs several times more than a float.  The literal per-range
+formula tables of the paper live with the tests (tests/paper_tables.py),
+as the independent reference this formula is checked against.
 """
 
 from __future__ import annotations
 
 import cmath
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import (
-    Kinematics,
-    MatrixRange,
-    PotentialConfig,
-    Region,
-    Zone,
-    classify,
-    kinematics,
-)
+import numpy as np
+
+from .core import MatrixRange, PotentialConfig, Zone, classify
 from .errors import DegenerateMatrix, NumericalOverflow
 
+#: One energy, or a 1-D array of them.
+Energy = float | np.ndarray
 
-@dataclass(frozen=True)
-class Matrix2x2:
-    """Complex 2x2 matrix with just the operations the engine needs."""
 
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
+class Matrix2x2(NamedTuple):
+    """Complex 2x2 matrix with just the operations the engine needs.
+
+    The entries are complex numbers, or complex arrays that hold one
+    matrix per energy; the operations then act energy by energy.  A
+    named tuple rather than a dataclass, because the scalar path builds
+    seven of them per energy.
+    """
+
+    m11: complex | np.ndarray
+    m12: complex | np.ndarray
+    m21: complex | np.ndarray
+    m22: complex | np.ndarray
 
     def __matmul__(self, other: "Matrix2x2") -> "Matrix2x2":
         return Matrix2x2(
@@ -46,255 +61,131 @@ class Matrix2x2:
             self.m21 * other.m12 + self.m22 * other.m22,
         )
 
-    def det(self) -> complex:
+    def det(self) -> complex | np.ndarray:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def entries(self) -> tuple[complex, complex, complex, complex]:
-        return (self.m11, self.m12, self.m21, self.m22)
+    def entries(self) -> tuple:
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class BoundaryFactors:
-    """Exponential factors evaluated at the matching points.
-
-    sigma0 and sigma_plus carry the outer boundaries at |x| = a, the
-    gammas the inner ones at |x| = a_minus.  Each is exp(a k) for the
-    appropriate region and position, so evanescent regions give real
-    growth factors and oscillatory regions give unimodular phases.
-    """
-
-    sigma0: complex
-    sigma_plus: complex
-    gamma_plus: complex
-    gamma_minus: complex
+def _first_failure(ok, e: Energy):
+    """None where ok holds for every energy, else the first energy it fails at."""
+    if isinstance(ok, np.ndarray):
+        return None if ok.all() else float(e[ok.argmin()])
+    return None if ok else e
 
 
-def _factors(cfg: PotentialConfig, k0: complex, kp: complex, km: complex) -> BoundaryFactors:
-    try:
-        bf = BoundaryFactors(
-            sigma0=cmath.exp(cfg.a * k0),
-            sigma_plus=cmath.exp(cfg.a * kp),
-            gamma_plus=cmath.exp(cfg.a_minus * kp),
-            gamma_minus=cmath.exp(cfg.a_minus * km),
-        )
-    except OverflowError as exc:
-        raise NumericalOverflow(
-            f"boundary exponential overflowed for a = {cfg.a:g}: {exc}"
-        ) from None
-    return bf
+def _waves(e: Energy, cfg: PotentialConfig, xp) -> list:
+    """(k, s) of the outside, barrier and floor regions, in that order."""
+    m = cfg.m
+    out = []
+    for u in (0.0, cfg.v_plus, cfg.v_minus):
+        d = e - u
+        # factored form keeps the difference of squares accurate near |d| = m
+        k = xp.sqrt((m - d) * (m + d) + 0j)
+        out.append((k, k / (m + d)))
+    return out
 
 
-def boundary_factors(e: float, cfg: PotentialConfig) -> BoundaryFactors:
-    """Boundary exponentials at energy E."""
-    k0 = kinematics(e, Region.ZERO, cfg).k
-    kp = kinematics(e, Region.PLUS, cfg).k
-    km = kinematics(e, Region.MINUS, cfg).k
-    return _factors(cfg, k0, kp, km)
+def _step(x: float, left: tuple, right: tuple, xp) -> Matrix2x2:
+    """Interface matrix W_L(x)^-1 W_R(x) between two regions meeting at x."""
+    (kl, sl), (kr, sr) = left, right
+    rho = sr / sl
+    same = 0.5 * (1.0 + rho)
+    flip = 0.5 * (1.0 - rho)
+    u = (kr - kl) * x
+    v = (kr + kl) * x
+    return Matrix2x2(same * xp.exp(u), flip * xp.exp(-v),
+                     flip * xp.exp(v), same * xp.exp(-u))
 
 
-def _range_i(bf: BoundaryFactors, kin0: Kinematics, kinp: Kinematics,
-             kinm: Kinematics) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
-    # m < E < v_minus: outside oscillatory, both inner regions evanescent
-    # in the sense of the branch choice; weights enter as alpha0, beta+,
-    # beta-.
-    a0 = kin0.alpha
-    bp = kinp.beta
-    bm = kinm.beta
-    s0, sp = bf.sigma0, bf.sigma_plus
-    gp, gm = bf.gamma_plus, bf.gamma_minus
-    m1 = Matrix2x2(
-        0.5 * s0 * sp * (1.0 / a0 - bp),
-        0.5 * (s0 / sp) * (1.0 / a0 + bp),
-        -0.5 * (sp / s0) * (1.0 / a0 + bp),
-        0.5 / (s0 * sp) * (bp - 1.0 / a0),
-    )
-    m2 = Matrix2x2(
-        0.5 * (gm / gp) * (1.0 + bm / bp),
-        0.5 / (gp * gm) * (1.0 - bm / bp),
-        0.5 * gp * gm * (1.0 - bm / bp),
-        0.5 * (gp / gm) * (1.0 + bm / bp),
-    )
-    m3 = Matrix2x2(
-        0.5 * (gm / gp) * (1.0 + bp / bm),
-        0.5 * gp * gm * (1.0 - bp / bm),
-        0.5 / (gp * gm) * (1.0 - bp / bm),
-        0.5 * (gp / gm) * (1.0 + bp / bm),
-    )
-    m4 = Matrix2x2(
-        0.5 * s0 * sp * (a0 - 1.0 / bp),
-        -0.5 * (sp / s0) * (a0 + 1.0 / bp),
-        0.5 * (s0 / sp) * (a0 + 1.0 / bp),
-        0.5 / (s0 * sp) * (1.0 / bp - a0),
-    )
-    return m1, m2, m3, m4
-
-
-def _range_ii(bf: BoundaryFactors, kin0: Kinematics, kinp: Kinematics,
-              kinm: Kinematics) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
-    # v_minus < E < v_plus: the outer matrices coincide with range I, the
-    # inner pair swaps beta- for alpha-.
-    a0 = kin0.alpha
-    bp = kinp.beta
-    am = kinm.alpha
-    s0, sp = bf.sigma0, bf.sigma_plus
-    gp, gm = bf.gamma_plus, bf.gamma_minus
-    m1 = Matrix2x2(
-        0.5 * s0 * sp * (1.0 / a0 - bp),
-        0.5 * (s0 / sp) * (1.0 / a0 + bp),
-        -0.5 * (sp / s0) * (1.0 / a0 + bp),
-        0.5 / (s0 * sp) * (bp - 1.0 / a0),
-    )
-    m2 = Matrix2x2(
-        0.5 / (gp * gm) * (am - 1.0 / bp),
-        -0.5 * (gm / gp) * (am + 1.0 / bp),
-        0.5 * (gp / gm) * (am + 1.0 / bp),
-        0.5 * gp * gm * (1.0 / bp - am),
-    )
-    m3 = Matrix2x2(
-        0.5 / (gp * gm) * (1.0 / am - bp),
-        0.5 * (gp / gm) * (1.0 / am + bp),
-        -0.5 * (gm / gp) * (1.0 / am + bp),
-        0.5 * gp * gm * (bp - 1.0 / am),
-    )
-    m4 = Matrix2x2(
-        0.5 * s0 * sp * (a0 - 1.0 / bp),
-        -0.5 * (sp / s0) * (a0 + 1.0 / bp),
-        0.5 * (s0 / sp) * (a0 + 1.0 / bp),
-        0.5 / (s0 * sp) * (1.0 / bp - a0),
-    )
-    return m1, m2, m3, m4
-
-
-def _range_iii(bf: BoundaryFactors, kin0: Kinematics, kinp: Kinematics,
-               kinm: Kinematics) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
-    # E > v_plus: every region oscillatory, everything in terms of alphas.
-    a0 = kin0.alpha
-    ap = kinp.alpha
-    am = kinm.alpha
-    s0, sp = bf.sigma0, bf.sigma_plus
-    gp, gm = bf.gamma_plus, bf.gamma_minus
-    m1 = Matrix2x2(
-        0.5 * (s0 / sp) * (1.0 + ap / a0),
-        0.5 * s0 * sp * (1.0 - ap / a0),
-        0.5 / (s0 * sp) * (1.0 - ap / a0),
-        0.5 * (sp / s0) * (1.0 + ap / a0),
-    )
-    m2 = Matrix2x2(
-        0.5 * (gp / gm) * (1.0 + am / ap),
-        0.5 * gp * gm * (1.0 - am / ap),
-        0.5 / (gp * gm) * (1.0 - am / ap),
-        0.5 * (gm / gp) * (1.0 + am / ap),
-    )
-    m3 = Matrix2x2(
-        0.5 * (gp / gm) * (1.0 + ap / am),
-        0.5 / (gp * gm) * (1.0 - ap / am),
-        0.5 * gp * gm * (1.0 - ap / am),
-        0.5 * (gm / gp) * (1.0 + ap / am),
-    )
-    m4 = Matrix2x2(
-        0.5 * (s0 / sp) * (1.0 + a0 / ap),
-        0.5 / (s0 * sp) * (1.0 - a0 / ap),
-        0.5 * s0 * sp * (1.0 - a0 / ap),
-        0.5 * (sp / s0) * (1.0 + a0 / ap),
-    )
-    return m1, m2, m3, m4
-
-
-_TABLES = {
-    MatrixRange.I: _range_i,
-    MatrixRange.II: _range_ii,
-    MatrixRange.III: _range_iii,
-}
-
-
-def _factor_matrices_in_range(e: float, cfg: PotentialConfig,
-                              rng: MatrixRange) -> tuple[Matrix2x2, ...]:
-    kin0 = kinematics(e, Region.ZERO, cfg)
-    kinp = kinematics(e, Region.PLUS, cfg)
-    kinm = kinematics(e, Region.MINUS, cfg)
-    bf = _factors(cfg, kin0.k, kinp.k, kinm.k)
-    ms = _TABLES[rng](bf, kin0, kinp, kinm)
-    for mat in ms:
-        for z in mat.entries():
-            if not cmath.isfinite(z):
-                raise NumericalOverflow(
-                    f"transfer-matrix entry overflowed at E = {e!r}"
-                )
-    return ms
-
-
-def factor_matrices(e: float, cfg: PotentialConfig) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
-    """The four per-step matrices M1..M4 for the range containing E."""
-    rng, _ = classify(e, cfg)
-    return _factor_matrices_in_range(e, cfg, rng)
-
-
-def factor_determinants(e: float, cfg: PotentialConfig) -> tuple[complex, complex, complex, complex]:
-    """Analytic determinants of M1..M4; their product is exactly 1.
-
-    Each is a ratio of spinor weights of the two regions meeting at the
-    step, so telescoping kills everything in the product.
-    """
-    rng, _ = classify(e, cfg)
-    kin0 = kinematics(e, Region.ZERO, cfg)
-    kinp = kinematics(e, Region.PLUS, cfg)
-    kinm = kinematics(e, Region.MINUS, cfg)
-    if rng is MatrixRange.I:
-        return (
-            kinp.beta / kin0.alpha,
-            kinm.beta / kinp.beta,
-            kinp.beta / kinm.beta,
-            kin0.alpha / kinp.beta,
-        )
-    if rng is MatrixRange.II:
-        return (
-            kinp.beta / kin0.alpha,
-            kinm.alpha / kinp.beta,
-            kinp.beta / kinm.alpha,
-            kin0.alpha / kinp.beta,
-        )
+def _steps(e: Energy, cfg: PotentialConfig, xp) -> tuple[Matrix2x2, ...]:
+    zero, plus, minus = _waves(e, cfg, xp)
     return (
-        kinp.alpha / kin0.alpha,
-        kinm.alpha / kinp.alpha,
-        kinp.alpha / kinm.alpha,
-        kin0.alpha / kinp.alpha,
+        _step(-cfg.a, zero, plus, xp),
+        _step(-cfg.a_minus, plus, minus, xp),
+        _step(cfg.a_minus, minus, plus, xp),
+        _step(cfg.a, plus, zero, xp),
     )
 
 
-def _full_matrix_in_range(e: float, cfg: PotentialConfig, rng: MatrixRange) -> Matrix2x2:
-    m1, m2, m3, m4 = _factor_matrices_in_range(e, cfg, rng)
-    return m1 @ m2 @ m3 @ m4
+def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x2, ...]:
+    """P1..P4, or their product alone, with overflow raised as NumericalOverflow.
+
+    cmath raises OverflowError where numpy returns inf, so both the
+    exception and non-finite entries count.
+    """
+    array = isinstance(e, np.ndarray)
+    xp = np if array else cmath
+    try:
+        with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
+            mats = _steps(e, cfg, xp)
+            if multiply:
+                mats = (mats[0] @ mats[1] @ mats[2] @ mats[3],)
+    except OverflowError:
+        raise NumericalOverflow(
+            f"boundary exponential overflowed for a = {cfg.a:g}"
+        ) from None
+    for mat in mats:
+        # inf and nan survive summation, so a finite sum means finite entries
+        at = _first_failure(xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22), e)
+        if at is not None:
+            raise NumericalOverflow(f"transfer-matrix entry overflowed at E = {at!r}")
+    return mats
 
 
-def full_matrix(e: float, cfg: PotentialConfig) -> Matrix2x2:
-    """Transfer matrix spanning the whole structure, M1 M2 M3 M4."""
-    rng, _ = classify(e, cfg)
-    return _full_matrix_in_range(e, cfg, rng)
+def factor_matrices(e: Energy, cfg: PotentialConfig) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
+    """The four interface matrices P1..P4, left to right."""
+    classify(e, cfg)
+    return _evaluate(e, cfg, multiply=False)
+
+
+def factor_determinants(e: Energy, cfg: PotentialConfig) -> tuple:
+    """Analytic determinants s_R/s_L of P1..P4; their product is exactly 1.
+
+    Each is the ratio of the lower-component weights of the two regions
+    meeting at the step, so telescoping kills everything in the product.
+    """
+    classify(e, cfg)
+    xp = np if isinstance(e, np.ndarray) else cmath
+    (_, s0), (_, sp), (_, sm) = _waves(e, cfg, xp)
+    return (sp / s0, sm / sp, sp / sm, s0 / sp)
+
+
+def full_matrix(e: Energy, cfg: PotentialConfig) -> Matrix2x2:
+    """Transfer matrix spanning the whole structure, P1 P2 P3 P4."""
+    classify(e, cfg)
+    return _evaluate(e, cfg, multiply=True)[0]
 
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitudes and probabilities of one scattering event."""
+    """Amplitudes and probabilities of one scattering event.
 
-    e: float
-    t: complex
-    r: complex
-    t2: float
-    r2: float
-    matrix_range: MatrixRange
-    zone: Zone
+    For an array of energies every field is an array with one entry per
+    energy; matrix_range and zone are then object arrays of enum members.
+    """
+
+    e: float | np.ndarray
+    t: complex | np.ndarray
+    r: complex | np.ndarray
+    t2: float | np.ndarray
+    r2: float | np.ndarray
+    matrix_range: MatrixRange | np.ndarray
+    zone: Zone | np.ndarray
 
 
-def scatter(e: float, cfg: PotentialConfig) -> ScatteringResult:
-    """Transmission and reflection at energy E.
+def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
+    """Transmission and reflection at energy E, or at each energy of an array.
 
     T = 1/M11, R = M21/M11; flux conservation guarantees
     |T|^2 + |R|^2 = 1 up to roundoff.
     """
     rng, zone = classify(e, cfg)
-    m = _full_matrix_in_range(e, cfg, rng)
-    if abs(m.m11) < 1e-300:
-        raise DegenerateMatrix(f"M11 vanished at E = {e!r}")
+    (m,) = _evaluate(e, cfg, multiply=True)
+    at = _first_failure(abs(m.m11) >= 1e-300, e)
+    if at is not None:
+        raise DegenerateMatrix(f"M11 vanished at E = {at!r}")
     t = 1.0 / m.m11
     r = m.m21 / m.m11
     return ScatteringResult(

@@ -82,27 +82,38 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
     """n admissible energies, uniform over the window, deterministic in seed.
 
     Draws within (e_min, e_max) and rejects anything within SAMPLE_MARGIN
-    of a singular or range-boundary energy.
+    of a singular or range-boundary energy.  A window that lies entirely
+    inside one such rejection band raises ValueError.
     """
     if e_min is None:
         e_min = 1.001 * cfg.m
     if e_max is None:
         e_max = cfg.v_plus + 4.0 * cfg.m
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not e_min > cfg.m:
         raise ValueError(f"e_min must exceed m = {cfg.m:g}, got {e_min}")
     if not e_max > e_min:
         raise ValueError("e_max must exceed e_min")
-    rng = np.random.default_rng(seed)
-    bad = np.array(sorted({*singular_energies(cfg), cfg.v_minus, cfg.v_plus}))
+    bad = sorted({*singular_energies(cfg), cfg.v_minus, cfg.v_plus})
     width = SAMPLE_MARGIN * cfg.m
-    out: list[float] = []
-    while len(out) < n:
-        for e in rng.uniform(e_min, e_max, size=n):
-            if np.abs(bad - e).min() > width:
-                out.append(float(e))
-                if len(out) == n:
-                    break
-    return out
+    # the bands are far narrower than their spacing, so one band covers
+    # the window or none does
+    for b in bad:
+        if b - width <= e_min and e_max <= b + width:
+            raise ValueError(
+                f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
+                f"excluded energy {b:g}; nothing in it can be sampled"
+            )
+    rng = np.random.default_rng(seed)
+    out = np.empty(0)
+    while out.size < n:
+        draws = rng.uniform(e_min, e_max, size=n)
+        keep = np.ones(n, dtype=bool)
+        for b in bad:
+            keep &= np.abs(draws - b) > width
+        out = np.concatenate([out, draws[keep]])
+    return out[:n].tolist()
 
 
 def run_verification(cfg: PotentialConfig,
@@ -132,27 +143,21 @@ def run_verification(cfg: PotentialConfig,
         "M12 = conj(M21)",
         "transfer vs boundary matching",
     )
-    worst = [0.0] * len(names)
-    worst_at = [energies[0]] * len(names)
-    for e in energies:
-        mat = full_matrix(e, cfg)
-        t = 1.0 / mat.m11
-        r = mat.m21 / mat.m11
-        devs = (
-            abs(abs(t) ** 2 + abs(r) ** 2 - 1.0),
-            abs(mat.det() - 1.0),
-            abs(mat.m11 - mat.m22.conjugate()),
-            abs(mat.m12 - mat.m21.conjugate()),
-            abs(t - solve_amplitudes(e, cfg).t),
-        )
-        for i, d in enumerate(devs):
-            if d > worst[i]:
-                worst[i] = d
-                worst_at[i] = e
+    mat = full_matrix(np.array(energies), cfg)
+    t = 1.0 / mat.m11
+    r = mat.m21 / mat.m11
+    oracle_t = np.array([solve_amplitudes(e, cfg).t for e in energies])
+    devs = (
+        np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
+        np.abs(mat.det() - 1.0),
+        np.abs(mat.m11 - mat.m22.conjugate()),
+        np.abs(mat.m12 - mat.m21.conjugate()),
+        np.abs(t - oracle_t),
+    )
     checks = tuple(
-        CheckResult(name=names[i], worst=worst[i], at_energy=worst_at[i],
-                    tolerance=tolerance)
-        for i in range(len(names))
+        CheckResult(name=name, worst=float(d.max()),
+                    at_energy=energies[int(d.argmax())], tolerance=tolerance)
+        for name, d in zip(names, devs)
     )
     return VerificationReport(
         config=cfg,

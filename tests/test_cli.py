@@ -126,6 +126,10 @@ def test_config_file_with_flag_override(tmp_path):
     ["sweep", *REF_FLAGS, "--param", "a-minus", "--from", "1", "--to", "2",
      "--frames", "1"],
     ["nonsense"],
+    ["transmission", *REF_FLAGS, "--threads", "0"],
+    # the whole window lies in the rejection band around E = v_minus - m
+    ["verify", *REF_FLAGS, "--e-min", "2.9999999", "--e-max", "3.0000001"],
+    ["verify", *REF_FLAGS, "--samples", "0"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -101,6 +101,17 @@ def test_sweep_writes_frames_and_manifest(reference, tmp_path):
         assert len(lines) == 31
 
 
+def test_sweep_is_byte_stable_under_source_date_epoch(reference, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1000000000")
+    for name in ("a", "b"):
+        manifest = run_sweep(reference, "a-minus", 1.0, 1.2, 3, tmp_path / name,
+                             e_min=1.05, e_max=11.0, points=30)
+        assert manifest["created"] == "2001-09-09T01:46:40+00:00"
+    for path in sorted((tmp_path / "a").iterdir()):
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
 def test_sweep_validation(reference, tmp_path):
     with pytest.raises(ValueError):
         run_sweep(reference, "v-plus", 1.0, 2.0, 3, tmp_path, 1.05, 11.0, 10)
@@ -108,6 +119,9 @@ def test_sweep_validation(reference, tmp_path):
         run_sweep(reference, "a-minus", 1.0, 2.0, 1, tmp_path, 1.05, 11.0, 10)
     with pytest.raises(ValueError):
         run_sweep(reference, "a-minus", 2.0, 1.0, 3, tmp_path, 1.05, 11.0, 10)
+    with pytest.raises(ValueError):
+        run_sweep(reference, "a-minus", 1.0, 2.0, 3, tmp_path, 1.05, 11.0, 10,
+                  workers=0)
 
 
 def test_sweep_cleans_up_after_failure(reference, tmp_path, monkeypatch):

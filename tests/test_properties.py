@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import paper_tables
 from dirac_double_barrier import (
+    MatrixRange,
     PotentialConfig,
     Region,
     alpha_beta,
@@ -64,6 +66,26 @@ def test_matrix_symmetries(case):
 def test_transfer_agrees_with_boundary_matching(case):
     cfg, e = case
     assert abs(scatter(e, cfg).t - solve_amplitudes(e, cfg).t) < 1e-9
+
+
+@pytest.mark.parametrize("matrix_range", list(MatrixRange), ids=lambda r: r.value)
+@settings(max_examples=80, deadline=None)
+@given(potentials(), st.floats(0.0, 1.0))
+def test_paper_tables_agree_with_interface_formula(matrix_range, cfg, u):
+    lo, hi = {
+        MatrixRange.I: (cfg.m, cfg.v_minus),
+        MatrixRange.II: (cfg.v_minus, cfg.v_plus),
+        MatrixRange.III: (cfg.v_plus, cfg.v_plus + 4.0),
+    }[matrix_range]
+    e = lo + u * (hi - lo)
+    guards = (cfg.m, cfg.v_minus - cfg.m, cfg.v_minus, cfg.v_minus + cfg.m,
+              cfg.v_plus - cfg.m, cfg.v_plus, cfg.v_plus + cfg.m)
+    assume(min(abs(e - g) for g in guards) > 1e-5)
+    t, r = paper_tables.amplitudes(e, cfg)
+    s = scatter(e, cfg)
+    assert s.matrix_range is matrix_range
+    assert abs(s.t - t) <= 1e-12
+    assert abs(s.r - r) <= 1e-12
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,14 +1,14 @@
-import cmath
-import math
+import warnings
 
 import numpy as np
 import pytest
 
+import paper_tables
 from dirac_double_barrier import (
+    BoundaryEnergy,
     Matrix2x2,
     NumericalOverflow,
     PotentialConfig,
-    boundary_factors,
     classify,
     factor_determinants,
     factor_matrices,
@@ -39,7 +39,7 @@ def test_det_matches_numpy():
 
 
 def test_boundary_factor_branches(reference):
-    bf = boundary_factors(7.5, reference)
+    bf = paper_tables.boundary_factors(7.5, reference)
     # outside is oscillatory at any admissible energy
     assert abs(abs(bf.sigma0) - 1.0) < 1e-12
     # the barrier is evanescent just under its top: growth factors
@@ -61,9 +61,17 @@ def test_factor_determinants_match_numeric(reference, e):
 
 
 def test_inner_barrier_matrix_frozen(reference):
-    got = factor_matrices(6.0, reference)[1].entries()
+    got = paper_tables.factor_matrices(6.0, reference)[1].entries()
     for z, want in zip(got, INNER_BARRIER_E6):
         assert abs(z - want) <= 1e-12
+
+
+@pytest.mark.parametrize("e", SAMPLE_ENERGIES)
+def test_paper_tables_agree_with_interface_formula(reference, e):
+    t, r = paper_tables.amplitudes(e, reference)
+    s = scatter(e, reference)
+    assert abs(s.t - t) <= 1e-12
+    assert abs(s.r - r) <= 1e-12
 
 
 @pytest.mark.parametrize("e", SAMPLE_ENERGIES)
@@ -115,3 +123,45 @@ def test_wide_barrier_overflows_cleanly():
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=900.0, a_minus=2.5)
     with pytest.raises(NumericalOverflow):
         full_matrix(7.5, cfg)
+
+
+def test_wide_barrier_overflows_cleanly_on_arrays():
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=900.0, a_minus=2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the barrier is evanescent, so growing, only between 7 and 9
+        with pytest.raises(NumericalOverflow, match="E = 7.5"):
+            full_matrix(np.array([6.0, 7.5, 8.5]), cfg)
+
+
+def test_array_path_matches_scalar_path(reference):
+    energies = np.array(SAMPLE_ENERGIES)
+    batch = scatter(energies, reference)
+    mat = full_matrix(energies, reference)
+    steps = factor_matrices(energies, reference)
+    dets = factor_determinants(energies, reference)
+    for i, e in enumerate(SAMPLE_ENERGIES):
+        one = scatter(e, reference)
+        assert abs(batch.t[i] - one.t) < 1e-13
+        assert abs(batch.r[i] - one.r) < 1e-13
+        assert (batch.matrix_range[i], batch.zone[i]) == classify(e, reference)
+        for got, want in zip(mat.entries(), full_matrix(e, reference).entries()):
+            assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+        for p_arr, p_one in zip(steps, factor_matrices(e, reference)):
+            for got, want in zip(p_arr.entries(), p_one.entries()):
+                assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+        for got, want in zip(dets, factor_determinants(e, reference)):
+            assert abs(got[i] - want) < 1e-14
+
+
+def test_scalar_path_returns_python_numbers(reference):
+    s = scatter(6.0, reference)
+    assert type(s.t) is complex and type(s.r) is complex
+    assert type(s.t2) is float and type(s.r2) is float
+    assert all(type(z) is complex for z in full_matrix(6.0, reference).entries())
+
+
+def test_array_raises_at_first_inadmissible_energy(reference):
+    with pytest.raises(BoundaryEnergy) as info:
+        scatter(np.array([2.0, 7.0, 4.0]), reference)
+    assert info.value.energy == 7.0

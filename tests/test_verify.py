@@ -36,6 +36,12 @@ def test_window_must_sit_above_threshold(reference):
         sample_energies(reference, 10, seed=0, e_min=3.0, e_max=2.0)
 
 
+def test_window_inside_a_rejection_band_is_refused(reference):
+    # every draw would be rejected, so drawing could never finish
+    with pytest.raises(ValueError, match="excluded energy 3"):
+        sample_energies(reference, 10, seed=0, e_min=3.0 - 1e-7, e_max=3.0 + 1e-7)
+
+
 def test_report_names_every_check(reference):
     report = run_verification(reference, samples=50, seed=2)
     text = report.render()
