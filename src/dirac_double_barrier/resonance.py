@@ -1,27 +1,22 @@
 """Transmission-resonance search: real roots of M21(E).
 
 Full transmission |T|^2 = 1 happens exactly where the off-diagonal
-element of the full transfer matrix vanishes.  The search scans
+element of the full transfer matrix vanishes.  On the real energy axis
+M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
+|M11|), so the resonances are the roots of f = Im M21.  The search scans
 |M21|^2 on a uniform grid over a zone in one array evaluation, takes
-interior local minima as brackets, and refines each bracket with a root
-solve on a sign-changing real component of M21.
-
-On the real energy axis M21 is numerically confined near one of the two
-real components, with the other one only roundoff away from zero.  A
-sign change in the roundoff component would send the root solve to a
-noise crossing, so refinement orders candidate components by endpoint
-magnitude and keeps the first root whose residual |M21| actually drops
-below the acceptance threshold.
+interior local minima as brackets, and refines each bracket on Im M21
+with Brent's method, carried here as a port of scipy's brentq.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import PotentialConfig, Zone, singular_energies, zone_interval
 from .errors import RefinementFailed
@@ -43,6 +38,88 @@ DEFAULT_ZONES = (Zone.LOWER_KLEIN, Zone.HIGHER_KLEIN, Zone.CONVENTIONAL)
 #: March cap above the top zone edge when estimating widths there, in
 #: units of the mass.
 _OPEN_ZONE_SPAN = 4.0
+
+#: Energies in the width march's first array chunk; each later chunk
+#: doubles, up to _MARCH_CHUNK_MAX.
+_MARCH_CHUNK = 32
+_MARCH_CHUNK_MAX = 1024
+
+#: March energies whose array |T|^2 lies this close to 1/2 are decided
+#: by the scalar kernel, which refines the crossing.  The two kernels
+#: round differently, by at most ~3e-13 in |T|^2 even at a_plus = 5.
+_HALF_BAND = 1e-9
+
+#: Brent defaults, as in scipy.optimize.brentq.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           maxiter: int = _BRENT_MAXITER) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy.optimize.brentq (its C kernel brentq.c) at scipy's
+    default rtol: the same steps in the same floating-point order, so
+    the same root to the bit.  Converged means f = 0 or a bracket
+    narrower than xtol + 4 eps |x|.  Raises ValueError when f(a) and f(b)
+    have the same sign or f returns NaN, RuntimeError after maxiter
+    steps.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to inf or nan there, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} steps")
 
 
 @dataclass(frozen=True)
@@ -96,27 +173,20 @@ def _nudged_grid(lo: float, hi: float, n: int, avoid: list[float],
 def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float,
                     settings: SearchSettings) -> tuple[float, float]:
     """Root of M21 inside (lo, hi) as (energy, residual)."""
-    xtol = settings.refine_tolerance * cfg.m
-    z_lo = _m21(lo, cfg)
-    z_hi = _m21(hi, cfg)
-    candidates = []
-    if z_lo.real * z_hi.real < 0.0:
-        candidates.append((max(abs(z_lo.real), abs(z_hi.real)),
-                           lambda e: _m21(e, cfg).real))
-    if z_lo.imag * z_hi.imag < 0.0:
-        candidates.append((max(abs(z_lo.imag), abs(z_hi.imag)),
-                           lambda e: _m21(e, cfg).imag))
-    # dominant component first: the roundoff component can change sign too
-    candidates.sort(key=lambda c: c[0], reverse=True)
-    for _, f in candidates:
-        root = brentq(f, lo, hi, xtol=xtol)
-        residual = abs(_m21(root, cfg))
-        if residual < settings.residual_accept:
-            return float(root), float(residual)
-    raise RefinementFailed(
-        f"no component of M21 refined below {settings.residual_accept:g} "
-        f"in ({lo:.9g}, {hi:.9g})"
-    )
+    try:
+        root = brentq(lambda e: _m21(e, cfg).imag, lo, hi,
+                      xtol=settings.refine_tolerance * cfg.m)
+    except ValueError:
+        raise RefinementFailed(
+            f"Im M21 keeps its sign over ({lo:.9g}, {hi:.9g})"
+        ) from None
+    residual = abs(_m21(root, cfg))
+    if not residual < settings.residual_accept:
+        raise RefinementFailed(
+            f"|M21| = {residual:.3g} at the root in ({lo:.9g}, {hi:.9g}) "
+            f"is not below {settings.residual_accept:g}"
+        )
+    return root, residual
 
 
 def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
@@ -212,6 +282,9 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
                    step: float, settings: SearchSettings) -> float | None:
     """March from start toward limit until |T|^2 dips to 1/2, then refine.
 
+    The march visits start + i*step for i = 1, 2, ..., clamped to the
+    limit and nudged off singular energies, and evaluates them in array
+    chunks; it picks the same bracket as visiting them one at a time.
     The step's sign sets the direction.  Returns None when the limit is
     reached with |T|^2 still above 1/2.
     """
@@ -220,26 +293,46 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
     direction = 1.0 if step > 0 else -1.0
     if (limit - start) * direction <= 0:
         return None
-    prev = start
-    i = 0
-    while True:
-        i += 1
-        e = start + i * step
-        at_limit = (e - limit) * direction >= 0.0
-        if at_limit:
-            e = limit
+
+    def nudged(e: np.ndarray) -> np.ndarray:
         for s in bad:
-            if abs(e - s) < margin:
-                e = s + margin * direction
-        if _t2(e, cfg) <= 0.5:
-            a, b = (prev, e) if direction > 0 else (e, prev)
-            return float(
-                brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
-                       xtol=settings.refine_tolerance * cfg.m)
-            )
-        if at_limit:
-            return None
-        prev = e
+            e = np.where(np.abs(e - s) < margin, s + margin * direction, e)
+        return e
+
+    def dips(e: np.ndarray) -> np.ndarray:
+        t2 = scatter(e, cfg).t2
+        below = t2 <= 0.5
+        for j in np.flatnonzero(np.abs(t2 - 0.5) < _HALF_BAND):
+            below[j] = _t2(float(e[j]), cfg) <= 0.5
+        return below
+
+    def refine(near: float, far: float) -> float:
+        a, b = (near, far) if direction > 0 else (far, near)
+        return float(
+            brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
+                   xtol=settings.refine_tolerance * cfg.m)
+        )
+
+    prev = start
+    i, n = 1, _MARCH_CHUNK
+    while True:
+        e = start + np.arange(i, i + n) * step
+        at_limit = (e - limit) * direction >= 0.0
+        stop = int(at_limit.argmax()) if at_limit.any() else n
+        # the nudged limit can leave the window, so it is evaluated only
+        # once every march energy before it stayed above 1/2
+        e = nudged(e[:stop])
+        if stop:
+            hit = dips(e)
+            if hit.any():
+                j = int(hit.argmax())
+                return refine(float(e[j - 1]) if j else prev, float(e[j]))
+            prev = float(e[-1])
+        if stop < n:
+            end = float(nudged(np.array([limit]))[0])
+            return refine(prev, end) if _t2(end, cfg) <= 0.5 else None
+        i += n
+        n = min(2 * n, _MARCH_CHUNK_MAX)
 
 
 def estimate_fwhm(res: Resonance, cfg: PotentialConfig,

@@ -61,6 +61,17 @@ def test_matrix_symmetries(case):
     assert abs(m.m12 - m.m21.conjugate()) < 1e-9
 
 
+@settings(max_examples=120, deadline=None)
+@given(scattering_cases())
+def test_m21_is_imaginary_on_the_real_axis(case):
+    cfg, e = case
+    m = full_matrix(e, cfg)
+    # Re M21 is roundoff on the scale of the entries, at a root as well
+    assert abs(m.m21.real) <= 1e-12 * abs(m.m11)
+    if abs(m.m21) > 1e-3 * abs(m.m11):
+        assert abs(m.m21.real) <= 1e-9 * abs(m.m21)
+
+
 @settings(max_examples=80, deadline=None)
 @given(scattering_cases())
 def test_transfer_agrees_with_boundary_matching(case):

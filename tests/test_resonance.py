@@ -1,7 +1,9 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import scalar_march
 from dirac_double_barrier import (
     PotentialConfig,
     SearchSettings,
@@ -10,6 +12,7 @@ from dirac_double_barrier import (
     estimate_fwhm,
     find_above_barrier,
     find_resonances,
+    resonance,
     scatter,
     zone_interval,
 )
@@ -170,3 +173,61 @@ def test_density_grows_with_floor_width():
     assert n_narrow == FLOOR_NARROW_TOTAL
     assert n_wide == FLOOR_WIDE_TOTAL
     assert n_narrow < n_wide
+
+
+@pytest.mark.parametrize("v_plus, e_max", [(8.0, 11.0), (10.0, 13.0)],
+                         ids=["reference", "tall"])
+def test_chunked_march_matches_scalar_march(v_plus, e_max, monkeypatch):
+    cfg = PotentialConfig(v_plus=v_plus, v_minus=4.0, a_plus=3.0, a_minus=2.5)
+    found = (find_resonances(cfg, resonance.BOUNDED_ZONES)
+             + find_above_barrier(cfg, e_max))
+    chunked = [r.fwhm for r in attach_widths(found, cfg)]
+    monkeypatch.setattr(resonance, "_half_crossing", scalar_march.half_crossing)
+    scalar = [r.fwhm for r in attach_widths(found, cfg)]
+    assert chunked == scalar
+    # overlapping peaks fenced by their neighbors never dip to 1/2
+    assert None in chunked
+    assert sum(w is not None for w in chunked) >= 10
+
+
+def test_march_to_the_threshold_matches_scalar_march():
+    # the first lower-Klein peak sits at E = 1.0275, so its left march
+    # dips in the same chunk that reaches the limit m + margin, whose
+    # nudged value m - margin lies below threshold
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=1.0)
+    settings = SearchSettings()
+    first = find_resonances(cfg, [Zone.LOWER_KLEIN])[0]
+    lo, hi = zone_interval(Zone.LOWER_KLEIN, cfg)
+    step = (hi - lo) / settings.grid_points_per_zone
+    limit = lo + settings.singular_margin * cfg.m
+    args = (cfg, first.energy, limit, -step, settings)
+    got = resonance._half_crossing(*args)
+    assert got is not None
+    assert got == scalar_march.half_crossing(*args)
+    # crossing and limit both fall in the second chunk, steps 33 to 96
+    chunk = resonance._MARCH_CHUNK
+    assert chunk < (first.energy - got) / step < (first.energy - limit) / step <= 3 * chunk
+
+
+def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch):
+    # a march step that lands on the right half-maximum crossing of the
+    # sharpest peak, against an array kernel whose |T|^2 errs by 5e-10
+    # to the wrong side of 1/2 there; the scalar kernel, which refines
+    # the crossing, must decide the bracket
+    settings = SearchSettings()
+    peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
+    lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
+    limit = hi - settings.singular_margin * reference.m
+    step = (hi - lo) / settings.grid_points_per_zone
+    crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
+    args = (reference, peak.energy, limit, (crossing - peak.energy) / 40, settings)
+    want = scalar_march.half_crossing(*args)
+
+    def skewed(e, cfg):
+        out = scatter(e, cfg)
+        if isinstance(e, np.ndarray):
+            out = replace(out, t2=out.t2 + np.where(out.t2 > 0.5, -5e-10, 5e-10))
+        return out
+
+    monkeypatch.setattr(resonance, "scatter", skewed)
+    assert resonance._half_crossing(*args) == want
