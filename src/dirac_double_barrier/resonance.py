@@ -282,11 +282,14 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
                    step: float, settings: SearchSettings) -> float | None:
     """March from start toward limit until |T|^2 dips to 1/2, then refine.
 
-    The march visits start + i*step for i = 1, 2, ..., clamped to the
-    limit and nudged off singular energies, and evaluates them in array
-    chunks; it picks the same bracket as visiting them one at a time.
-    The step's sign sets the direction.  Returns None when the limit is
-    reached with |T|^2 still above 1/2.
+    The march visits start + i*step for i = 1, 2, ..., then the limit,
+    and evaluates them in array chunks; it picks the same bracket as
+    visiting them one at a time.  A march energy near a singular energy
+    is nudged on in the march direction, the limit back toward start, so
+    it stays inside the window.  The step's sign sets the direction.
+    Returns None when the limit is reached with |T|^2 still above 1/2,
+    and raises ValueError when |T|^2 at start is not above 1/2, since
+    then start is no peak.
     """
     margin = settings.singular_margin * cfg.m
     bad = sorted({*singular_energies(cfg), cfg.v_minus, cfg.v_plus})
@@ -294,9 +297,9 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
     if (limit - start) * direction <= 0:
         return None
 
-    def nudged(e: np.ndarray) -> np.ndarray:
+    def nudged(e: np.ndarray, way: float) -> np.ndarray:
         for s in bad:
-            e = np.where(np.abs(e - s) < margin, s + margin * direction, e)
+            e = np.where(np.abs(e - s) < margin, s + margin * way, e)
         return e
 
     def dips(e: np.ndarray) -> np.ndarray:
@@ -307,6 +310,14 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
         return below
 
     def refine(near: float, far: float) -> float:
+        if near == start:
+            # the first march energy dips already, so start may be no peak
+            t2 = _t2(start, cfg)
+            if not t2 > 0.5:
+                raise ValueError(
+                    f"|T|^2 = {t2:.6g} at the march start E = {start!r} is not "
+                    f"above 1/2, so no peak starts there"
+                )
         a, b = (near, far) if direction > 0 else (far, near)
         return float(
             brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
@@ -319,18 +330,16 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
         e = start + np.arange(i, i + n) * step
         at_limit = (e - limit) * direction >= 0.0
         stop = int(at_limit.argmax()) if at_limit.any() else n
-        # the nudged limit can leave the window, so it is evaluated only
-        # once every march energy before it stayed above 1/2
-        e = nudged(e[:stop])
-        if stop:
-            hit = dips(e)
-            if hit.any():
-                j = int(hit.argmax())
-                return refine(float(e[j - 1]) if j else prev, float(e[j]))
-            prev = float(e[-1])
+        e = nudged(e[:stop], direction)
         if stop < n:
-            end = float(nudged(np.array([limit]))[0])
-            return refine(prev, end) if _t2(end, cfg) <= 0.5 else None
+            e = np.append(e, nudged(np.array([limit]), -direction))
+        hit = dips(e)
+        if hit.any():
+            j = int(hit.argmax())
+            return refine(float(e[j - 1]) if j else prev, float(e[j]))
+        if stop < n:
+            return None
+        prev = float(e[-1])
         i += n
         n = min(2 * n, _MARCH_CHUNK_MAX)
 

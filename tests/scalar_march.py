@@ -38,7 +38,8 @@ def half_crossing(cfg: PotentialConfig, start: float, limit: float,
             e = limit
         for s in bad:
             if abs(e - s) < margin:
-                e = s + margin * direction
+                # the limit goes back toward start, so it stays in the window
+                e = s - margin * direction if at_limit else s + margin * direction
         if _t2(e, cfg) <= 0.5:
             a, b = (prev, e) if direction > 0 else (e, prev)
             return float(

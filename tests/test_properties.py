@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import paper_tables
 from dirac_double_barrier import (
     MatrixRange,
+    ZONE_ORDER,
     PotentialConfig,
     Region,
     alpha_beta,
@@ -77,6 +80,23 @@ def test_m21_is_imaginary_on_the_real_axis(case):
 def test_transfer_agrees_with_boundary_matching(case):
     cfg, e = case
     assert abs(scatter(e, cfg).t - solve_amplitudes(e, cfg).t) < 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(potentials(), st.floats(0.2, 5.0),
+       st.lists(st.floats(0.01, 0.99), min_size=5, max_size=5))
+def test_array_oracle_agrees_with_scalar_oracle(cfg, a_plus, fractions):
+    # one energy in each of the five zones, the open one up to 4 m above
+    # its edge, with barriers up to 5 wide where the system is stiffest
+    cfg = replace(cfg, a_plus=a_plus)
+    edges = [zone_interval(zone, cfg) for zone in ZONE_ORDER]
+    edges[-1] = (edges[-1][0], edges[-1][0] + 4.0 * cfg.m)
+    e = np.array([lo + u * (hi - lo) for (lo, hi), u in zip(edges, fractions)])
+    batch = solve_amplitudes(e, cfg)
+    for i, x in enumerate(e.tolist()):
+        one = solve_amplitudes(x, cfg)
+        assert abs(batch.t[i] - one.t) <= 1e-12
+        assert abs(batch.r[i] - one.r) <= 1e-12
 
 
 @pytest.mark.parametrize("matrix_range", list(MatrixRange), ids=lambda r: r.value)

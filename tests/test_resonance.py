@@ -192,8 +192,8 @@ def test_chunked_march_matches_scalar_march(v_plus, e_max, monkeypatch):
 
 def test_march_to_the_threshold_matches_scalar_march():
     # the first lower-Klein peak sits at E = 1.0275, so its left march
-    # dips in the same chunk that reaches the limit m + margin, whose
-    # nudged value m - margin lies below threshold
+    # dips in the same chunk that reaches the limit m + margin, which
+    # lies within the margin of the threshold and gets nudged
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=1.0)
     settings = SearchSettings()
     first = find_resonances(cfg, [Zone.LOWER_KLEIN])[0]
@@ -231,3 +231,42 @@ def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch)
 
     monkeypatch.setattr(resonance, "scatter", skewed)
     assert resonance._half_crossing(*args) == want
+
+
+@pytest.mark.parametrize("march", [resonance._half_crossing, scalar_march.half_crossing],
+                         ids=["chunked", "scalar"])
+@pytest.mark.parametrize("zone, start, step", [
+    (Zone.LOWER_KLEIN, 1.002, -5e-4),
+    (Zone.CONVENTIONAL, 8.998, 5e-4),
+], ids=["threshold", "zone-top"])
+def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, start, step):
+    # against a flat |T|^2 = 0.9 the march runs to its limit, one margin
+    # inside the zone edge and so within the margin of a singular energy;
+    # nudged on past the edge it would leave the window (below threshold,
+    # m - margin raises BoundaryEnergy)
+    settings = SearchSettings()
+    margin = settings.singular_margin * reference.m
+    lo, hi = zone_interval(zone, reference)
+    limit = lo + margin if step < 0 else hi - margin
+    seen = []
+
+    def flat(e, cfg):
+        out = scatter(e, cfg)
+        seen.extend(np.atleast_1d(e).tolist())
+        return replace(out, t2=np.full_like(out.t2, 0.9) if isinstance(e, np.ndarray) else 0.9)
+
+    monkeypatch.setattr(resonance, "scatter", flat)
+    monkeypatch.setattr(scalar_march, "scatter", flat)
+    assert march(reference, start, limit, step, settings) is None
+    assert len(seen) == 4
+    assert all(min(start, limit) <= e <= max(start, limit) for e in seen)
+    assert start not in seen
+
+
+def test_march_from_a_non_peak_names_the_start(reference):
+    # |T|^2 = 0.037 at E = 1.01, so the first march point already dips
+    with pytest.raises(ValueError, match=r"\|T\|\^2 = 0\.0371871 at the march start E = 1\.01 "):
+        resonance._half_crossing(reference, 1.01, 1.0 + 1e-6, -5e-4, SearchSettings())
+    not_a_peak = resonance.Resonance(energy=1.01, zone=Zone.LOWER_KLEIN, residual=0.0, level=0)
+    with pytest.raises(ValueError, match="march start E = 1.01 "):
+        estimate_fwhm(not_a_peak, reference)

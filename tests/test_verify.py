@@ -1,6 +1,15 @@
+import math
+
+import numpy as np
 import pytest
 
-from dirac_double_barrier import run_verification, sample_energies, singular_energies
+from dirac_double_barrier import (
+    oracle,
+    run_verification,
+    sample_energies,
+    singular_energies,
+    solve_amplitudes,
+)
 from dirac_double_barrier import verify as verify_mod
 from dirac_double_barrier.transfer import Matrix2x2, full_matrix
 
@@ -62,14 +71,34 @@ def test_failures_are_named(reference):
 
 
 def test_injected_corruption_is_pinned_to_its_invariant(reference, monkeypatch):
-    def corrupted(e, cfg):
-        m = full_matrix(e, cfg)
-        return Matrix2x2(m.m11, m.m12 + 1e-6, m.m21, m.m22)
+    def failures_with(corrupt):
+        monkeypatch.setattr(verify_mod, "full_matrix",
+                            lambda e, cfg: corrupt(full_matrix(e, cfg)))
+        report = verify_mod.run_verification(reference, samples=50, seed=2)
+        assert "FAILED:" in report.render()
+        return {c.name for c in report.failures}
 
-    monkeypatch.setattr(verify_mod, "full_matrix", corrupted)
-    report = verify_mod.run_verification(reference, samples=50, seed=2)
-    failed = {c.name for c in report.failures}
+    failed = failures_with(lambda m: Matrix2x2(m.m11, m.m12 + 1e-6, m.m21, m.m22))
     assert "M12 = conj(M21)" in failed
-    # flux only sees m11 and m21, so it must stay clean
+    # flux and the oracle only see m11 and m21, so they must stay clean
     assert "flux |T|^2 + |R|^2 = 1" not in failed
-    assert "FAILED:" in report.render()
+    assert "transfer vs boundary matching" not in failed
+
+    # T = 1/M11 does not see M21, so the oracle check must catch it through R
+    failed = failures_with(lambda m: Matrix2x2(m.m11, m.m12, m.m21 + 1e-6, m.m22))
+    assert "transfer vs boundary matching" in failed
+    assert "M11 = conj(M22)" not in failed
+
+
+def test_oracle_is_called_once_per_chunk_at_most(reference, monkeypatch):
+    calls = []
+
+    def counted(e, cfg):
+        calls.append(np.size(e))
+        return solve_amplitudes(e, cfg)
+
+    monkeypatch.setattr(verify_mod, "solve_amplitudes", counted)
+    samples = 2 * oracle._CHUNK + 1
+    assert verify_mod.run_verification(reference, samples=samples, seed=3).passed
+    assert len(calls) <= math.ceil(samples / oracle._CHUNK)
+    assert sum(calls) == samples
