@@ -86,13 +86,18 @@ def _build_config(args: argparse.Namespace) -> PotentialConfig:
             "missing potential parameters: "
             + ", ".join("--" + k.replace("_", "-") for k in missing)
         )
-    return PotentialConfig(
-        v_plus=float(values["v_plus"]),
-        v_minus=float(values["v_minus"]),
-        a_plus=float(values["a_plus"]),
-        a_minus=float(values["a_minus"]),
-        m=float(values["mass"]),
-    )
+    numbers = {key: _number(key, values[key]) for key in _CONFIG_KEYS}
+    return PotentialConfig(m=numbers.pop("mass"), **numbers)
+
+
+def _number(key: str, value) -> float:
+    """A config value as a float; anything but a JSON number is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise UsageError(f"config value {key} must be a number, got {value!r}")
 
 
 def _window(args: argparse.Namespace, cfg: PotentialConfig) -> tuple[float, float]:

@@ -17,9 +17,13 @@ import numpy as np
 
 from .errors import BoundaryEnergy, ConfigError, SingularEnergy
 
-#: Half-width of the rejection window around singular and boundary
-#: energies, as a fraction of the mass.
+#: Half-width of the rejection window around the special energies, as
+#: a fraction of the mass.
 SINGULAR_TOL = 1e-9
+
+#: Distance at which grids, marches and samples keep off the special
+#: energies, as a fraction of the mass.
+EVAL_MARGIN = 1e-6
 
 
 class Region(Enum):
@@ -114,34 +118,54 @@ class Kinematics:
     beta: complex
 
 
+def special_energies(cfg: PotentialConfig) -> tuple[float, ...]:
+    """Energies where the formulas degenerate, in ascending order.
+
+    These are the threshold m, U +/- m of each level, and the matrix
+    range edges v_minus and v_plus.
+    """
+    m, vm, vp = cfg.m, cfg.v_minus, cfg.v_plus
+    return (m, vm - m, vm, vm + m, vp - m, vp, vp + m)
+
+
 def singular_energies(cfg: PotentialConfig) -> list[float]:
     """Energies where some region's wave vector vanishes, sorted ascending.
 
     These are U +/- m over the three potential levels; E = -m never
     enters since only E > m is admissible.
     """
-    return sorted(
-        {
-            cfg.m,
-            cfg.v_minus - cfg.m,
-            cfg.v_minus + cfg.m,
-            cfg.v_plus - cfg.m,
-            cfg.v_plus + cfg.m,
-        }
-    )
+    s = special_energies(cfg)
+    return [s[0], s[1], s[3], s[4], s[6]]
+
+
+def nudge(e: "float | np.ndarray", cfg: PotentialConfig,
+          way: float | None = None) -> "float | np.ndarray":
+    """Copy of E moved off the special energies.
+
+    An energy closer than EVAL_MARGIN * m to a special energy goes to
+    exactly that distance from it: to the side it lies on (up when it
+    sits on it), or to the side way = +1 or -1 says.  A float stays a
+    float.
+    """
+    margin = EVAL_MARGIN * cfg.m
+    out = np.array(e, dtype=float)
+    for s in special_energies(cfg):
+        near = np.abs(out - s) < margin
+        if near.any():
+            up = out[near] >= s if way is None else way > 0
+            out[near] = np.where(up, s + margin, s - margin)
+    return out if isinstance(e, np.ndarray) else float(out)
 
 
 def zone_interval(zone: Zone, cfg: PotentialConfig) -> tuple[float, float]:
-    """Open energy interval (lo, hi) covered by the zone."""
-    m, vm, vp = cfg.m, cfg.v_minus, cfg.v_plus
-    table = {
-        Zone.LOWER_KLEIN: (m, vm - m),
-        Zone.GAP_LOWER: (vm - m, vm + m),
-        Zone.HIGHER_KLEIN: (vm + m, vp - m),
-        Zone.CONVENTIONAL: (vp - m, vp + m),
-        Zone.ABOVE_BARRIER: (vp + m, math.inf),
-    }
-    return table[zone]
+    """Open energy interval (lo, hi) covered by the zone.
+
+    The zones lie between consecutive singular energies, the top one
+    open above.
+    """
+    edges = (*singular_energies(cfg), math.inf)
+    i = ZONE_ORDER.index(zone)
+    return edges[i], edges[i + 1]
 
 
 def _reject_singular(e: float, u: float, cfg: PotentialConfig) -> None:
@@ -198,18 +222,14 @@ def _cuts(cfg: PotentialConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (vm, vp), (vm - m, vm + m, vp - m, vp + m)
 
 
-def _boundaries(cfg: PotentialConfig) -> tuple[float, ...]:
-    m, vm, vp = cfg.m, cfg.v_minus, cfg.v_plus
-    return (vm - m, vm, vm + m, vp - m, vp, vp + m)
-
-
 def _reject_boundary(e: float, cfg: PotentialConfig) -> None:
     tol = SINGULAR_TOL * cfg.m
     if e <= cfg.m + tol:
         raise BoundaryEnergy(
             e, f"E = {e!r} is at or below the scattering threshold m = {cfg.m:g}"
         )
-    for b in _boundaries(cfg):
+    # the threshold, the first special energy, is screened above
+    for b in special_energies(cfg)[1:]:
         if abs(e - b) < tol:
             raise BoundaryEnergy(
                 e, f"E = {e!r} lies within {tol:g} of the boundary energy {b:g}"
@@ -219,7 +239,7 @@ def _reject_boundary(e: float, cfg: PotentialConfig) -> None:
 def _classify_array(e: np.ndarray, cfg: PotentialConfig) -> tuple[np.ndarray, np.ndarray]:
     tol = SINGULAR_TOL * cfg.m
     bad = e <= cfg.m + tol
-    for b in _boundaries(cfg):
+    for b in special_energies(cfg)[1:]:
         bad |= np.abs(e - b) < tol
     if bad.any():
         # raises, with the message a single energy would get

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ZONE_ORDER, PotentialConfig, Zone, singular_energies, zone_interval
+from .core import ZONE_ORDER, PotentialConfig, Zone, nudge, zone_interval
 from .resonance import (
     SearchSettings,
     attach_widths,
@@ -28,17 +28,15 @@ from .transfer import ScatteringResult, scatter
 SCHEMA_VERSION = 1
 CSV_HEADER = "E,T2,R2,reT,imT,reR,imR"
 
-#: Fraction of the mass by which grid points are pushed off singular and
-#: boundary energies.
-GRID_MARGIN = 1e-6
-
 #: Swept parameter names accepted by run_sweep, as spelled on the CLI.
 SWEEP_PARAMS = ("a-minus", "a-plus")
 
 
 def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
                     points: int) -> np.ndarray:
-    """Uniform energy grid nudged off singular and boundary energies."""
+    """Uniform energy grid nudged off the special energies."""
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"the energy window must be finite, got ({e_min}, {e_max})")
     if not e_min > cfg.m:
         raise ValueError(
             f"e_min must exceed the threshold m = {cfg.m:g}, got {e_min}"
@@ -47,13 +45,7 @@ def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
         raise ValueError("e_max must exceed e_min")
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
-    grid = np.linspace(e_min, e_max, points)
-    width = GRID_MARGIN * cfg.m
-    for s in {*singular_energies(cfg), cfg.v_minus, cfg.v_plus}:
-        mask = np.abs(grid - s) < width
-        if mask.any():
-            grid[mask] = np.where(grid[mask] >= s, s + width, s - width)
-    return grid
+    return nudge(np.linspace(e_min, e_max, points), cfg)
 
 
 def _check_workers(workers: int) -> None:

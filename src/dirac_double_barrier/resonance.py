@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PotentialConfig, Zone, singular_energies, zone_interval
+from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, zone_interval
 from .errors import RefinementFailed
 from .transfer import full_matrix, scatter
 
@@ -132,7 +132,6 @@ class SearchSettings:
 
     grid_points_per_zone: int = 4000
     refine_tolerance: float = 1e-12
-    singular_margin: float = 1e-6
     residual_accept: float = 1e-8
 
     def __post_init__(self):
@@ -140,7 +139,7 @@ class SearchSettings:
             raise ValueError(
                 f"grid_points_per_zone must be at least 16, got {self.grid_points_per_zone}"
             )
-        for name in ("refine_tolerance", "singular_margin", "residual_accept"):
+        for name in ("refine_tolerance", "residual_accept"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -160,16 +159,6 @@ def _m21(e: float, cfg: PotentialConfig) -> complex:
     return full_matrix(e, cfg).m21
 
 
-def _nudged_grid(lo: float, hi: float, n: int, avoid: list[float],
-                 margin: float) -> np.ndarray:
-    grid = np.linspace(lo, hi, n)
-    for s in avoid:
-        mask = np.abs(grid - s) < margin
-        if mask.any():
-            grid[mask] = np.where(grid[mask] >= s, s + margin, s - margin)
-    return grid
-
-
 def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float,
                     settings: SearchSettings) -> tuple[float, float]:
     """Root of M21 inside (lo, hi) as (energy, residual)."""
@@ -180,13 +169,7 @@ def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float,
         raise RefinementFailed(
             f"Im M21 keeps its sign over ({lo:.9g}, {hi:.9g})"
         ) from None
-    residual = abs(_m21(root, cfg))
-    if not residual < settings.residual_accept:
-        raise RefinementFailed(
-            f"|M21| = {residual:.3g} at the root in ({lo:.9g}, {hi:.9g}) "
-            f"is not below {settings.residual_accept:g}"
-        )
-    return root, residual
+    return root, abs(_m21(root, cfg))
 
 
 def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
@@ -194,22 +177,22 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     """(energy, residual) pairs for the roots of M21 in (lo, hi)."""
     if not hi > lo:
         return []
-    margin = settings.singular_margin * cfg.m
-    avoid = [
-        s
-        for s in {*singular_energies(cfg), cfg.v_minus, cfg.v_plus}
-        if lo < s < hi
-    ]
-    grid = _nudged_grid(lo, hi, settings.grid_points_per_zone, avoid, margin)
+    grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
     g = np.abs(full_matrix(grid, cfg).m21) ** 2
     minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     hits: list[tuple[float, float]] = []
     for i in minima:
         try:
-            hits.append(_refine_bracket(cfg, float(grid[i - 1]),
-                                        float(grid[i + 1]), settings))
+            root, residual = _refine_bracket(cfg, float(grid[i - 1]),
+                                             float(grid[i + 1]), settings)
         except RefinementFailed as exc:
             log.debug("bracket near E = %.9g rejected: %s", grid[i], exc)
+            continue
+        if residual < settings.residual_accept:
+            hits.append((root, residual))
+        else:  # a converged sign change, so most likely a real resonance
+            log.warning("root at E = %.12g dropped: |M21| = %.3g is not below "
+                        "residual_accept = %g", root, residual, settings.residual_accept)
     hits.sort(key=lambda h: h[0])
     # adjacent brackets occasionally converge to the same root
     deduped: list[tuple[float, float]] = []
@@ -244,7 +227,7 @@ def find_resonances(cfg: PotentialConfig,
             "the above-barrier zone is unbounded; use find_above_barrier "
             "with an explicit e_max"
         )
-    margin = settings.singular_margin * cfg.m
+    margin = EVAL_MARGIN * cfg.m
     found: list[Resonance] = []
     for zone in sorted(zones, key=lambda z: zone_interval(z, cfg)[0]):
         lo, hi = zone_interval(zone, cfg)
@@ -262,12 +245,13 @@ def find_above_barrier(cfg: PotentialConfig, e_max: float,
     if settings is None:
         settings = SearchSettings()
     lo, _ = zone_interval(Zone.ABOVE_BARRIER, cfg)
+    if not math.isfinite(e_max):
+        raise ValueError(f"e_max must be finite, got {e_max}")
     if not e_max > lo:
         raise ValueError(
             f"e_max must exceed v_plus + m = {lo:g}, got {e_max}"
         )
-    margin = settings.singular_margin * cfg.m
-    hits = _scan_interval(cfg, lo + margin, e_max, settings)
+    hits = _scan_interval(cfg, lo + EVAL_MARGIN * cfg.m, e_max, settings)
     return [
         Resonance(energy=e, zone=Zone.ABOVE_BARRIER, residual=res, level=lvl)
         for lvl, (e, res) in enumerate(hits)
@@ -284,23 +268,16 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
 
     The march visits start + i*step for i = 1, 2, ..., then the limit,
     and evaluates them in array chunks; it picks the same bracket as
-    visiting them one at a time.  A march energy near a singular energy
+    visiting them one at a time.  A march energy near a special energy
     is nudged on in the march direction, the limit back toward start, so
     it stays inside the window.  The step's sign sets the direction.
     Returns None when the limit is reached with |T|^2 still above 1/2,
     and raises ValueError when |T|^2 at start is not above 1/2, since
     then start is no peak.
     """
-    margin = settings.singular_margin * cfg.m
-    bad = sorted({*singular_energies(cfg), cfg.v_minus, cfg.v_plus})
     direction = 1.0 if step > 0 else -1.0
     if (limit - start) * direction <= 0:
         return None
-
-    def nudged(e: np.ndarray, way: float) -> np.ndarray:
-        for s in bad:
-            e = np.where(np.abs(e - s) < margin, s + margin * way, e)
-        return e
 
     def dips(e: np.ndarray) -> np.ndarray:
         t2 = scatter(e, cfg).t2
@@ -330,9 +307,9 @@ def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
         e = start + np.arange(i, i + n) * step
         at_limit = (e - limit) * direction >= 0.0
         stop = int(at_limit.argmax()) if at_limit.any() else n
-        e = nudged(e[:stop], direction)
+        e = nudge(e[:stop], cfg, direction)
         if stop < n:
-            e = np.append(e, nudged(np.array([limit]), -direction))
+            e = np.append(e, nudge(limit, cfg, -direction))
         hit = dips(e)
         if hit.any():
             j = int(hit.argmax())
@@ -359,7 +336,7 @@ def estimate_fwhm(res: Resonance, cfg: PotentialConfig,
     """
     if settings is None:
         settings = SearchSettings()
-    margin = settings.singular_margin * cfg.m
+    margin = EVAL_MARGIN * cfg.m
     zlo, zhi = zone_interval(res.zone, cfg)
     if math.isinf(zhi):
         zhi = max(res.energy, zlo) + _OPEN_ZONE_SPAN * cfg.m

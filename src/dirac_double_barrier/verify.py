@@ -9,20 +9,17 @@ amplitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialConfig, singular_energies
+from .core import EVAL_MARGIN, PotentialConfig, special_energies
 from .oracle import solve_amplitudes
 from .transfer import full_matrix
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 10_000
-
-#: Half-width of the rejection window around bad energies when sampling,
-#: as a fraction of the mass.
-SAMPLE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,9 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
                     e_max: float | None = None) -> list[float]:
     """n admissible energies, uniform over the window, deterministic in seed.
 
-    Draws within (e_min, e_max) and rejects anything within SAMPLE_MARGIN
-    of a singular or range-boundary energy.  A window that lies entirely
-    inside one such rejection band raises ValueError.
+    Draws within (e_min, e_max) and rejects anything within EVAL_MARGIN
+    of a special energy.  A non-finite window, or one that lies entirely
+    inside one such rejection band, raises ValueError.
     """
     if e_min is None:
         e_min = 1.001 * cfg.m
@@ -92,12 +89,14 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
         e_max = cfg.v_plus + 4.0 * cfg.m
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"the energy window must be finite, got ({e_min}, {e_max})")
     if not e_min > cfg.m:
         raise ValueError(f"e_min must exceed m = {cfg.m:g}, got {e_min}")
     if not e_max > e_min:
         raise ValueError("e_max must exceed e_min")
-    bad = sorted({*singular_energies(cfg), cfg.v_minus, cfg.v_plus})
-    width = SAMPLE_MARGIN * cfg.m
+    bad = special_energies(cfg)
+    width = EVAL_MARGIN * cfg.m
     # the bands are far narrower than their spacing, so one band covers
     # the window or none does
     for b in bad:

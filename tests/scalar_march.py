@@ -9,7 +9,7 @@ the widths built on either come out float-equal.
 from __future__ import annotations
 
 from dirac_double_barrier import PotentialConfig, SearchSettings, scatter, singular_energies
-from dirac_double_barrier import resonance
+from dirac_double_barrier import core, resonance
 
 
 def _t2(e: float, cfg: PotentialConfig) -> float:
@@ -23,7 +23,7 @@ def half_crossing(cfg: PotentialConfig, start: float, limit: float,
     The step's sign sets the direction.  Returns None when the limit is
     reached with |T|^2 still above 1/2.
     """
-    margin = settings.singular_margin * cfg.m
+    margin = core.EVAL_MARGIN * cfg.m
     bad = sorted({*singular_energies(cfg), cfg.v_minus, cfg.v_plus})
     direction = 1.0 if step > 0 else -1.0
     if (limit - start) * direction <= 0:

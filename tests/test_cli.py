@@ -130,6 +130,12 @@ def test_config_file_with_flag_override(tmp_path):
     # the whole window lies in the rejection band around E = v_minus - m
     ["verify", *REF_FLAGS, "--e-min", "2.9999999", "--e-max", "3.0000001"],
     ["verify", *REF_FLAGS, "--samples", "0"],
+    # non-finite windows
+    ["transmission", *REF_FLAGS, "--e-max", "inf"],
+    ["sweep", *REF_FLAGS, "--param", "a-minus", "--from", "1", "--to", "2",
+     "--frames", "2", "--e-max", "inf"],
+    ["resonances", *REF_FLAGS, "--e-max", "inf"],
+    ["verify", *REF_FLAGS, "--e-max", "inf"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -148,6 +154,14 @@ def test_config_file_problems_exit_2(tmp_path, capsys):
                                  "a_minus": 2.5, "color": "red"}))
     assert main(["verify", "--config", str(extra)]) == 2
     capsys.readouterr()
+    for key, value in (("v_plus", None), ("a_plus", [3]), ("mass", {"m": 1}),
+                       ("a_minus", "wide"), ("a_minus", "2.5"), ("v_minus", True),
+                       ("v_plus", 10**400)):
+        doc = {"v_plus": 8, "v_minus": 4, "a_plus": 3, "a_minus": 2.5, key: value}
+        not_a_number = tmp_path / f"{key}.json"
+        not_a_number.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(not_a_number)]) == 2
+        assert f"config value {key} must be a number" in capsys.readouterr().err
 
 
 def test_invalid_structure_exits_3(capsys):

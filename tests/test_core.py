@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from dirac_double_barrier import (
+    EVAL_MARGIN,
     BoundaryEnergy,
     ConfigError,
     MatrixRange,
@@ -13,8 +15,10 @@ from dirac_double_barrier import (
     Zone,
     alpha_beta,
     classify,
+    core,
     kinematics,
     singular_energies,
+    special_energies,
     wave_vector,
     zone_interval,
 )
@@ -54,6 +58,38 @@ def test_mass_scaled_structure_is_accepted():
 
 def test_singular_energies_of_reference(reference):
     assert singular_energies(reference) == [1.0, 3.0, 5.0, 7.0, 9.0]
+
+
+def test_special_energies_of_reference(reference):
+    assert special_energies(reference) == (1.0, 3.0, 4.0, 5.0, 7.0, 8.0, 9.0)
+    cfg = PotentialConfig(v_plus=16.0, v_minus=8.0, a_plus=1.5, a_minus=1.25, m=2.0)
+    assert special_energies(cfg) == (2.0, 6.0, 8.0, 10.0, 14.0, 16.0, 18.0)
+
+
+def test_nudge_keeps_the_side_or_takes_the_given_one(reference):
+    margin = EVAL_MARGIN * reference.m
+    e = np.array([3.0, 3.0 - 4e-7, 3.0 + 4e-7, 4.0 - margin, 6.5, 9.0 + 2e-6])
+    assert core.nudge(e, reference).tolist() == [
+        3.0 + margin, 3.0 - margin, 3.0 + margin, 4.0 - margin, 6.5, 9.0 + 2e-6,
+    ]
+    assert core.nudge(e, reference, -1.0)[:3].tolist() == [3.0 - margin] * 3
+    assert core.nudge(e, reference, 1.0)[:3].tolist() == [3.0 + margin] * 3
+    assert e[0] == 3.0  # the input is left alone
+
+
+def test_nudge_of_a_float_is_a_float(reference):
+    got = core.nudge(1.0, reference, 1.0)
+    assert type(got) is float
+    assert got == 1.0 + EVAL_MARGIN * reference.m
+    assert core.nudge(2.0, reference) == 2.0
+
+
+def test_nudged_points_stay_put_under_a_second_nudge(reference):
+    e = np.linspace(1.0, 9.0, 33)
+    once = core.nudge(e, reference)
+    assert min(np.abs(once - s).min() for s in special_energies(reference)) >= (
+        EVAL_MARGIN * (1.0 - 1e-9))
+    assert core.nudge(once, reference).tolist() == once.tolist()
 
 
 def test_zone_intervals_of_reference(reference):

@@ -51,6 +51,7 @@ def test_grid_avoids_degenerate_energies(reference):
     dict(e_min=1.0, e_max=4.0, points=10),
     dict(e_min=2.0, e_max=1.5, points=10),
     dict(e_min=2.0, e_max=4.0, points=1),
+    dict(e_min=1.01, e_max=math.inf, points=10),
 ])
 def test_grid_window_validation(reference, kwargs):
     with pytest.raises(ValueError):

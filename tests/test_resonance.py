@@ -1,3 +1,5 @@
+import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from dirac_double_barrier import (
     SearchSettings,
     Zone,
     attach_widths,
+    core,
     estimate_fwhm,
     find_above_barrier,
     find_resonances,
@@ -86,8 +89,37 @@ def test_open_zone_needs_explicit_cutoff(reference):
         find_resonances(reference, [Zone.ABOVE_BARRIER])
     with pytest.raises(ValueError):
         find_above_barrier(reference, 8.9)
+    with pytest.raises(ValueError, match="must be finite"):
+        find_above_barrier(reference, math.inf)
     with pytest.raises(ValueError):
         find_resonances(reference, [])
+
+
+def _records(caplog, level):
+    return [r.getMessage() for r in caplog.records if r.levelno == level]
+
+
+def test_roots_dropped_by_the_residual_gate_are_warned(reference, caplog):
+    # at a_plus = 9 the four conventional roots converge, but |M21| there
+    # is 3e-8 to 1.1e-7, above the absolute 1e-8 gate
+    thick = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0, a_minus=2.5)
+    with caplog.at_level(logging.DEBUG, logger=resonance.__name__):
+        assert find_resonances(thick, [Zone.CONVENTIONAL]) == []
+    warned = _records(caplog, logging.WARNING)
+    assert len(warned) == 4
+    for message, energy in zip(warned, ("7.2054487", "7.7036976", "8.2102841", "8.6985907")):
+        assert f"E = {energy}" in message
+        assert "residual_accept" in message
+    # minima where Im M21 keeps its sign are no roots and stay at DEBUG
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=resonance.__name__):
+        find_resonances(reference, resonance.BOUNDED_ZONES)
+        find_above_barrier(reference, 11.0)
+    assert _records(caplog, logging.WARNING) == []
+    rejected = _records(caplog, logging.DEBUG)
+    assert [m.split(":")[0] for m in rejected] == [
+        f"bracket near E = {e} rejected" for e in ("3.90672677", "5.70717709", "6.52688119")
+    ]
 
 
 def test_cutoff_truncates_open_zone(reference):
@@ -112,7 +144,6 @@ def test_near_empty_open_interval_is_quiet(reference):
 @pytest.mark.parametrize("kwargs", [
     dict(grid_points_per_zone=8),
     dict(refine_tolerance=0.0),
-    dict(singular_margin=-1e-6),
     dict(residual_accept=0.0),
 ])
 def test_settings_validation(kwargs):
@@ -199,7 +230,7 @@ def test_march_to_the_threshold_matches_scalar_march():
     first = find_resonances(cfg, [Zone.LOWER_KLEIN])[0]
     lo, hi = zone_interval(Zone.LOWER_KLEIN, cfg)
     step = (hi - lo) / settings.grid_points_per_zone
-    limit = lo + settings.singular_margin * cfg.m
+    limit = lo + core.EVAL_MARGIN * cfg.m
     args = (cfg, first.energy, limit, -step, settings)
     got = resonance._half_crossing(*args)
     assert got is not None
@@ -217,7 +248,7 @@ def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch)
     settings = SearchSettings()
     peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
-    limit = hi - settings.singular_margin * reference.m
+    limit = hi - core.EVAL_MARGIN * reference.m
     step = (hi - lo) / settings.grid_points_per_zone
     crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
     args = (reference, peak.energy, limit, (crossing - peak.energy) / 40, settings)
@@ -245,7 +276,7 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     # nudged on past the edge it would leave the window (below threshold,
     # m - margin raises BoundaryEnergy)
     settings = SearchSettings()
-    margin = settings.singular_margin * reference.m
+    margin = core.EVAL_MARGIN * reference.m
     lo, hi = zone_interval(zone, reference)
     limit = lo + margin if step < 0 else hi - margin
     seen = []

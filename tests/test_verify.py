@@ -45,6 +45,17 @@ def test_window_must_sit_above_threshold(reference):
         sample_energies(reference, 10, seed=0, e_min=3.0, e_max=2.0)
 
 
+@pytest.mark.parametrize("e_min, e_max", [
+    (1.01, math.inf),
+    (None, math.inf),
+    (math.nan, 4.0),
+    (2.0, math.nan),
+])
+def test_window_must_be_finite(reference, e_min, e_max):
+    with pytest.raises(ValueError, match="must be finite"):
+        sample_energies(reference, 10, seed=0, e_min=e_min, e_max=e_max)
+
+
 def test_window_inside_a_rejection_band_is_refused(reference):
     # every draw would be rejected, so drawing could never finish
     with pytest.raises(ValueError, match="excluded energy 3"):
