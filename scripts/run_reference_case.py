@@ -11,7 +11,7 @@ from pathlib import Path
 
 from dirac_double_barrier import PotentialConfig, Zone, run_verification
 from dirac_double_barrier.emit import (
-    transmission_rows,
+    transmission_curve,
     write_curve_csv,
     write_json,
     zone_report,
@@ -31,13 +31,13 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     cfg = REFERENCE
-    rows = transmission_rows(cfg, 1.01 * cfg.m, 12.0 * cfg.m, args.points)
-    csv_path = write_curve_csv(out / "transmission.csv", rows)
+    curve = transmission_curve(cfg, 1.01 * cfg.m, 12.0 * cfg.m, args.points)
+    csv_path = write_curve_csv(out / "transmission.csv", curve)
     (out / "transmission.svg").write_text(render_curve_svg(
-        [r.e for r in rows], [r.t2 for r in rows], cfg,
+        curve.e, curve.t2, cfg,
         title="|T|^2 for the reference double barrier",
     ))
-    print(f"curve: {csv_path} ({len(rows)} rows)")
+    print(f"curve: {csv_path} ({len(curve.e)} rows)")
 
     report = zone_report(cfg, list(Zone), e_max=11.0 * cfg.m)
     write_json(out / "resonances.json", report)

@@ -23,11 +23,14 @@ from .core import ZONE_ORDER, PotentialConfig, Zone, zone_interval
 from .emit import (
     SWEEP_PARAMS,
     run_sweep,
-    transmission_rows,
+    transmission_curve,
     write_curve_csv,
     write_json,
     zone_report,
 )
+# unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
+# name cli.transmission_rows, so it stays bound
+from .emit import transmission_rows  # noqa: F401
 from .errors import ConfigError, DoubleBarrierError
 from .resonance import SearchSettings
 from .svg import render_curve_svg
@@ -119,14 +122,12 @@ def _expand_zones(selected: "list[str] | None") -> list[Zone]:
 def _cmd_transmission(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     e_min, e_max = _window(args, cfg)
-    rows = transmission_rows(cfg, e_min, e_max, args.points,
-                             workers=args.threads)
-    out = write_curve_csv(Path(args.out or "transmission.csv"), rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    curve = transmission_curve(cfg, e_min, e_max, args.points,
+                               workers=args.threads)
+    out = write_curve_csv(Path(args.out or "transmission.csv"), curve)
+    print(f"wrote {len(curve.e)} rows to {out}")
     if args.svg:
-        Path(args.svg).write_text(
-            render_curve_svg([r.e for r in rows], [r.t2 for r in rows], cfg)
-        )
+        Path(args.svg).write_text(render_curve_svg(curve.e, curve.t2, cfg))
         print(f"wrote {args.svg}")
     for zone in ZONE_ORDER:
         lo, hi = zone_interval(zone, cfg)

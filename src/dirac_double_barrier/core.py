@@ -69,8 +69,9 @@ class PotentialConfig:
     The potential is 0 for |x| >= a_plus + a_minus, v_plus on the two
     barriers a_minus < |x| < a_plus + a_minus, and v_minus on the floor
     |x| <= a_minus.  Both steps must be supercritical, which demands
-    v_minus > 2 m and v_plus > v_minus + 2 m; construction enforces this,
-    so every instance in circulation is valid.
+    v_minus > 2 m and v_plus > v_minus + 2 m, and every parameter must be
+    finite; construction enforces this, so every instance in circulation
+    is valid.
     """
 
     v_plus: float
@@ -80,6 +81,10 @@ class PotentialConfig:
     m: float = 1.0
 
     def __post_init__(self):
+        for name in ("v_plus", "v_minus", "a_plus", "a_minus", "m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.m > 0:
             raise ConfigError(f"m must be positive, got {self.m}")
         if not self.a_plus > 0:

@@ -3,6 +3,13 @@
 Formats are part of the contract: the CSV header and 12-significant-digit
 cell format never change without a schema bump, and JSON documents carry
 an explicit "schema" field.
+
+Curves are columnar.  transmission_curve returns one ScatteringResult
+whose fields are arrays over the grid, and the CSV writer formats its
+columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R with one "%.12g"
+template per row.  transmission_rows splits the same batch into one
+ScatteringResult per energy; no emission path needs that view, but
+library callers that walk a curve row by row do.
 """
 
 from __future__ import annotations
@@ -53,34 +60,41 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
-def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
-                      points: int, workers: int = 1) -> list[ScatteringResult]:
-    """Scattering results over the admissible grid, one per grid point.
+def transmission_curve(cfg: PotentialConfig, e_min: float, e_max: float,
+                       points: int, workers: int = 1) -> ScatteringResult:
+    """Scattering results over the admissible grid, as one batch of arrays.
 
     The whole grid goes through one array evaluation.  workers is
     validated but otherwise ignored; it is kept for compatibility.
     """
     _check_workers(workers)
-    grid = admissible_grid(cfg, e_min, e_max, points)
-    batch = scatter(grid, cfg)
+    return scatter(admissible_grid(cfg, e_min, e_max, points), cfg)
+
+
+def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
+                      points: int, workers: int = 1) -> list[ScatteringResult]:
+    """transmission_curve split into one ScatteringResult per grid point."""
+    batch = transmission_curve(cfg, e_min, e_max, points, workers)
     columns = (batch.e, batch.t, batch.r, batch.t2, batch.r2,
                batch.matrix_range, batch.zone)
     return [ScatteringResult(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def format_curve_csv(rows: "list[ScatteringResult]") -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(
-            f"{v:.12g}" for v in
-            (r.e, r.t2, r.r2, r.t.real, r.t.imag, r.r.real, r.r.imag)
-        ))
-    return "\n".join(lines) + "\n"
+#: One CSV row: a 12-significant-digit cell per CSV_HEADER column.
+_CSV_ROW = ",".join(["%.12g"] * 7)
 
 
-def write_curve_csv(path: "str | Path", rows: "list[ScatteringResult]") -> Path:
+def format_curve_csv(curve: ScatteringResult) -> str:
+    """CSV text of a batch from transmission_curve, one row per energy."""
+    columns = (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
+               curve.r.real, curve.r.imag)
+    rows = zip(*(c.tolist() for c in columns))
+    return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
+
+
+def write_curve_csv(path: "str | Path", curve: ScatteringResult) -> Path:
     path = Path(path)
-    path.write_text(format_curve_csv(rows))
+    path.write_text(format_curve_csv(curve))
     return path
 
 
@@ -177,6 +191,10 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
     if not stop > start:
         raise ValueError("sweep range must be increasing")
     _check_workers(workers)
+    # the swept widths leave the special energies where they are, so one
+    # grid serves every frame; building it first refuses a bad window
+    # before anything is written
+    grid = admissible_grid(cfg, e_min, e_max, points)
     created = _created()
     field = param.replace("-", "_")
     values = np.linspace(start, stop, frames)
@@ -189,8 +207,7 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
         manifest_frames = []
         for i, (frame_cfg, value) in enumerate(zip(configs, values)):
             name = f"frame_{i:04d}.csv"
-            rows = transmission_rows(frame_cfg, e_min, e_max, points)
-            written.append(write_curve_csv(outdir / name, rows))
+            written.append(write_curve_csv(outdir / name, scatter(grid, frame_cfg)))
             entry = {"value": _sig12(float(value)), "file": name}
             if with_resonances:
                 rname = f"frame_{i:04d}_resonances.json"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import PotentialConfig, Zone, zone_interval
 
 _MARGIN_LEFT = 64.0
@@ -47,21 +49,27 @@ def _ticks(lo: float, hi: float, count: int) -> list[float]:
     return ticks
 
 
-def render_curve_svg(energies: "list[float]", t2s: "list[float]",
+def render_curve_svg(energies: "np.ndarray | list[float]",
+                     t2s: "np.ndarray | list[float]",
                      cfg: PotentialConfig, width: int = 960,
                      height: int = 540, title: str | None = None) -> str:
-    """SVG document for |T|^2 against E with shaded zones."""
+    """SVG document for |T|^2 against E with shaded zones.
+
+    energies and t2s are arrays, or anything np.asarray takes.
+    """
+    energies = np.asarray(energies, dtype=float)
+    t2s = np.asarray(t2s, dtype=float)
     if len(energies) != len(t2s) or len(energies) < 2:
         raise ValueError("need two or more (E, |T|^2) samples of equal length")
-    e_lo, e_hi = energies[0], energies[-1]
+    e_lo, e_hi = float(energies[0]), float(energies[-1])
     y_lo, y_hi = 0.0, 1.05
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(e: float) -> float:
+    def px(e: "float | np.ndarray") -> "float | np.ndarray":
         return _MARGIN_LEFT + (e - e_lo) / (e_hi - e_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v: "float | np.ndarray") -> "float | np.ndarray":
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -79,8 +87,9 @@ def render_curve_svg(energies: "list[float]", t2s: "list[float]",
             f'width="{_fmt(px(zhi) - px(zlo))}" height="{_fmt(plot_h)}" '
             f'fill="{fill}"/>'
         )
-    points = " ".join(f"{_fmt(px(e))},{_fmt(py(min(max(v, y_lo), y_hi)))}"
-                      for e, v in zip(energies, t2s))
+    xs = px(energies).tolist()
+    ys = py(np.minimum(np.maximum(t2s, y_lo), y_hi)).tolist()
+    points = " ".join(["%.2f,%.2f" % xy for xy in zip(xs, ys)])
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#202020" '
         f'stroke-width="1.2"/>'

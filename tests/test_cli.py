@@ -172,6 +172,24 @@ def test_invalid_structure_exits_3(capsys):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize("flag", ["--a-plus", "--v-plus"])
+def test_infinite_parameter_exits_3(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["transmission", *REF_FLAGS, flag, "inf"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"invalid configuration: {flag[2:].replace('-', '_')} must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_parameter_in_config_file_exits_3(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    # 1e400 overflows to inf when the JSON is read
+    cfg_file.write_text('{"v_plus": 8, "v_minus": 4, "a_plus": 3, "a_minus": 1e400}')
+    assert main(["verify", "--config", str(cfg_file)]) == 3
+    assert "a_minus must be finite" in capsys.readouterr().err
+
+
 def test_sweep_cli(tmp_path):
     outdir = tmp_path / "frames"
     code = main(["sweep", *REF_FLAGS, "--param", "a-minus",

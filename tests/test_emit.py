@@ -1,23 +1,27 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from dirac_double_barrier import Zone
+from dirac_double_barrier import ScatteringResult, Zone
 from dirac_double_barrier.emit import (
     CSV_HEADER,
     SCHEMA_VERSION,
     admissible_grid,
     format_curve_csv,
     run_sweep,
+    transmission_curve,
     transmission_rows,
     zone_report,
 )
+from dirac_double_barrier.svg import render_curve_svg
+from row_emit import format_rows_csv, polyline_points
 
 
 def test_csv_header_and_shape(reference):
-    rows = transmission_rows(reference, 1.05, 11.5, 40)
-    text = format_curve_csv(rows)
+    text = format_curve_csv(transmission_curve(reference, 1.05, 11.5, 40))
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 41
@@ -31,11 +35,67 @@ def test_csv_header_and_shape(reference):
 
 
 def test_cells_carry_twelve_significant_digits(reference):
-    rows = transmission_rows(reference, 2.0, 2.5, 2)
-    line = format_curve_csv(rows).splitlines()[1]
+    line = format_curve_csv(transmission_curve(reference, 2.0, 2.5, 2)).splitlines()[1]
     t2_cell = line.split(",")[1]
     digits = t2_cell.replace("-", "").replace(".", "").lstrip("0")
     assert len(digits.split("e")[0]) == 12
+
+
+def _split(batch):
+    columns = (batch.e, batch.t, batch.r, batch.t2, batch.r2,
+               batch.matrix_range, batch.zone)
+    return [ScatteringResult(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def test_columnar_csv_matches_per_cell_formatter_on_edge_values():
+    # every column meets signed zero, a subnormal, both sides of the
+    # switch to exponent notation at 1e-4, a 17-digit magnitude, nan and
+    # both infinities
+    edge = [-0.0, 5e-324, 9.99999999999e-5, 1e-4, 1e16, math.nan, math.inf,
+            -math.inf, 0.5, 1.0 / 3.0, -2.5e-7, 123456789012.5]
+    col = [np.roll(np.array(edge), k) for k in range(7)]
+    t = np.array([complex(a, b) for a, b in zip(col[3], col[4])])
+    r = np.array([complex(a, b) for a, b in zip(col[5], col[6])])
+    nothing = np.full(len(edge), None, dtype=object)
+    batch = ScatteringResult(e=col[0], t=t, r=r, t2=col[1], r2=col[2],
+                             matrix_range=nothing, zone=nothing)
+    text = format_curve_csv(batch)
+    assert text == format_rows_csv(_split(batch))
+    assert "-0," in text and "nan" in text and "-inf" in text
+
+
+def test_columnar_csv_matches_per_cell_formatter_on_reference_curve(reference):
+    batch = transmission_curve(reference, 1.01, 12.0, 20_000)
+    assert format_curve_csv(batch) == format_rows_csv(_split(batch))
+
+
+def test_transmission_rows_split_the_batch(reference):
+    batch = transmission_curve(reference, 1.05, 11.5, 300)
+    rows = transmission_rows(reference, 1.05, 11.5, 300)
+    assert len(rows) == 300
+    for i, row in enumerate(rows):
+        assert type(row.e) is float and type(row.t2) is float
+        assert type(row.t) is complex and type(row.r) is complex
+        assert (row.e, row.t, row.r, row.t2, row.r2) == (
+            batch.e[i], batch.t[i], batch.r[i], batch.t2[i], batch.r2[i])
+        assert row.matrix_range is batch.matrix_range[i]
+        assert row.zone is batch.zone[i]
+
+
+def test_svg_polyline_matches_per_point_formatter(reference):
+    batch = transmission_curve(reference, 1.01, 12.0, 20_000)
+    want = f'<polyline points="{polyline_points(batch.e.tolist(), batch.t2.tolist())}"'
+    assert want in render_curve_svg(batch.e, batch.t2, reference)
+    # lists render the same document as arrays
+    assert (render_curve_svg(batch.e.tolist(), batch.t2.tolist(), reference)
+            == render_curve_svg(batch.e, batch.t2, reference))
+
+
+def test_svg_polyline_clamps_like_the_per_point_formatter(reference):
+    energies = [1.5, 2.0, 2.5, 3.5, 4.5, 5.5]
+    t2s = [-0.0, -0.25, 1.2, math.nan, 1.05, 0.5]
+    want = f'<polyline points="{polyline_points(energies, t2s)}"'
+    assert want in render_curve_svg(energies, t2s, reference)
 
 
 def test_grid_avoids_degenerate_energies(reference):
@@ -111,6 +171,26 @@ def test_sweep_is_byte_stable_under_source_date_epoch(reference, tmp_path,
         assert manifest["created"] == "2001-09-09T01:46:40+00:00"
     for path in sorted((tmp_path / "a").iterdir()):
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+
+
+def test_sweep_frame_matches_per_cell_formatter(reference, tmp_path):
+    manifest = run_sweep(reference, "a-minus", 1.0, 2.0, 2, tmp_path,
+                         e_min=1.05, e_max=11.0, points=2000)
+    for frame in manifest["frames"]:
+        cfg = replace(reference, a_minus=frame["value"])
+        want = format_rows_csv(transmission_rows(cfg, 1.05, 11.0, 2000))
+        assert (tmp_path / frame["file"]).read_text() == want
+
+
+@pytest.mark.parametrize("window", [
+    dict(e_min=1.05, e_max=11.0, points=1),
+    dict(e_min=1.05, e_max=math.inf, points=10),
+])
+def test_refused_sweep_leaves_no_directory(reference, tmp_path, window):
+    outdir = tmp_path / "frames"
+    with pytest.raises(ValueError):
+        run_sweep(reference, "a-minus", 1.0, 2.0, 2, outdir, **window)
+    assert not outdir.exists()
 
 
 def test_sweep_validation(reference, tmp_path):
