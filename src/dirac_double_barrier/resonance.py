@@ -7,6 +7,15 @@ M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
 |M21|^2 on a uniform grid over a zone in one array evaluation, takes
 interior local minima as brackets, and refines each bracket on Im M21
 with Brent's method, carried here as a port of scipy's brentq.
+
+Widths come from half-maximum marches: from each peak, step outward at
+the zone's scan spacing until |T|^2 dips to 1/2, then refine that
+crossing with brentq.  The marches of all resonances run in lockstep:
+each round gives every running march its next chunk (32 energies,
+doubling up to 1024) and evaluates all chunks in shared array calls of
+at most grid_points_per_zone energies, so a spectrum's widths cost a
+handful of array calls rather than one or more per march.  Each march
+still picks the bracket that a one-energy-at-a-time march would.
 """
 
 from __future__ import annotations
@@ -262,63 +271,150 @@ def _t2(e: float, cfg: PotentialConfig) -> float:
     return scatter(e, cfg).t2
 
 
-def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
-                   step: float, settings: SearchSettings) -> float | None:
-    """March from start toward limit until |T|^2 dips to 1/2, then refine.
+#: A half-maximum march: (start, limit, step), the step's sign its direction.
+March = tuple[float, float, float]
 
-    The march visits start + i*step for i = 1, 2, ..., then the limit,
-    and evaluates them in array chunks; it picks the same bracket as
-    visiting them one at a time.  A march energy near a special energy
-    is nudged on in the march direction, the limit back toward start, so
-    it stays inside the window.  The step's sign sets the direction.
-    Returns None when the limit is reached with |T|^2 still above 1/2,
-    and raises ValueError when |T|^2 at start is not above 1/2, since
-    then start is no peak.
+
+def _dips(e: np.ndarray, cfg: PotentialConfig, cap: int) -> np.ndarray:
+    """|T|^2 <= 1/2 at each energy, in array calls of at most cap energies.
+
+    Energies whose array |T|^2 lies within _HALF_BAND of 1/2 are decided
+    by the scalar kernel, the one the crossing is refined on.
     """
-    direction = 1.0 if step > 0 else -1.0
-    if (limit - start) * direction <= 0:
-        return None
+    t2 = np.concatenate([scatter(e[i:i + cap], cfg).t2 for i in range(0, e.size, cap)])
+    below = t2 <= 0.5
+    for j in np.flatnonzero(np.abs(t2 - 0.5) < _HALF_BAND):
+        below[j] = _t2(float(e[j]), cfg) <= 0.5
+    return below
 
-    def dips(e: np.ndarray) -> np.ndarray:
-        t2 = scatter(e, cfg).t2
-        below = t2 <= 0.5
-        for j in np.flatnonzero(np.abs(t2 - 0.5) < _HALF_BAND):
-            below[j] = _t2(float(e[j]), cfg) <= 0.5
-        return below
 
-    def refine(near: float, far: float) -> float:
+def _march_brackets(cfg: PotentialConfig, marches: "list[March]",
+                    settings: SearchSettings) -> "tuple[list[tuple[float, float] | None], int, int]":
+    """First-dip bracket (near, far) of every march, None where it reaches its limit.
+
+    A march visits start + i*step for i = 1, 2, ..., in chunks of 32
+    doubling up to _MARCH_CHUNK_MAX, and ends a chunk that reaches its
+    limit with the limit itself.  Round r takes chunk r of every running
+    march and evaluates the chunks of as many marches together as fit in
+    grid_points_per_zone energies (a longer chunk alone, split), each
+    group nudged at once: on in the march direction, the limit back
+    toward start, so it stays inside the window.  A march stops at its
+    first energy with |T|^2 <= 1/2, bracketed with the energy before, as
+    a one-energy-at-a-time march would.  A right side (odd index) stops
+    once its left side has ended without a bracket.
+    Also returns the number of rounds and of energies evaluated.
+    """
+    starts, limits, steps = np.array(marches, dtype=float).reshape(-1, 3).T
+    ways = np.where(steps > 0, 1.0, -1.0)
+    brackets: list[tuple[float, float] | None] = [None] * len(marches)
+    alive = (limits - starts) * ways > 0
+    found = np.zeros_like(alive)
+    prev = starts.copy()
+    rounds = evaluated = 0
+    i, n = 1, _MARCH_CHUNK
+    cap = settings.grid_points_per_zone
+    while True:
+        alive[1::2] &= alive[0::2] | found[0::2]
+        running = np.flatnonzero(alive)
+        if not running.size:
+            return brackets, rounds, evaluated
+        per_call = max(1, cap // n)
+        for g in range(0, running.size, per_call):
+            group = running[g:g + per_call]
+            lim, way = limits[group, None], ways[group, None]
+            e = starts[group, None] + np.arange(i, i + n) * steps[group, None]
+            at_limit = (e - lim) * way >= 0.0
+            ends = at_limit.any(axis=1)
+            stop = np.where(ends, at_limit.argmax(axis=1), n)
+            ended = np.flatnonzero(ends)
+            way = np.repeat(way, n, axis=1)
+            e[ended, stop[ended]] = lim[ended, 0]
+            way[ended, stop[ended]] *= -1.0
+            kept = np.arange(n) < (stop + ends)[:, None]
+            e[kept] = nudge(e[kept], cfg, way[kept])
+            below = np.zeros_like(kept)
+            below[kept] = _dips(e[kept], cfg, cap)
+            evaluated += int(kept.sum())
+            hit = below.any(axis=1)
+            first = below.argmax(axis=1)
+            for row in np.flatnonzero(hit):
+                j = first[row]
+                near = e[row, j - 1] if j else prev[group[row]]
+                brackets[group[row]] = (float(near), float(e[row, j]))
+            found[group] = hit
+            alive[group] = ~(hit | ends)
+            prev[group] = e[:, -1]
+        rounds += 1
+        i += n
+        n = min(2 * n, _MARCH_CHUNK_MAX)
+
+
+def _half_crossings(cfg: PotentialConfig, marches: "list[March]",
+                    settings: SearchSettings) -> "list[float | None]":
+    """Half-maximum crossing of every march, None where it reaches its limit.
+
+    The brackets come from shared array rounds (_march_brackets); each is
+    then refined on the scalar kernel with brentq, in list order.
+    Marches 2j and 2j+1 are the left and right sides of one peak (a lone
+    march is a left side): a right side whose left side returned None is
+    not refined and returns None, since that peak has no width anyway.
+    Raises ValueError when a march's first energy dips and |T|^2 at its
+    start is not above 1/2, since then start is no peak.
+    """
+    brackets, rounds, evaluated = _march_brackets(cfg, marches, settings)
+    out: list[float | None] = []
+    for k, ((start, _, step), bracket) in enumerate(zip(marches, brackets)):
+        if bracket is None or (k % 2 and out[-1] is None):
+            out.append(None)
+            continue
+        near, far = bracket
         if near == start:
-            # the first march energy dips already, so start may be no peak
             t2 = _t2(start, cfg)
             if not t2 > 0.5:
                 raise ValueError(
                     f"|T|^2 = {t2:.6g} at the march start E = {start!r} is not "
                     f"above 1/2, so no peak starts there"
                 )
-        a, b = (near, far) if direction > 0 else (far, near)
-        return float(
-            brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
-                   xtol=settings.refine_tolerance * cfg.m)
-        )
+        a, b = (near, far) if step > 0 else (far, near)
+        out.append(float(brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
+                                xtol=settings.refine_tolerance * cfg.m)))
+    log.debug("width march: %d marches in %d rounds, %d energies evaluated, "
+              "%d crossings refined", len(marches), rounds, evaluated,
+              sum(x is not None for x in out))
+    return out
 
-    prev = start
-    i, n = 1, _MARCH_CHUNK
-    while True:
-        e = start + np.arange(i, i + n) * step
-        at_limit = (e - limit) * direction >= 0.0
-        stop = int(at_limit.argmax()) if at_limit.any() else n
-        e = nudge(e[:stop], cfg, direction)
-        if stop < n:
-            e = np.append(e, nudge(limit, cfg, -direction))
-        hit = dips(e)
-        if hit.any():
-            j = int(hit.argmax())
-            return refine(float(e[j - 1]) if j else prev, float(e[j]))
-        if stop < n:
-            return None
-        prev = float(e[-1])
-        i += n
-        n = min(2 * n, _MARCH_CHUNK_MAX)
+
+def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
+                   step: float, settings: SearchSettings) -> float | None:
+    """The crossing of the one march (start, limit, step); see _half_crossings."""
+    return _half_crossings(cfg, [(start, limit, step)], settings)[0]
+
+
+def _sides(res: Resonance, cfg: PotentialConfig, settings: SearchSettings,
+           lo_limit: float | None, hi_limit: float | None) -> "tuple[March, March]":
+    """Left and right half-maximum marches from the resonance's peak.
+
+    Limits default to the resonance's zone interval, capped above the
+    top zone edge, and the step is the zone's scan spacing.
+    """
+    margin = EVAL_MARGIN * cfg.m
+    zlo, zhi = zone_interval(res.zone, cfg)
+    if math.isinf(zhi):
+        zhi = max(res.energy, zlo) + _OPEN_ZONE_SPAN * cfg.m
+    if lo_limit is None:
+        lo_limit = zlo + margin
+    if hi_limit is None:
+        hi_limit = zhi - margin
+    step = (zhi - zlo) / settings.grid_points_per_zone
+    return (res.energy, lo_limit, -step), (res.energy, hi_limit, step)
+
+
+def _widths(cfg: PotentialConfig, sides: "list[tuple[March, March]]",
+            settings: SearchSettings) -> "list[float | None]":
+    """right - left crossing per peak, None where either side has none."""
+    crossings = _half_crossings(cfg, [m for pair in sides for m in pair], settings)
+    return [None if left is None or right is None else right - left
+            for left, right in zip(crossings[::2], crossings[1::2])]
 
 
 def estimate_fwhm(res: Resonance, cfg: PotentialConfig,
@@ -336,22 +432,7 @@ def estimate_fwhm(res: Resonance, cfg: PotentialConfig,
     """
     if settings is None:
         settings = SearchSettings()
-    margin = EVAL_MARGIN * cfg.m
-    zlo, zhi = zone_interval(res.zone, cfg)
-    if math.isinf(zhi):
-        zhi = max(res.energy, zlo) + _OPEN_ZONE_SPAN * cfg.m
-    if lo_limit is None:
-        lo_limit = zlo + margin
-    if hi_limit is None:
-        hi_limit = zhi - margin
-    step = (zhi - zlo) / settings.grid_points_per_zone
-    left = _half_crossing(cfg, res.energy, lo_limit, -step, settings)
-    if left is None:
-        return None
-    right = _half_crossing(cfg, res.energy, hi_limit, step, settings)
-    if right is None:
-        return None
-    return right - left
+    return _widths(cfg, [_sides(res, cfg, settings, lo_limit, hi_limit)], settings)[0]
 
 
 def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
@@ -360,20 +441,23 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
     """Copy of the resonances with fwhm filled in, sorted by energy.
 
     Within each zone the half-maximum march for one resonance is fenced
-    by its neighbors' energies.
+    by its neighbors' energies.  The marches of all resonances share
+    their array evaluations; each width is the one estimate_fwhm gives
+    with the same fences.
     """
     if settings is None:
         settings = SearchSettings()
     by_zone: dict[Zone, list[Resonance]] = {}
     for r in resonances:
         by_zone.setdefault(r.zone, []).append(r)
-    out: list[Resonance] = []
+    ordered: list[Resonance] = []
+    sides = []
     for zone_group in by_zone.values():
         zone_group.sort(key=lambda r: r.energy)
         for i, r in enumerate(zone_group):
             lo_limit = zone_group[i - 1].energy if i > 0 else None
             hi_limit = zone_group[i + 1].energy if i + 1 < len(zone_group) else None
-            width = estimate_fwhm(r, cfg, settings,
-                                  lo_limit=lo_limit, hi_limit=hi_limit)
-            out.append(replace(r, fwhm=width))
+            ordered.append(r)
+            sides.append(_sides(r, cfg, settings, lo_limit, hi_limit))
+    out = [replace(r, fwhm=w) for r, w in zip(ordered, _widths(cfg, sides, settings))]
     return sorted(out, key=lambda r: r.energy)

@@ -14,6 +14,11 @@ so the full transfer matrix is M = P1 P2 P3 P4.  Each det P = s_R / s_L,
 which telescopes to det M = 1.  With M11 = conj(M22) and M12 = conj(M21)
 this gives |T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.
 
+The structure is mirror-symmetric, so P4 is P1 and P3 is P2 seen from
+the other side: the exponents at +x are those at -x, with the e^{+-v}
+pair swapped, to the bit.  Each mirrored pair therefore shares its four
+exponentials, 8 complex exp per energy instead of 16.
+
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
 yields Python complex numbers, an array goes through numpy ufuncs
@@ -87,26 +92,43 @@ def _waves(e: Energy, cfg: PotentialConfig, xp) -> list:
     return out
 
 
-def _step(x: float, left: tuple, right: tuple, xp) -> Matrix2x2:
-    """Interface matrix W_L(x)^-1 W_R(x) between two regions meeting at x."""
-    (kl, sl), (kr, sr) = left, right
-    rho = sr / sl
+def _exp_pm(z, xp) -> tuple:
+    """e^z and e^-z."""
+    return xp.exp(z), xp.exp(-z)
+
+
+def _interface(rho, eu, emu, up, down) -> Matrix2x2:
+    """[[c e^u, f up], [f down, c e^-u]] with c = (1 + rho)/2, f = (1 - rho)/2."""
     same = 0.5 * (1.0 + rho)
     flip = 0.5 * (1.0 - rho)
-    u = (kr - kl) * x
-    v = (kr + kl) * x
-    return Matrix2x2(same * xp.exp(u), flip * xp.exp(-v),
-                     flip * xp.exp(v), same * xp.exp(-u))
+    # each product takes a fresh copy (+z), so that it rounds as a product
+    # with a fresh exp() result does (tests/step_reference.py): numpy
+    # multiplies into a large temporary in place with the operands
+    # swapped, and its SIMD complex product is not bitwise commutative
+    return Matrix2x2(same * +eu, flip * +up, flip * +down, same * +emu)
+
+
+def _step_pair(x: float, outer: tuple, inner: tuple, xp) -> tuple[Matrix2x2, Matrix2x2]:
+    """Interface matrices W_L(x)^-1 W_R(x) at -x (outer to inner) and at +x (back out).
+
+    With u = (k_in - k_out)(-x) and v = (k_in + k_out)(-x) the matrix at
+    -x is [[c e^u, f e^-v], [f e^v, c e^-u]], where c = (1 + rho)/2,
+    f = (1 - rho)/2 and rho = s_R / s_L.  The mirrored matrix at +x has
+    the arguments (k_out - k_in)x = u and (k_out + k_in)x = -v exactly,
+    since negation is exact and addition commutes, so it reuses the
+    four exponentials with e^v and e^-v trading places, and its own rho.
+    """
+    (ko, so), (ki, si) = outer, inner
+    eu, emu = _exp_pm((ki - ko) * -x, xp)
+    ev, emv = _exp_pm((ki + ko) * -x, xp)
+    return _interface(si / so, eu, emu, emv, ev), _interface(so / si, eu, emu, ev, emv)
 
 
 def _steps(e: Energy, cfg: PotentialConfig, xp) -> tuple[Matrix2x2, ...]:
     zero, plus, minus = _waves(e, cfg, xp)
-    return (
-        _step(-cfg.a, zero, plus, xp),
-        _step(-cfg.a_minus, plus, minus, xp),
-        _step(cfg.a_minus, minus, plus, xp),
-        _step(cfg.a, plus, zero, xp),
-    )
+    p1, p4 = _step_pair(cfg.a, zero, plus, xp)
+    p2, p3 = _step_pair(cfg.a_minus, plus, minus, xp)
+    return p1, p2, p3, p4
 
 
 def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x2, ...]:

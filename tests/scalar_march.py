@@ -1,14 +1,23 @@
 """The one-energy-at-a-time width march, kept as a test-side reference.
 
-Production evaluates the march energies in array chunks; this is the
-plain loop it replaced, which visits them one by one and stops at the
-first |T|^2 <= 1/2.  The chunked march must pick the same bracket, so
-the widths built on either come out float-equal.
+Production runs the marches of all resonances in lockstep array rounds;
+this is the plain loop it replaced, which runs one march at a time,
+visits its energies one by one and stops at the first |T|^2 <= 1/2.
+The lockstep march must pick the same brackets, so the widths built on
+either come out float-equal.
 """
 
 from __future__ import annotations
 
-from dirac_double_barrier import PotentialConfig, SearchSettings, scatter, singular_energies
+import math
+
+from dirac_double_barrier import (
+    PotentialConfig,
+    SearchSettings,
+    scatter,
+    singular_energies,
+    zone_interval,
+)
 from dirac_double_barrier import core, resonance
 
 
@@ -49,3 +58,31 @@ def half_crossing(cfg: PotentialConfig, start: float, limit: float,
         if at_limit:
             return None
         prev = e
+
+
+def widths(resonances, cfg: PotentialConfig, settings: SearchSettings) -> list:
+    """fwhm of each resonance, in order of energy, one march at a time.
+
+    Within each zone a resonance's marches are fenced by its neighbors'
+    energies, else by the zone edges one margin in (the open top zone
+    capped 4 m above its lower edge or the peak), and step at the zone's
+    scan spacing; a right side runs only if the left side crossed.
+    """
+    margin = core.EVAL_MARGIN * cfg.m
+    by_zone: dict = {}
+    for r in resonances:
+        by_zone.setdefault(r.zone, []).append(r)
+    out = []
+    for group in by_zone.values():
+        group = sorted(group, key=lambda r: r.energy)
+        for i, r in enumerate(group):
+            zlo, zhi = zone_interval(r.zone, cfg)
+            if math.isinf(zhi):
+                zhi = max(r.energy, zlo) + 4.0 * cfg.m
+            lo = group[i - 1].energy if i > 0 else zlo + margin
+            hi = group[i + 1].energy if i + 1 < len(group) else zhi - margin
+            step = (zhi - zlo) / settings.grid_points_per_zone
+            left = half_crossing(cfg, r.energy, lo, -step, settings)
+            right = None if left is None else half_crossing(cfg, r.energy, hi, step, settings)
+            out.append((r.energy, None if right is None else right - left))
+    return [w for _, w in sorted(out, key=lambda p: p[0])]

@@ -1,0 +1,46 @@
+"""The four-call interface-matrix build, kept as a test-side reference.
+
+Production builds the mirrored interface matrices in pairs that share
+their four exponentials (P1 with P4, P2 with P3).  This is the form it
+replaced, which evaluates every matrix on its own with four fresh
+exponentials, 16 per energy.  The shared form must match it to the bit,
+on floats and on arrays of any length.
+"""
+
+from __future__ import annotations
+
+import cmath
+
+import numpy as np
+
+from dirac_double_barrier import Matrix2x2, PotentialConfig
+from dirac_double_barrier.transfer import _waves
+
+
+def _step(x: float, left: tuple, right: tuple, xp) -> Matrix2x2:
+    """Interface matrix W_L(x)^-1 W_R(x) between two regions meeting at x."""
+    (kl, sl), (kr, sr) = left, right
+    rho = sr / sl
+    same = 0.5 * (1.0 + rho)
+    flip = 0.5 * (1.0 - rho)
+    u = (kr - kl) * x
+    v = (kr + kl) * x
+    return Matrix2x2(same * xp.exp(u), flip * xp.exp(-v),
+                     flip * xp.exp(v), same * xp.exp(-u))
+
+
+def factor_matrices(e, cfg: PotentialConfig) -> tuple[Matrix2x2, ...]:
+    """P1..P4 at a float or an array of energies, no range checks."""
+    xp = np if isinstance(e, np.ndarray) else cmath
+    zero, plus, minus = _waves(e, cfg, xp)
+    return (
+        _step(-cfg.a, zero, plus, xp),
+        _step(-cfg.a_minus, plus, minus, xp),
+        _step(cfg.a_minus, minus, plus, xp),
+        _step(cfg.a, plus, zero, xp),
+    )
+
+
+def full_matrix(e, cfg: PotentialConfig) -> Matrix2x2:
+    p1, p2, p3, p4 = factor_matrices(e, cfg)
+    return p1 @ p2 @ p3 @ p4

@@ -84,6 +84,20 @@ def test_nudge_of_a_float_is_a_float(reference):
     assert core.nudge(2.0, reference) == 2.0
 
 
+def test_nudge_takes_one_way_per_energy(reference):
+    margin = EVAL_MARGIN * reference.m
+    e = np.array([3.0, 3.0, 3.0 - 4e-7, 3.0 + 4e-7, 4.0 - margin, 6.5, 9.0, 1.0])
+    way = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+    kept_e, kept_way = e.copy(), way.copy()
+    got = core.nudge(e, reference, way)
+    want = [core.nudge(x, reference, w) for x, w in zip(e.tolist(), way.tolist())]
+    assert got.tolist() == want
+    assert want[:4] == [3.0 + margin, 3.0 - margin, 3.0 + margin, 3.0 - margin]
+    assert e.tolist() == kept_e.tolist() and way.tolist() == kept_way.tolist()
+    # a float way still sends every energy the same way
+    assert core.nudge(e, reference, -1.0).tolist() == core.nudge(e, reference, -np.ones(8)).tolist()
+
+
 def test_nudged_points_stay_put_under_a_second_nudge(reference):
     e = np.linspace(1.0, 9.0, 33)
     once = core.nudge(e, reference)

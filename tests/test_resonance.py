@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -206,19 +207,93 @@ def test_density_grows_with_floor_width():
     assert n_narrow < n_wide
 
 
-@pytest.mark.parametrize("v_plus, e_max", [(8.0, 11.0), (10.0, 13.0)],
-                         ids=["reference", "tall"])
-def test_chunked_march_matches_scalar_march(v_plus, e_max, monkeypatch):
-    cfg = PotentialConfig(v_plus=v_plus, v_minus=4.0, a_plus=3.0, a_minus=2.5)
+@pytest.mark.parametrize("v_plus, a_minus, e_max, resolved", [
+    (8.0, 2.5, 11.0, 10), (10.0, 2.5, 13.0, 10), (8.0, 1.0, 11.0, 5),
+], ids=["reference", "tall", "narrow-floor"])
+def test_chunked_march_matches_scalar_march(v_plus, a_minus, e_max, resolved):
+    cfg = PotentialConfig(v_plus=v_plus, v_minus=4.0, a_plus=3.0, a_minus=a_minus)
+    settings = SearchSettings()
     found = (find_resonances(cfg, resonance.BOUNDED_ZONES)
              + find_above_barrier(cfg, e_max))
-    chunked = [r.fwhm for r in attach_widths(found, cfg)]
-    monkeypatch.setattr(resonance, "_half_crossing", scalar_march.half_crossing)
-    scalar = [r.fwhm for r in attach_widths(found, cfg)]
-    assert chunked == scalar
+    lockstep = [r.fwhm for r in attach_widths(found, cfg, settings)]
+    assert lockstep == scalar_march.widths(found, cfg, settings)
     # overlapping peaks fenced by their neighbors never dip to 1/2
-    assert None in chunked
-    assert sum(w is not None for w in chunked) >= 10
+    assert None in lockstep
+    assert sum(w is not None for w in lockstep) >= resolved
+
+
+def _array_scatter_sizes(monkeypatch) -> list:
+    sizes = []
+
+    def counted(e, cfg):
+        if isinstance(e, np.ndarray):
+            sizes.append(e.size)
+        return scatter(e, cfg)
+
+    monkeypatch.setattr(resonance, "scatter", counted)
+    return sizes
+
+
+def test_widths_take_a_few_shared_array_calls(reference, reference_resonances, monkeypatch):
+    sizes = _array_scatter_sizes(monkeypatch)
+    settings = SearchSettings()
+    attach_widths(reference_resonances, reference, settings)
+    # one march at a time took 93 array calls here
+    assert 0 < len(sizes) <= 8
+    assert max(sizes) <= settings.grid_points_per_zone
+
+
+def _march_counts(caplog) -> list:
+    """marches, rounds, energies and refinements from the width march's record."""
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("width march")]
+    assert record.levelno == logging.DEBUG
+    return [int(n) for n in re.findall(r"\d+", record.getMessage())]
+
+
+def test_oversized_rounds_are_split_without_moving_the_widths(reference, reference_resonances,
+                                                              monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger=resonance.__name__)
+    sizes = _array_scatter_sizes(monkeypatch)
+    settings = SearchSettings(grid_points_per_zone=16)
+    got = [r.fwhm for r in attach_widths(reference_resonances, reference, settings)]
+    _, rounds, energies, _ = _march_counts(caplog)
+    assert max(sizes) <= 16 and sum(sizes) == energies
+    assert len(sizes) > rounds  # so rounds were split
+    monkeypatch.undo()
+    assert got == scalar_march.widths(reference_resonances, reference, settings)
+
+
+def test_a_chunk_longer_than_the_cap_is_split(reference, monkeypatch):
+    e = core.nudge(np.linspace(6.0, 9.5, 100), reference)
+    want = resonance._dips(e, reference, 100)
+    sizes = _array_scatter_sizes(monkeypatch)
+    assert resonance._dips(e, reference, 16).tolist() == want.tolist()
+    assert sizes == [16] * 6 + [4]
+    assert want.any() and not want.all()
+
+
+def test_widths_log_what_the_march_did(reference, reference_resonances, caplog, monkeypatch):
+    refinements = []
+
+    def counted(*args, **kwargs):
+        refinements.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    brentq = resonance.brentq
+    monkeypatch.setattr(resonance, "brentq", counted)
+    caplog.set_level(logging.DEBUG, logger=resonance.__name__)
+    attach_widths(reference_resonances, reference)
+    assert len(caplog.records) == 1
+    marches, rounds, energies, refined = _march_counts(caplog)
+    assert marches == 2 * len(reference_resonances)
+    assert 0 < rounds <= 8 and energies > 0
+    assert refined == len(refinements)
+    # the same crossings as one march at a time: a right side whose left
+    # side found no crossing is never refined
+    lockstep = sorted(refinements)
+    refinements.clear()
+    scalar_march.widths(reference_resonances, reference, SearchSettings())
+    assert lockstep == sorted(refinements)
 
 
 def test_march_to_the_threshold_matches_scalar_march():
@@ -238,6 +313,25 @@ def test_march_to_the_threshold_matches_scalar_march():
     # crossing and limit both fall in the second chunk, steps 33 to 96
     chunk = resonance._MARCH_CHUNK
     assert chunk < (first.energy - got) / step < (first.energy - limit) / step <= 3 * chunk
+
+
+def test_dip_at_the_start_of_a_later_chunk_is_bracketed_by_the_chunk_before(reference):
+    # steps sized so that the right half-maximum crossing of the sharpest
+    # peak falls between march energies 32 and 33: the dip is the first
+    # energy of the second chunk, and its bracket must reach back to the
+    # last energy of the first chunk
+    settings = SearchSettings()
+    peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
+    lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
+    limit = hi - core.EVAL_MARGIN * reference.m
+    step = (hi - lo) / settings.grid_points_per_zone
+    crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
+    step = (crossing - peak.energy) / (resonance._MARCH_CHUNK + 0.5)
+    args = (reference, peak.energy, limit, step, settings)
+    assert resonance._half_crossing(*args) == scalar_march.half_crossing(*args)
+    brackets, rounds, _ = resonance._march_brackets(reference, [args[1:4]], settings)
+    assert rounds == 2
+    assert brackets[0][0] == peak.energy + resonance._MARCH_CHUNK * step
 
 
 def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch):

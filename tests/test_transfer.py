@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import paper_tables
+import step_reference
 from dirac_double_barrier import (
+    ZONE_ORDER,
     BoundaryEnergy,
     Matrix2x2,
     NumericalOverflow,
@@ -14,7 +17,10 @@ from dirac_double_barrier import (
     factor_matrices,
     full_matrix,
     scatter,
+    special_energies,
+    zone_interval,
 )
+from dirac_double_barrier.core import nudge
 from frozen_values import GAP_T2_E35, INNER_BARRIER_E6
 
 # one energy per zone plus one per matrix range boundary side
@@ -165,3 +171,56 @@ def test_array_raises_at_first_inadmissible_energy(reference):
     with pytest.raises(BoundaryEnergy) as info:
         scatter(np.array([2.0, 7.0, 4.0]), reference)
     assert info.value.energy == 7.0
+
+
+def _bits(z) -> list:
+    """Every bit of a complex number or array, signed zeros included."""
+    if isinstance(z, np.ndarray):
+        return z.view(np.uint64).tolist()
+    return [z.real.hex(), z.imag.hex()]
+
+
+def _assert_same_bits(got: tuple, want: tuple) -> None:
+    for g, w in zip(got, want, strict=True):
+        for a, b in zip(g, w, strict=True):
+            assert _bits(a) == _bits(b)
+
+
+def _check_against_four_call_steps(e, cfg: PotentialConfig) -> None:
+    _assert_same_bits(factor_matrices(e, cfg), step_reference.factor_matrices(e, cfg))
+    _assert_same_bits((full_matrix(e, cfg),), (step_reference.full_matrix(e, cfg),))
+
+
+@pytest.mark.parametrize("zone", ZONE_ORDER, ids=lambda z: z.value)
+def test_shared_exponentials_match_four_call_steps_in_every_zone(reference, zone):
+    lo, hi = zone_interval(zone, reference)
+    hi = min(hi, reference.v_plus + 4.0 * reference.m)
+    grid = nudge(np.linspace(lo, hi, 401)[1:-1], reference)
+    _check_against_four_call_steps(grid, reference)
+    for e in grid[::40].tolist():
+        _check_against_four_call_steps(e, reference)
+
+
+def test_shared_exponentials_match_four_call_steps_on_a_long_array(reference):
+    # at 20,000 energies (320 kB per complex array) numpy multiplies into
+    # large temporaries in place, a path short arrays never take
+    grid = nudge(np.linspace(1.01, reference.v_plus + 4.0, 20_000), reference)
+    _check_against_four_call_steps(grid, reference)
+
+
+@st.composite
+def _thick_cases(draw):
+    v_minus = draw(st.floats(2.3, 6.0))
+    cfg = PotentialConfig(v_plus=v_minus + draw(st.floats(2.3, 8.0)), v_minus=v_minus,
+                          a_plus=draw(st.floats(0.2, 5.0)), a_minus=draw(st.floats(0.2, 3.2)))
+    e = draw(st.floats(1.01, cfg.v_plus + 4.0))
+    assume(min(abs(e - s) for s in special_energies(cfg)) > 1e-5)
+    return cfg, e
+
+
+@settings(max_examples=150, deadline=None)
+@given(_thick_cases())
+def test_shared_exponentials_match_four_call_steps_property(case):
+    cfg, e = case
+    _check_against_four_call_steps(e, cfg)
+    _check_against_four_call_steps(nudge(np.array([e, 0.5 * (e + 1.01)]), cfg), cfg)
