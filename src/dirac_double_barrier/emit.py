@@ -9,7 +9,9 @@ whose fields are arrays over the grid, and the CSV writer formats its
 columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R with one "%.12g"
 template per row.  transmission_rows splits the same batch into one
 ScatteringResult per energy; no emission path needs that view, but
-library callers that walk a curve row by row do.
+library callers that walk a curve row by row do.  ScatteringResult is a
+named tuple, so the rows come from one map over the columns, with no
+per-row loop in Python.
 """
 
 from __future__ import annotations
@@ -73,11 +75,13 @@ def transmission_curve(cfg: PotentialConfig, e_min: float, e_max: float,
 
 def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
                       points: int, workers: int = 1) -> list[ScatteringResult]:
-    """transmission_curve split into one ScatteringResult per grid point."""
+    """transmission_curve split into one ScatteringResult per grid point.
+
+    The batch's fields are its columns in field order, so each row is
+    the named tuple of one entry of every column.
+    """
     batch = transmission_curve(cfg, e_min, e_max, points, workers)
-    columns = (batch.e, batch.t, batch.r, batch.t2, batch.r2,
-               batch.matrix_range, batch.zone)
-    return [ScatteringResult(*row) for row in zip(*(c.tolist() for c in columns))]
+    return list(map(ScatteringResult, *(c.tolist() for c in batch)))
 
 
 #: One CSV row: a 12-significant-digit cell per CSV_HEADER column.

@@ -164,21 +164,26 @@ class Resonance:
     fwhm: float | None = None
 
 
-def _m21(e: float, cfg: PotentialConfig) -> complex:
-    return full_matrix(e, cfg).m21
-
-
 def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float,
                     settings: SearchSettings) -> tuple[float, float]:
-    """Root of M21 inside (lo, hi) as (energy, residual)."""
+    """Root of M21 inside (lo, hi) as (energy, residual).
+
+    brentq returns an energy it has evaluated, so the residual |M21| is
+    read from the values it saw rather than computed again.
+    """
+    seen: dict[float, complex] = {}
+
+    def im_m21(e: float) -> float:
+        seen[e] = m21 = full_matrix(e, cfg).m21
+        return m21.imag
+
     try:
-        root = brentq(lambda e: _m21(e, cfg).imag, lo, hi,
-                      xtol=settings.refine_tolerance * cfg.m)
+        root = brentq(im_m21, lo, hi, xtol=settings.refine_tolerance * cfg.m)
     except ValueError:
         raise RefinementFailed(
             f"Im M21 keeps its sign over ({lo:.9g}, {hi:.9g})"
         ) from None
-    return root, abs(_m21(root, cfg))
+    return root, abs(seen[root])
 
 
 def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,

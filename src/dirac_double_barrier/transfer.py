@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -180,12 +179,14 @@ def full_matrix(e: Energy, cfg: PotentialConfig) -> Matrix2x2:
     return _evaluate(e, cfg, multiply=True)[0]
 
 
-@dataclass(frozen=True)
-class ScatteringResult:
+class ScatteringResult(NamedTuple):
     """Amplitudes and probabilities of one scattering event.
 
     For an array of energies every field is an array with one entry per
     energy; matrix_range and zone are then object arrays of enum members.
+    An immutable named tuple, like Matrix2x2: a curve split into rows
+    builds one per energy, and tuple construction keeps that cheap.
+    Change a field with _replace.
     """
 
     e: float | np.ndarray

@@ -21,6 +21,10 @@ from .transfer import full_matrix
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 10_000
 
+#: Most uniform draws sample_energies makes, and most in one round.
+_MAX_DRAWS = 10**8
+_ROUND_MAX = 2**20
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -80,8 +84,12 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
     """n admissible energies, uniform over the window, deterministic in seed.
 
     Draws within (e_min, e_max) and rejects anything within EVAL_MARGIN
-    of a special energy.  A non-finite window, or one that lies entirely
-    inside one such rejection band, raises ValueError.
+    of a special energy.  The kept values are the first n admissible
+    ones of a single stream of draws, so the rounds of draws can be
+    sized from the admissible fraction of the window without changing
+    them.  A non-finite window, one that lies entirely inside the
+    rejection bands, or one whose admissible part is so thin that n
+    values would take more than _MAX_DRAWS draws raises ValueError.
     """
     if e_min is None:
         e_min = 1.001 * cfg.m
@@ -95,25 +103,52 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
         raise ValueError(f"e_min must exceed m = {cfg.m:g}, got {e_min}")
     if not e_max > e_min:
         raise ValueError("e_max must exceed e_min")
-    bad = special_energies(cfg)
     width = EVAL_MARGIN * cfg.m
-    # the bands are far narrower than their spacing, so one band covers
-    # the window or none does
+    # bands more than a width away cannot reject a draw, even by rounding
+    bad = [b for b in special_energies(cfg)
+           if e_min - 2.0 * width < b < e_max + 2.0 * width]
+    # the window's length outside the bands; they come in ascending order
+    covered, reach = 0.0, e_min
     for b in bad:
-        if b - width <= e_min and e_max <= b + width:
-            raise ValueError(
-                f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
-                f"excluded energy {b:g}; nothing in it can be sampled"
-            )
+        lo, hi = max(b - width, reach), min(b + width, e_max)
+        if hi > lo:
+            covered += hi - lo
+            reach = hi
+    admissible = (e_max - e_min) - covered
+    if not admissible > 0:
+        raise ValueError(
+            f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
+            f"excluded energy {' and '.join(f'{b:g}' for b in bad)}; "
+            f"nothing in it can be sampled"
+        )
+    fraction = admissible / (e_max - e_min)
+
+    def too_thin(detail: str) -> ValueError:
+        return ValueError(
+            f"window ({e_min!r}, {e_max!r}) leaves only {admissible:.3g} of its "
+            f"length outside the excluded bands: {detail}"
+        )
+
+    if n / fraction > _MAX_DRAWS:
+        raise too_thin(f"{n} samples would take about {n / fraction:.3g} draws, "
+                       f"more than the cap of {_MAX_DRAWS:g}")
     rng = np.random.default_rng(seed)
-    out = np.empty(0)
-    while out.size < n:
-        draws = rng.uniform(e_min, e_max, size=n)
-        keep = np.ones(n, dtype=bool)
+    kept: list[np.ndarray] = []
+    found = drawn = 0
+    while found < n:
+        if drawn >= _MAX_DRAWS:
+            raise too_thin(f"the cap of {_MAX_DRAWS:g} draws kept {found} of {n} samples")
+        # enough draws to fill the rest with a tenth to spare, in bounded rounds
+        size = min(math.ceil(1.1 * (n - found) / fraction) + 16,
+                   _ROUND_MAX, _MAX_DRAWS - drawn)
+        draws = rng.uniform(e_min, e_max, size=size)
+        keep = np.ones(size, dtype=bool)
         for b in bad:
             keep &= np.abs(draws - b) > width
-        out = np.concatenate([out, draws[keep]])
-    return out[:n].tolist()
+        kept.append(draws[keep])
+        found += kept[-1].size
+        drawn += size
+    return np.concatenate(kept)[:n].tolist()
 
 
 def run_verification(cfg: PotentialConfig,

@@ -136,6 +136,8 @@ def test_config_file_with_flag_override(tmp_path):
      "--frames", "2", "--e-max", "inf"],
     ["resonances", *REF_FLAGS, "--e-max", "inf"],
     ["verify", *REF_FLAGS, "--e-max", "inf"],
+    # only 1e-13 of the window lies outside the band around E = v_minus
+    ["verify", *REF_FLAGS, "--e-min", repr(4.0 - 1e-6 - 1e-13), "--e-max", "4.0000005"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

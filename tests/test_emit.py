@@ -69,15 +69,24 @@ def test_columnar_csv_matches_per_cell_formatter_on_reference_curve(reference):
     assert format_curve_csv(batch) == format_rows_csv(_split(batch))
 
 
+def _bits(row):
+    """Every float of a row's numeric fields, exactly (signed zeros too)."""
+    numbers = (row.e, row.t.real, row.t.imag, row.r.real, row.r.imag, row.t2, row.r2)
+    return [float(x).hex() for x in numbers]
+
+
 def test_transmission_rows_split_the_batch(reference):
-    batch = transmission_curve(reference, 1.05, 11.5, 300)
-    rows = transmission_rows(reference, 1.05, 11.5, 300)
-    assert len(rows) == 300
+    points = 300
+    batch = transmission_curve(reference, 1.05, 11.5, points)
+    rows = transmission_rows(reference, 1.05, 11.5, points)
+    assert len(rows) == points
     for i, row in enumerate(rows):
+        assert type(row) is ScatteringResult
         assert type(row.e) is float and type(row.t2) is float
         assert type(row.t) is complex and type(row.r) is complex
         assert (row.e, row.t, row.r, row.t2, row.r2) == (
             batch.e[i], batch.t[i], batch.r[i], batch.t2[i], batch.r2[i])
+        assert _bits(row) == _bits(ScatteringResult(*(c[i] for c in batch)))
         assert row.matrix_range is batch.matrix_range[i]
         assert row.zone is batch.zone[i]
 

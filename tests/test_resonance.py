@@ -16,6 +16,7 @@ from dirac_double_barrier import (
     estimate_fwhm,
     find_above_barrier,
     find_resonances,
+    full_matrix,
     resonance,
     scatter,
     zone_interval,
@@ -79,6 +80,37 @@ def test_refinement_is_converged(reference):
     assert len(coarse) == len(fine)
     for a, b in zip(coarse, fine):
         assert abs(a.energy - b.energy) <= settings.refine_tolerance * reference.m
+
+
+@pytest.mark.parametrize("cfg", [
+    PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+    PotentialConfig(v_plus=10.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+], ids=["reference", "tall"])
+def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
+    # every bracket's Brent closure evaluates M21 at distinct energies,
+    # and the residual is |M21| at the root, read from those values
+    refine = resonance._refine_bracket
+    energies: list = []
+    roots = []
+
+    def counted(e, cfg):
+        energies.append(e)
+        return full_matrix(e, cfg)
+
+    def checked(cfg, lo, hi, settings):
+        energies.clear()
+        root, residual = refine(cfg, lo, hi, settings)
+        assert all(type(e) is float for e in energies)
+        assert len(set(energies)) == len(energies)
+        assert residual.hex() == abs(full_matrix(root, cfg).m21).hex()
+        roots.append(root)
+        return root, residual
+
+    monkeypatch.setattr(resonance, "full_matrix", counted)
+    monkeypatch.setattr(resonance, "_refine_bracket", checked)
+    found = find_resonances(cfg, resonance.BOUNDED_ZONES)
+    found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
+    assert found and {r.energy for r in found} <= set(roots)
 
 
 def test_gap_zone_holds_no_resonances(reference):
@@ -351,7 +383,7 @@ def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch)
     def skewed(e, cfg):
         out = scatter(e, cfg)
         if isinstance(e, np.ndarray):
-            out = replace(out, t2=out.t2 + np.where(out.t2 > 0.5, -5e-10, 5e-10))
+            out = out._replace(t2=out.t2 + np.where(out.t2 > 0.5, -5e-10, 5e-10))
         return out
 
     monkeypatch.setattr(resonance, "scatter", skewed)
@@ -378,7 +410,7 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     def flat(e, cfg):
         out = scatter(e, cfg)
         seen.extend(np.atleast_1d(e).tolist())
-        return replace(out, t2=np.full_like(out.t2, 0.9) if isinstance(e, np.ndarray) else 0.9)
+        return out._replace(t2=np.full_like(out.t2, 0.9) if isinstance(e, np.ndarray) else 0.9)
 
     monkeypatch.setattr(resonance, "scatter", flat)
     monkeypatch.setattr(scalar_march, "scatter", flat)

@@ -10,8 +10,11 @@ from dirac_double_barrier import (
     ZONE_ORDER,
     BoundaryEnergy,
     Matrix2x2,
+    MatrixRange,
     NumericalOverflow,
     PotentialConfig,
+    ScatteringResult,
+    Zone,
     classify,
     factor_determinants,
     factor_matrices,
@@ -165,6 +168,29 @@ def test_scalar_path_returns_python_numbers(reference):
     assert type(s.t) is complex and type(s.r) is complex
     assert type(s.t2) is float and type(s.r2) is float
     assert all(type(z) is complex for z in full_matrix(6.0, reference).entries())
+
+
+def test_scattering_result_is_an_immutable_named_tuple(reference):
+    assert ScatteringResult._fields == ("e", "t", "r", "t2", "r2", "matrix_range", "zone")
+    s = scatter(7.5, reference)
+    assert isinstance(s, tuple)
+    with pytest.raises(AttributeError):
+        s.t2 = 0.5
+    moved = s._replace(t2=0.5)
+    assert type(moved) is ScatteringResult and moved is not s
+    assert moved.t2 == 0.5 and s.t2 != 0.5
+    assert moved[:3] + moved[4:] == s[:3] + s[4:]
+
+
+def test_scatter_fields_follow_the_energy_type(reference):
+    one = scatter(7.5, reference)
+    assert type(one.e) is float
+    assert type(one.t) is complex and type(one.r) is complex
+    assert type(one.t2) is float and type(one.r2) is float
+    assert isinstance(one.matrix_range, MatrixRange) and isinstance(one.zone, Zone)
+    batch = scatter(np.array(SAMPLE_ENERGIES), reference)
+    for field in batch:
+        assert isinstance(field, np.ndarray) and field.shape == (len(SAMPLE_ENERGIES),)
 
 
 def test_array_raises_at_first_inadmissible_energy(reference):
