@@ -59,7 +59,7 @@ def mp_inner_barrier_matrix(e, cfg):
 def frozen_inner_barrier_block():
     e = 6.0
     ref = mp_inner_barrier_matrix(e, CANONICAL)
-    got = factor_matrices(e, CANONICAL)[1].entries()
+    got = factor_matrices(e, CANONICAL)[1]
     print("# inner-barrier step matrix at E = 6, 50-digit reference")
     print("INNER_BARRIER_E6 = (")
     for z_ref, z_got in zip(ref, got):

@@ -41,14 +41,12 @@ from .resonance import (
     Resonance,
     SearchSettings,
     attach_widths,
-    estimate_fwhm,
     find_above_barrier,
     find_resonances,
 )
 from .transfer import (
     Matrix2x2,
     ScatteringResult,
-    factor_determinants,
     factor_matrices,
     full_matrix,
     scatter,
@@ -87,8 +85,6 @@ __all__ = [
     "alpha_beta",
     "attach_widths",
     "classify",
-    "estimate_fwhm",
-    "factor_determinants",
     "factor_matrices",
     "find_above_barrier",
     "find_resonances",

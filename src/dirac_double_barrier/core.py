@@ -228,33 +228,30 @@ def _cuts(cfg: PotentialConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (vm, vp), (vm - m, vm + m, vp - m, vp + m)
 
 
-def _reject_boundary(e: float, cfg: PotentialConfig) -> None:
+def screen(e: "float | np.ndarray", cfg: PotentialConfig) -> None:
+    """Raise BoundaryEnergy unless every energy is admissible.
+
+    Inadmissible is E at or below threshold, or within the singular
+    tolerance of any range or zone boundary.  For an array, raises at
+    the first such energy, with the message that energy alone gets.
+    """
     tol = SINGULAR_TOL * cfg.m
+    bad = e <= cfg.m + tol
+    # the threshold, the first special energy, is screened above
+    for b in special_energies(cfg)[1:]:
+        bad |= abs(e - b) < tol
+    if isinstance(e, np.ndarray):
+        if not bad.any():
+            return
+        e = float(e[bad.argmax()])
+    elif not bad:
+        return
     if e <= cfg.m + tol:
         raise BoundaryEnergy(
             e, f"E = {e!r} is at or below the scattering threshold m = {cfg.m:g}"
         )
-    # the threshold, the first special energy, is screened above
-    for b in special_energies(cfg)[1:]:
-        if abs(e - b) < tol:
-            raise BoundaryEnergy(
-                e, f"E = {e!r} lies within {tol:g} of the boundary energy {b:g}"
-            )
-
-
-def _classify_array(e: np.ndarray, cfg: PotentialConfig) -> tuple[np.ndarray, np.ndarray]:
-    tol = SINGULAR_TOL * cfg.m
-    bad = e <= cfg.m + tol
-    for b in special_energies(cfg)[1:]:
-        bad |= np.abs(e - b) < tol
-    if bad.any():
-        # raises, with the message a single energy would get
-        _reject_boundary(float(e[bad.argmax()]), cfg)
-    range_cuts, zone_cuts = _cuts(cfg)
-    return (
-        np.array(_RANGE_ORDER, dtype=object)[np.searchsorted(range_cuts, e, side="right")],
-        np.array(ZONE_ORDER, dtype=object)[np.searchsorted(zone_cuts, e, side="right")],
-    )
+    b = next(b for b in special_energies(cfg)[1:] if abs(e - b) < tol)
+    raise BoundaryEnergy(e, f"E = {e!r} lies within {tol:g} of the boundary energy {b:g}")
 
 
 def classify(e: "float | np.ndarray",
@@ -262,12 +259,14 @@ def classify(e: "float | np.ndarray",
     """Matrix range and zone containing E.
 
     For a 1-D array of energies, returns two object arrays with one
-    MatrixRange and one Zone per energy.  Raises BoundaryEnergy for E at
-    or below threshold or within the singular tolerance of any range or
-    zone boundary; for an array, at the first such energy.
+    MatrixRange and one Zone per energy.  Raises BoundaryEnergy where
+    screen does.
     """
-    if isinstance(e, np.ndarray):
-        return _classify_array(e, cfg)
-    _reject_boundary(e, cfg)
+    screen(e, cfg)
     range_cuts, zone_cuts = _cuts(cfg)
+    if isinstance(e, np.ndarray):
+        return (
+            np.array(_RANGE_ORDER, dtype=object)[np.searchsorted(range_cuts, e, side="right")],
+            np.array(ZONE_ORDER, dtype=object)[np.searchsorted(zone_cuts, e, side="right")],
+        )
     return _RANGE_ORDER[bisect_right(range_cuts, e)], ZONE_ORDER[bisect_right(zone_cuts, e)]

@@ -58,6 +58,13 @@ _MARCH_CHUNK_MAX = 1024
 #: round differently, by at most ~3e-13 in |T|^2 even at a_plus = 5.
 _HALF_BAND = 1e-9
 
+#: Brent's xtol for resonance roots and half-maximum crossings, as a
+#: fraction of the mass.
+_REFINE_TOLERANCE = 1e-12
+
+#: A refined root counts as a resonance only where |M21| is below this.
+_RESIDUAL_ACCEPT = 1e-8
+
 #: Brent defaults, as in scipy.optimize.brentq.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -133,24 +140,21 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Knobs for the grid scan and bracket refinement.
+    """The one search knob: scan points per zone.
 
-    Energy-like fields are fractions of the mass and get scaled by cfg.m
-    at the point of use, so one settings object works for any mass.
+    It sets the grid scan, the width march's step (the zone's scan
+    spacing) and the most energies the march evaluates in one array
+    call.  Brent's tolerance and the |M21| gate are fixed,
+    _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
     """
 
     grid_points_per_zone: int = 4000
-    refine_tolerance: float = 1e-12
-    residual_accept: float = 1e-8
 
     def __post_init__(self):
         if self.grid_points_per_zone < 16:
             raise ValueError(
                 f"grid_points_per_zone must be at least 16, got {self.grid_points_per_zone}"
             )
-        for name in ("refine_tolerance", "residual_accept"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,7 @@ class Resonance:
     fwhm: float | None = None
 
 
-def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float,
-                    settings: SearchSettings) -> tuple[float, float]:
+def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, float]:
     """Root of M21 inside (lo, hi) as (energy, residual).
 
     brentq returns an energy it has evaluated, so the residual |M21| is
@@ -178,7 +181,7 @@ def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float,
         return m21.imag
 
     try:
-        root = brentq(im_m21, lo, hi, xtol=settings.refine_tolerance * cfg.m)
+        root = brentq(im_m21, lo, hi, xtol=_REFINE_TOLERANCE * cfg.m)
     except ValueError:
         raise RefinementFailed(
             f"Im M21 keeps its sign over ({lo:.9g}, {hi:.9g})"
@@ -197,20 +200,19 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     hits: list[tuple[float, float]] = []
     for i in minima:
         try:
-            root, residual = _refine_bracket(cfg, float(grid[i - 1]),
-                                             float(grid[i + 1]), settings)
+            root, residual = _refine_bracket(cfg, float(grid[i - 1]), float(grid[i + 1]))
         except RefinementFailed as exc:
             log.debug("bracket near E = %.9g rejected: %s", grid[i], exc)
             continue
-        if residual < settings.residual_accept:
+        if residual < _RESIDUAL_ACCEPT:
             hits.append((root, residual))
         else:  # a converged sign change, so most likely a real resonance
             log.warning("root at E = %.12g dropped: |M21| = %.3g is not below "
-                        "residual_accept = %g", root, residual, settings.residual_accept)
+                        "residual_accept = %g", root, residual, _RESIDUAL_ACCEPT)
     hits.sort(key=lambda h: h[0])
     # adjacent brackets occasionally converge to the same root
     deduped: list[tuple[float, float]] = []
-    gap = max(10.0 * settings.refine_tolerance, 1e-10) * cfg.m
+    gap = max(10.0 * _REFINE_TOLERANCE, 1e-10) * cfg.m
     for h in hits:
         if deduped and abs(h[0] - deduped[-1][0]) < gap:
             if h[1] < deduped[-1][1]:
@@ -300,12 +302,12 @@ def _march_brackets(cfg: PotentialConfig, marches: "list[March]",
     A march visits start + i*step for i = 1, 2, ..., in chunks of 32
     doubling up to _MARCH_CHUNK_MAX, and ends a chunk that reaches its
     limit with the limit itself.  Round r takes chunk r of every running
-    march and evaluates the chunks of as many marches together as fit in
-    grid_points_per_zone energies (a longer chunk alone, split), each
-    group nudged at once: on in the march direction, the limit back
-    toward start, so it stays inside the window.  A march stops at its
-    first energy with |T|^2 <= 1/2, bracketed with the energy before, as
-    a one-energy-at-a-time march would.  A right side (odd index) stops
+    march, nudges all of them at once (on in the march direction, the
+    limit back toward start, so it stays inside the window) and hands
+    them to one _dips call, which splits them into array calls of at
+    most grid_points_per_zone energies.  A march stops at its first
+    energy with |T|^2 <= 1/2, bracketed with the energy before, as a
+    one-energy-at-a-time march would.  A right side (odd index) stops
     once its left side has ended without a bracket.
     Also returns the number of rounds and of energies evaluated.
     """
@@ -317,38 +319,34 @@ def _march_brackets(cfg: PotentialConfig, marches: "list[March]",
     prev = starts.copy()
     rounds = evaluated = 0
     i, n = 1, _MARCH_CHUNK
-    cap = settings.grid_points_per_zone
     while True:
         alive[1::2] &= alive[0::2] | found[0::2]
         running = np.flatnonzero(alive)
         if not running.size:
             return brackets, rounds, evaluated
-        per_call = max(1, cap // n)
-        for g in range(0, running.size, per_call):
-            group = running[g:g + per_call]
-            lim, way = limits[group, None], ways[group, None]
-            e = starts[group, None] + np.arange(i, i + n) * steps[group, None]
-            at_limit = (e - lim) * way >= 0.0
-            ends = at_limit.any(axis=1)
-            stop = np.where(ends, at_limit.argmax(axis=1), n)
-            ended = np.flatnonzero(ends)
-            way = np.repeat(way, n, axis=1)
-            e[ended, stop[ended]] = lim[ended, 0]
-            way[ended, stop[ended]] *= -1.0
-            kept = np.arange(n) < (stop + ends)[:, None]
-            e[kept] = nudge(e[kept], cfg, way[kept])
-            below = np.zeros_like(kept)
-            below[kept] = _dips(e[kept], cfg, cap)
-            evaluated += int(kept.sum())
-            hit = below.any(axis=1)
-            first = below.argmax(axis=1)
-            for row in np.flatnonzero(hit):
-                j = first[row]
-                near = e[row, j - 1] if j else prev[group[row]]
-                brackets[group[row]] = (float(near), float(e[row, j]))
-            found[group] = hit
-            alive[group] = ~(hit | ends)
-            prev[group] = e[:, -1]
+        lim, way = limits[running, None], ways[running, None]
+        e = starts[running, None] + np.arange(i, i + n) * steps[running, None]
+        at_limit = (e - lim) * way >= 0.0
+        ends = at_limit.any(axis=1)
+        stop = np.where(ends, at_limit.argmax(axis=1), n)
+        ended = np.flatnonzero(ends)
+        way = np.repeat(way, n, axis=1)
+        e[ended, stop[ended]] = lim[ended, 0]
+        way[ended, stop[ended]] *= -1.0
+        kept = np.arange(n) < (stop + ends)[:, None]
+        e[kept] = nudge(e[kept], cfg, way[kept])
+        below = np.zeros_like(kept)
+        below[kept] = _dips(e[kept], cfg, settings.grid_points_per_zone)
+        evaluated += int(kept.sum())
+        hit = below.any(axis=1)
+        first = below.argmax(axis=1)
+        for row in np.flatnonzero(hit):
+            j = first[row]
+            near = e[row, j - 1] if j else prev[running[row]]
+            brackets[running[row]] = (float(near), float(e[row, j]))
+        found[running] = hit
+        alive[running] = ~(hit | ends)
+        prev[running] = e[:, -1]
         rounds += 1
         i += n
         n = min(2 * n, _MARCH_CHUNK_MAX)
@@ -382,62 +380,11 @@ def _half_crossings(cfg: PotentialConfig, marches: "list[March]",
                 )
         a, b = (near, far) if step > 0 else (far, near)
         out.append(float(brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
-                                xtol=settings.refine_tolerance * cfg.m)))
+                                xtol=_REFINE_TOLERANCE * cfg.m)))
     log.debug("width march: %d marches in %d rounds, %d energies evaluated, "
               "%d crossings refined", len(marches), rounds, evaluated,
               sum(x is not None for x in out))
     return out
-
-
-def _half_crossing(cfg: PotentialConfig, start: float, limit: float,
-                   step: float, settings: SearchSettings) -> float | None:
-    """The crossing of the one march (start, limit, step); see _half_crossings."""
-    return _half_crossings(cfg, [(start, limit, step)], settings)[0]
-
-
-def _sides(res: Resonance, cfg: PotentialConfig, settings: SearchSettings,
-           lo_limit: float | None, hi_limit: float | None) -> "tuple[March, March]":
-    """Left and right half-maximum marches from the resonance's peak.
-
-    Limits default to the resonance's zone interval, capped above the
-    top zone edge, and the step is the zone's scan spacing.
-    """
-    margin = EVAL_MARGIN * cfg.m
-    zlo, zhi = zone_interval(res.zone, cfg)
-    if math.isinf(zhi):
-        zhi = max(res.energy, zlo) + _OPEN_ZONE_SPAN * cfg.m
-    if lo_limit is None:
-        lo_limit = zlo + margin
-    if hi_limit is None:
-        hi_limit = zhi - margin
-    step = (zhi - zlo) / settings.grid_points_per_zone
-    return (res.energy, lo_limit, -step), (res.energy, hi_limit, step)
-
-
-def _widths(cfg: PotentialConfig, sides: "list[tuple[March, March]]",
-            settings: SearchSettings) -> "list[float | None]":
-    """right - left crossing per peak, None where either side has none."""
-    crossings = _half_crossings(cfg, [m for pair in sides for m in pair], settings)
-    return [None if left is None or right is None else right - left
-            for left, right in zip(crossings[::2], crossings[1::2])]
-
-
-def estimate_fwhm(res: Resonance, cfg: PotentialConfig,
-                  settings: SearchSettings | None = None,
-                  lo_limit: float | None = None,
-                  hi_limit: float | None = None) -> float | None:
-    """Full width at half maximum of the |T|^2 peak at the resonance.
-
-    Marches outward from the peak for the two |T|^2 = 1/2 crossings.
-    Limits default to the resonance's zone interval (capped above the
-    top zone edge); pass the neighboring resonance energies to keep an
-    overlapping neighbor's shoulder from being mistaken for a crossing.
-    Returns None when either side never dips below 1/2 before its limit,
-    which is how strongly overlapping broad peaks present themselves.
-    """
-    if settings is None:
-        settings = SearchSettings()
-    return _widths(cfg, [_sides(res, cfg, settings, lo_limit, hi_limit)], settings)[0]
 
 
 def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
@@ -445,24 +392,35 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
                   settings: SearchSettings | None = None) -> list[Resonance]:
     """Copy of the resonances with fwhm filled in, sorted by energy.
 
-    Within each zone the half-maximum march for one resonance is fenced
-    by its neighbors' energies.  The marches of all resonances share
-    their array evaluations; each width is the one estimate_fwhm gives
-    with the same fences.
+    fwhm is the full width at half maximum of the |T|^2 peak, found by
+    marching outward from it for the two |T|^2 = 1/2 crossings at the
+    zone's scan spacing.  Within each zone a march is fenced by the
+    neighboring resonance's energy, so that an overlapping neighbor's
+    shoulder is not mistaken for a crossing, and otherwise by the zone
+    interval one margin in, capped above the top zone edge.  fwhm is
+    None when either side never dips below 1/2 before its fence, which
+    is how strongly overlapping broad peaks present themselves.  The
+    marches of all resonances share their array evaluations.
     """
     if settings is None:
         settings = SearchSettings()
+    margin = EVAL_MARGIN * cfg.m
     by_zone: dict[Zone, list[Resonance]] = {}
     for r in resonances:
         by_zone.setdefault(r.zone, []).append(r)
     ordered: list[Resonance] = []
-    sides = []
-    for zone_group in by_zone.values():
-        zone_group.sort(key=lambda r: r.energy)
-        for i, r in enumerate(zone_group):
-            lo_limit = zone_group[i - 1].energy if i > 0 else None
-            hi_limit = zone_group[i + 1].energy if i + 1 < len(zone_group) else None
+    marches: list[March] = []
+    for zone, group in by_zone.items():
+        group.sort(key=lambda r: r.energy)
+        zlo, zhi = zone_interval(zone, cfg)
+        for i, r in enumerate(group):
+            top = zhi if math.isfinite(zhi) else max(r.energy, zlo) + _OPEN_ZONE_SPAN * cfg.m
+            lo = group[i - 1].energy if i > 0 else zlo + margin
+            hi = group[i + 1].energy if i + 1 < len(group) else top - margin
+            step = (top - zlo) / settings.grid_points_per_zone
             ordered.append(r)
-            sides.append(_sides(r, cfg, settings, lo_limit, hi_limit))
-    out = [replace(r, fwhm=w) for r, w in zip(ordered, _widths(cfg, sides, settings))]
+            marches += [(r.energy, lo, -step), (r.energy, hi, step)]
+    crossings = _half_crossings(cfg, marches, settings)
+    out = [replace(r, fwhm=None if left is None or right is None else right - left)
+           for r, left, right in zip(ordered, crossings[::2], crossings[1::2])]
     return sorted(out, key=lambda r: r.energy)

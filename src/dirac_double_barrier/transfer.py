@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MatrixRange, PotentialConfig, Zone, classify
+from .core import MatrixRange, PotentialConfig, Zone, classify, screen
 from .errors import DegenerateMatrix, NumericalOverflow
 
 #: One energy, or a 1-D array of them.
@@ -67,9 +67,6 @@ class Matrix2x2(NamedTuple):
 
     def det(self) -> complex | np.ndarray:
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def entries(self) -> tuple:
-        return tuple(self)
 
 
 def _first_failure(ok, e: Energy):
@@ -157,25 +154,13 @@ def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x
 
 def factor_matrices(e: Energy, cfg: PotentialConfig) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
     """The four interface matrices P1..P4, left to right."""
-    classify(e, cfg)
+    screen(e, cfg)
     return _evaluate(e, cfg, multiply=False)
-
-
-def factor_determinants(e: Energy, cfg: PotentialConfig) -> tuple:
-    """Analytic determinants s_R/s_L of P1..P4; their product is exactly 1.
-
-    Each is the ratio of the lower-component weights of the two regions
-    meeting at the step, so telescoping kills everything in the product.
-    """
-    classify(e, cfg)
-    xp = np if isinstance(e, np.ndarray) else cmath
-    (_, s0), (_, sp), (_, sm) = _waves(e, cfg, xp)
-    return (sp / s0, sm / sp, sp / sm, s0 / sp)
 
 
 def full_matrix(e: Energy, cfg: PotentialConfig) -> Matrix2x2:
     """Transfer matrix spanning the whole structure, P1 P2 P3 P4."""
-    classify(e, cfg)
+    screen(e, cfg)
     return _evaluate(e, cfg, multiply=True)[0]
 
 

@@ -166,7 +166,12 @@ def run_verification(cfg: PotentialConfig,
     * M11 = conj(M22) and M12 = conj(M21)
     * transfer-matrix T and R against the boundary-matching amplitudes,
       the worse of the two
+
+    Raises ValueError unless 0 < tolerance < inf, since no other bound
+    can tell a holding invariant from a failing one.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if e_min is None:
         e_min = 1.001 * cfg.m
     if e_max is None:

@@ -53,7 +53,7 @@ def half_crossing(cfg: PotentialConfig, start: float, limit: float,
             a, b = (prev, e) if direction > 0 else (e, prev)
             return float(
                 resonance.brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
-                                 xtol=settings.refine_tolerance * cfg.m)
+                                 xtol=resonance._REFINE_TOLERANCE * cfg.m)
             )
         if at_limit:
             return None

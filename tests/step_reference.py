@@ -4,7 +4,8 @@ Production builds the mirrored interface matrices in pairs that share
 their four exponentials (P1 with P4, P2 with P3).  This is the form it
 replaced, which evaluates every matrix on its own with four fresh
 exponentials, 16 per energy.  The shared form must match it to the bit,
-on floats and on arrays of any length.
+on floats and on arrays of any length.  The analytic determinants of
+the four matrices live here too.
 """
 
 from __future__ import annotations
@@ -44,3 +45,14 @@ def factor_matrices(e, cfg: PotentialConfig) -> tuple[Matrix2x2, ...]:
 def full_matrix(e, cfg: PotentialConfig) -> Matrix2x2:
     p1, p2, p3, p4 = factor_matrices(e, cfg)
     return p1 @ p2 @ p3 @ p4
+
+
+def factor_determinants(e, cfg: PotentialConfig) -> tuple:
+    """Analytic determinants s_R/s_L of P1..P4; their product is exactly 1.
+
+    Each is the ratio of the lower-component weights of the two regions
+    meeting at the step, so telescoping kills everything in the product.
+    """
+    xp = np if isinstance(e, np.ndarray) else cmath
+    (_, s0), (_, sp), (_, sm) = _waves(e, cfg, xp)
+    return (sp / s0, sm / sp, sp / sm, s0 / sp)

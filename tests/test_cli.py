@@ -258,6 +258,18 @@ def test_verify_cli_reports_failure(tmp_path, capsys):
     assert out_file.read_text().count("FAIL") >= 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_meaningless_tolerance(tolerance, tmp_path, capsys):
+    out_file = tmp_path / "report.txt"
+    code = main(["verify", *REF_FLAGS, "--samples", "50",
+                 f"--tolerance={tolerance}", "--out", str(out_file)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be positive and finite" in captured.err
+    assert captured.out == ""
+    assert not out_file.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dirac_double_barrier", "--help"],

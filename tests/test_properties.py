@@ -13,12 +13,12 @@ from dirac_double_barrier import (
     Region,
     alpha_beta,
     classify,
-    factor_determinants,
     full_matrix,
     scatter,
     solve_amplitudes,
     zone_interval,
 )
+from step_reference import factor_determinants
 
 # widths stay modest so evanescent growth factors keep the conditioning
 # of products and linear solves within a few orders of magnitude

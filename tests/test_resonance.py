@@ -1,7 +1,6 @@
 import logging
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from dirac_double_barrier import (
     Zone,
     attach_widths,
     core,
-    estimate_fwhm,
     find_above_barrier,
     find_resonances,
     full_matrix,
@@ -72,14 +70,14 @@ def test_search_is_deterministic(reference):
     assert first == second
 
 
-def test_refinement_is_converged(reference):
-    settings = SearchSettings()
-    tighter = replace(settings, refine_tolerance=settings.refine_tolerance / 2.0)
-    coarse = find_resonances(reference, [Zone.CONVENTIONAL], settings)
-    fine = find_resonances(reference, [Zone.CONVENTIONAL], tighter)
+def test_refinement_is_converged(reference, monkeypatch):
+    tolerance = resonance._REFINE_TOLERANCE
+    coarse = find_resonances(reference, [Zone.CONVENTIONAL])
+    monkeypatch.setattr(resonance, "_REFINE_TOLERANCE", tolerance / 2.0)
+    fine = find_resonances(reference, [Zone.CONVENTIONAL])
     assert len(coarse) == len(fine)
     for a, b in zip(coarse, fine):
-        assert abs(a.energy - b.energy) <= settings.refine_tolerance * reference.m
+        assert abs(a.energy - b.energy) <= tolerance * reference.m
 
 
 @pytest.mark.parametrize("cfg", [
@@ -97,9 +95,9 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
         energies.append(e)
         return full_matrix(e, cfg)
 
-    def checked(cfg, lo, hi, settings):
+    def checked(cfg, lo, hi):
         energies.clear()
-        root, residual = refine(cfg, lo, hi, settings)
+        root, residual = refine(cfg, lo, hi)
         assert all(type(e) is float for e in energies)
         assert len(set(energies)) == len(energies)
         assert residual.hex() == abs(full_matrix(root, cfg).m21).hex()
@@ -176,8 +174,6 @@ def test_near_empty_open_interval_is_quiet(reference):
 
 @pytest.mark.parametrize("kwargs", [
     dict(grid_points_per_zone=8),
-    dict(refine_tolerance=0.0),
-    dict(residual_accept=0.0),
 ])
 def test_settings_validation(kwargs):
     with pytest.raises(ValueError):
@@ -203,7 +199,7 @@ def test_overlapping_broad_peaks_have_no_width(reference_widths):
 def test_neighbor_fences_do_not_move_isolated_widths(reference, reference_widths):
     conv = [r for r in reference_widths if r.zone is Zone.CONVENTIONAL]
     target = conv[SHARPEST_CONV_LEVEL]
-    free = estimate_fwhm(target, reference)
+    free = attach_widths([target], reference)[0].fwhm
     assert free == pytest.approx(target.fwhm, rel=1e-9)
 
 
@@ -252,6 +248,11 @@ def test_chunked_march_matches_scalar_march(v_plus, a_minus, e_max, resolved):
     # overlapping peaks fenced by their neighbors never dip to 1/2
     assert None in lockstep
     assert sum(w is not None for w in lockstep) >= resolved
+
+
+def _half_crossing(cfg, start, limit, step, settings):
+    """The crossing of the one march (start, limit, step)."""
+    return resonance._half_crossings(cfg, [(start, limit, step)], settings)[0]
 
 
 def _array_scatter_sizes(monkeypatch) -> list:
@@ -339,7 +340,7 @@ def test_march_to_the_threshold_matches_scalar_march():
     step = (hi - lo) / settings.grid_points_per_zone
     limit = lo + core.EVAL_MARGIN * cfg.m
     args = (cfg, first.energy, limit, -step, settings)
-    got = resonance._half_crossing(*args)
+    got = _half_crossing(*args)
     assert got is not None
     assert got == scalar_march.half_crossing(*args)
     # crossing and limit both fall in the second chunk, steps 33 to 96
@@ -360,7 +361,7 @@ def test_dip_at_the_start_of_a_later_chunk_is_bracketed_by_the_chunk_before(refe
     crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
     step = (crossing - peak.energy) / (resonance._MARCH_CHUNK + 0.5)
     args = (reference, peak.energy, limit, step, settings)
-    assert resonance._half_crossing(*args) == scalar_march.half_crossing(*args)
+    assert _half_crossing(*args) == scalar_march.half_crossing(*args)
     brackets, rounds, _ = resonance._march_brackets(reference, [args[1:4]], settings)
     assert rounds == 2
     assert brackets[0][0] == peak.energy + resonance._MARCH_CHUNK * step
@@ -387,10 +388,10 @@ def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch)
         return out
 
     monkeypatch.setattr(resonance, "scatter", skewed)
-    assert resonance._half_crossing(*args) == want
+    assert _half_crossing(*args) == want
 
 
-@pytest.mark.parametrize("march", [resonance._half_crossing, scalar_march.half_crossing],
+@pytest.mark.parametrize("march", [_half_crossing, scalar_march.half_crossing],
                          ids=["chunked", "scalar"])
 @pytest.mark.parametrize("zone, start, step", [
     (Zone.LOWER_KLEIN, 1.002, -5e-4),
@@ -423,7 +424,7 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
 def test_march_from_a_non_peak_names_the_start(reference):
     # |T|^2 = 0.037 at E = 1.01, so the first march point already dips
     with pytest.raises(ValueError, match=r"\|T\|\^2 = 0\.0371871 at the march start E = 1\.01 "):
-        resonance._half_crossing(reference, 1.01, 1.0 + 1e-6, -5e-4, SearchSettings())
+        _half_crossing(reference, 1.01, 1.0 + 1e-6, -5e-4, SearchSettings())
     not_a_peak = resonance.Resonance(energy=1.01, zone=Zone.LOWER_KLEIN, residual=0.0, level=0)
     with pytest.raises(ValueError, match="march start E = 1.01 "):
-        estimate_fwhm(not_a_peak, reference)
+        attach_widths([not_a_peak], reference)

@@ -16,7 +16,6 @@ from dirac_double_barrier import (
     ScatteringResult,
     Zone,
     classify,
-    factor_determinants,
     factor_matrices,
     full_matrix,
     scatter,
@@ -24,6 +23,7 @@ from dirac_double_barrier import (
     zone_interval,
 )
 from dirac_double_barrier.core import nudge
+from step_reference import factor_determinants
 from frozen_values import GAP_T2_E35, INNER_BARRIER_E6
 
 # one energy per zone plus one per matrix range boundary side
@@ -70,7 +70,7 @@ def test_factor_determinants_match_numeric(reference, e):
 
 
 def test_inner_barrier_matrix_frozen(reference):
-    got = paper_tables.factor_matrices(6.0, reference)[1].entries()
+    got = paper_tables.factor_matrices(6.0, reference)[1]
     for z, want in zip(got, INNER_BARRIER_E6):
         assert abs(z - want) <= 1e-12
 
@@ -154,10 +154,10 @@ def test_array_path_matches_scalar_path(reference):
         assert abs(batch.t[i] - one.t) < 1e-13
         assert abs(batch.r[i] - one.r) < 1e-13
         assert (batch.matrix_range[i], batch.zone[i]) == classify(e, reference)
-        for got, want in zip(mat.entries(), full_matrix(e, reference).entries()):
+        for got, want in zip(mat, full_matrix(e, reference)):
             assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
         for p_arr, p_one in zip(steps, factor_matrices(e, reference)):
-            for got, want in zip(p_arr.entries(), p_one.entries()):
+            for got, want in zip(p_arr, p_one):
                 assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
         for got, want in zip(dets, factor_determinants(e, reference)):
             assert abs(got[i] - want) < 1e-14
@@ -167,7 +167,7 @@ def test_scalar_path_returns_python_numbers(reference):
     s = scatter(6.0, reference)
     assert type(s.t) is complex and type(s.r) is complex
     assert type(s.t2) is float and type(s.r2) is float
-    assert all(type(z) is complex for z in full_matrix(6.0, reference).entries())
+    assert all(type(z) is complex for z in full_matrix(6.0, reference))
 
 
 def test_scattering_result_is_an_immutable_named_tuple(reference):
@@ -194,9 +194,23 @@ def test_scatter_fields_follow_the_energy_type(reference):
 
 
 def test_array_raises_at_first_inadmissible_energy(reference):
-    with pytest.raises(BoundaryEnergy) as info:
-        scatter(np.array([2.0, 7.0, 4.0]), reference)
-    assert info.value.energy == 7.0
+    # every evaluator screens an array as it screens each of its energies:
+    # the first bad one in array order, with the message it gets alone
+    cases = [
+        ([2.0, 7.0, 4.0], "lies within 1e-09 of the boundary energy 7"),
+        ([2.0, 0.5, 7.0], "is at or below the scattering threshold m = 1"),
+        ([2.0, 4.0 + 5e-10, 0.5], "lies within 1e-09 of the boundary energy 4"),
+    ]
+    for evaluate in (scatter, full_matrix, factor_matrices):
+        for energies, kind in cases:
+            first = energies[1]
+            with pytest.raises(BoundaryEnergy) as info:
+                evaluate(np.array(energies), reference)
+            assert info.value.energy == first
+            with pytest.raises(BoundaryEnergy) as alone:
+                evaluate(first, reference)
+            assert str(info.value) == str(alone.value)
+            assert kind in str(info.value)
 
 
 def _bits(z) -> list:

@@ -148,6 +148,13 @@ def test_failures_are_named(reference):
         assert check.name in text
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_positive_and_finite(reference, tolerance):
+    # inf passes every check and nan, 0 or -1 fail every one, whatever the engine does
+    with pytest.raises(ValueError, match=f"tolerance must be positive and finite, got {tolerance}"):
+        run_verification(reference, samples=50, tolerance=tolerance)
+
+
 def test_injected_corruption_is_pinned_to_its_invariant(reference, monkeypatch):
     def failures_with(corrupt):
         monkeypatch.setattr(verify_mod, "full_matrix",
