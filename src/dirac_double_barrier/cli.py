@@ -109,6 +109,12 @@ def _window(args: argparse.Namespace, cfg: PotentialConfig) -> tuple[float, floa
     return e_min, e_max
 
 
+def _check_threads(args: argparse.Namespace) -> None:
+    # --threads does nothing, but a value below 1 stays a usage error
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+
+
 def _expand_zones(selected: "list[str] | None") -> list[Zone]:
     if not selected:
         selected = ["all"]
@@ -121,9 +127,9 @@ def _expand_zones(selected: "list[str] | None") -> list[Zone]:
 
 def _cmd_transmission(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    _check_threads(args)
     e_min, e_max = _window(args, cfg)
-    curve = transmission_curve(cfg, e_min, e_max, args.points,
-                               workers=args.threads)
+    curve = transmission_curve(cfg, e_min, e_max, args.points)
     out = write_curve_csv(Path(args.out or "transmission.csv"), curve)
     print(f"wrote {len(curve.e)} rows to {out}")
     if args.svg:
@@ -159,6 +165,7 @@ def _cmd_resonances(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    _check_threads(args)
     e_min, e_max = _window(args, cfg)
     manifest = run_sweep(
         cfg,
@@ -171,7 +178,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         e_max,
         args.points,
         with_resonances=args.with_resonances,
-        workers=args.threads,
     )
     print(f"wrote {len(manifest['frames'])} frames to {args.out_dir}")
     return EXIT_OK
@@ -285,6 +291,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -57,30 +57,20 @@ def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
     return nudge(np.linspace(e_min, e_max, points), cfg)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
 def transmission_curve(cfg: PotentialConfig, e_min: float, e_max: float,
-                       points: int, workers: int = 1) -> ScatteringResult:
-    """Scattering results over the admissible grid, as one batch of arrays.
-
-    The whole grid goes through one array evaluation.  workers is
-    validated but otherwise ignored; it is kept for compatibility.
-    """
-    _check_workers(workers)
+                       points: int) -> ScatteringResult:
+    """Scattering results over the admissible grid, as one batch of arrays."""
     return scatter(admissible_grid(cfg, e_min, e_max, points), cfg)
 
 
 def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
-                      points: int, workers: int = 1) -> list[ScatteringResult]:
+                      points: int) -> list[ScatteringResult]:
     """transmission_curve split into one ScatteringResult per grid point.
 
     The batch's fields are its columns in field order, so each row is
     the named tuple of one entry of every column.
     """
-    batch = transmission_curve(cfg, e_min, e_max, points, workers)
+    batch = transmission_curve(cfg, e_min, e_max, points)
     return list(map(ScatteringResult, *(c.tolist() for c in batch)))
 
 
@@ -177,7 +167,6 @@ def _created() -> str:
 def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
               frames: int, outdir: "str | Path", e_min: float, e_max: float,
               points: int, with_resonances: bool = False,
-              settings: SearchSettings | None = None,
               workers: int = 1) -> dict:
     """Emit one transmission curve per swept value plus a manifest.
 
@@ -194,7 +183,8 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
         raise ValueError(f"frames must be at least 2, got {frames}")
     if not stop > start:
         raise ValueError("sweep range must be increasing")
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     # the swept widths leave the special energies where they are, so one
     # grid serves every frame; building it first refuses a bad window
     # before anything is written
@@ -220,7 +210,7 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
                     zones.remove(Zone.ABOVE_BARRIER)
                 written.append(write_json(
                     outdir / rname,
-                    zone_report(frame_cfg, zones, e_max, settings),
+                    zone_report(frame_cfg, zones, e_max),
                 ))
                 entry["resonances"] = rname
             manifest_frames.append(entry)

@@ -5,12 +5,15 @@ regions on the unnormalized spinor basis
 
     u(kappa) = (1, kappa / (m + E - U))^T,  weights A e^{kappa x} + B e^{-kappa x},
 
-and imposes continuity of both components at the four interfaces.  With
-unit incidence from the left (A1 = 1) and nothing returning on the right
-(B5 = 0) that leaves an 8x8 complex linear system.  This basis and
-bookkeeping differ deliberately from the ratio form behind the transfer
-matrices, so the two routes to T and R share no transcription and can
-cross-check each other; nothing here comes from transfer.py.
+and imposes continuity of both components by one rule at each of the
+four interfaces: the waves of the region on the left equal those of the
+region on the right.  The rule reads the level of each region
+(_LEVEL_OF) and the interface positions (_edges).  With unit incidence
+from the left (A1 = 1) and nothing returning on the right (B5 = 0) that
+leaves an 8x8 complex linear system.  This basis and bookkeeping differ
+deliberately from the ratio form behind the transfer matrices, so the
+two routes to T and R share no transcription and can cross-check each
+other; nothing here comes from transfer.py.
 
 solve_amplitudes takes one energy or a 1-D array of them and builds the
 same matrix entries either way: a float goes through cmath into one 8x8
@@ -24,6 +27,7 @@ run would add some 13 MB, a third, to its peak memory.
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +41,11 @@ RESIDUAL_LIMIT = 1e-10
 #: Energies per stacked solve, which bounds the memory an array call holds.
 _CHUNK = 1024
 
-# region index -> potential region, left to right
-_REGIONS = (Region.ZERO, Region.PLUS, Region.MINUS, Region.PLUS, Region.ZERO)
-
 #: The distinct regions, in the order _waves returns them.
 _LEVELS = (Region.ZERO, Region.PLUS, Region.MINUS)
+
+#: Region index, left to right -> its level, an index into _LEVELS.
+_LEVEL_OF = (0, 1, 2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,10 @@ class SpinorSample:
         return abs(self.psi_plus) ** 2 + abs(self.psi_minus) ** 2
 
 
-def _slope(e, u: float, kappa, m: float):
-    # lower-component weight of the basis spinor u(kappa)
-    return kappa / (m + e - u)
-
-
 def _waves(e, cfg: PotentialConfig) -> list:
     """(kappa, slope) of the outside, barrier and floor regions, in that order.
+
+    The slope kappa / (m + E - U) is the lower component of u(kappa).
 
     A float goes through core.wave_vector.  An array takes the same
     expression through numpy, once a screen has raised SingularEnergy at
@@ -104,49 +105,42 @@ def _waves(e, cfg: PotentialConfig) -> list:
         kappas = [np.sqrt((m - (e - u)) * (m + (e - u)) + 0j) for u in levels]
     else:
         kappas = [wave_vector(e, region, cfg) for region in _LEVELS]
-    return [(k, _slope(e, u, k, m)) for u, k in zip(levels, kappas)]
+    return [(k, k / (m + e - u)) for u, k in zip(levels, kappas)]
+
+
+def _edges(cfg: PotentialConfig) -> tuple[float, float, float, float]:
+    """Interface positions, left to right; interface i joins regions i and i + 1."""
+    return (-cfg.a, -cfg.a_minus, cfg.a_minus, cfg.a)
 
 
 def _system(e, cfg: PotentialConfig, xp) -> tuple[np.ndarray, np.ndarray]:
     """Matching matrix and right-hand side at E, with xp = cmath or numpy.
 
     Shapes (8, 8) and (8,) for a float, (n, 8, 8) and (n, 8) for n
-    energies.  Unknown ordering is (B1, A2, B2, A3, B3, A4, B4, A5);
-    rows come in pairs, upper then lower spinor component, at x = -a,
-    -a_minus, a_minus, a.
+    energies.  Unknown ordering is (B1, A2, B2, A3, B3, A4, B4, A5): A
+    and B of region r = 0..4 sit in columns 2r - 1 and 2r.  Rows come in
+    pairs, upper then lower spinor component, one pair per interface.
     """
-    (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg)
-    a_out, a_in = cfg.a, cfg.a_minus
+    waves = _waves(e, cfg)
     mat = np.zeros(np.shape(e) + (8, 8), dtype=complex)
     rhs = np.zeros(np.shape(e) + (8,), dtype=complex)
-
-    def put(row: int, col: int, weight, slope) -> None:
-        mat[..., row, col] = weight
-        mat[..., row + 1, col] = weight * slope
-
-    # x = -a: region 1 meets region 2
-    put(0, 0, xp.exp(k0 * a_out), -s0)               # B1 e^{-k0 x}
-    put(0, 1, -xp.exp(-kp * a_out), sp)              # A2 e^{kp x}
-    put(0, 2, -xp.exp(kp * a_out), -sp)              # B2 e^{-kp x}
-    rhs[..., 0] = -xp.exp(-k0 * a_out)               # A1 e^{k0 x}, A1 = 1
-    rhs[..., 1] = rhs[..., 0] * s0
-
-    # x = -a_minus: region 2 meets region 3
-    put(2, 1, xp.exp(-kp * a_in), sp)
-    put(2, 2, xp.exp(kp * a_in), -sp)
-    put(2, 3, -xp.exp(-km * a_in), sm)
-    put(2, 4, -xp.exp(km * a_in), -sm)
-
-    # x = +a_minus: region 3 meets region 4
-    put(4, 3, xp.exp(km * a_in), sm)
-    put(4, 4, xp.exp(-km * a_in), -sm)
-    put(4, 5, -xp.exp(kp * a_in), sp)
-    put(4, 6, -xp.exp(-kp * a_in), -sp)
-
-    # x = +a: region 4 meets region 5
-    put(6, 5, xp.exp(kp * a_out), sp)
-    put(6, 6, xp.exp(-kp * a_out), -sp)
-    put(6, 7, -xp.exp(k0 * a_out), s0)               # A5 e^{k0 x}
+    for i, x in enumerate(_edges(cfg)):
+        row = 2 * i
+        for region in (i, i + 1):
+            k, s = waves[_LEVEL_OF[region]]
+            # A e^{kappa x} u(kappa), then B e^{-kappa x} u(-kappa)
+            for col, kappa, slope in ((2 * region - 1, k, s), (2 * region, -k, -s)):
+                if col == 8:
+                    continue  # B5 = 0
+                w = xp.exp(kappa * x)
+                if region > i:
+                    w = -w  # the right-hand region's side of the equation
+                if col < 0:  # A1 = 1 moves to the right-hand side
+                    rhs[..., row] = -w
+                    rhs[..., row + 1] = rhs[..., row] * slope
+                else:
+                    mat[..., row, col] = w
+                    mat[..., row + 1, col] = w * slope
     return mat, rhs
 
 
@@ -204,42 +198,25 @@ def solve_amplitudes(e: float | np.ndarray, cfg: PotentialConfig) -> AmplitudeSe
     return AmplitudeSet(a=(one, *v.T[1::2]), b=(*v.T[0::2], zero), residual=residual)
 
 
-def _region_index(x: float, cfg: PotentialConfig) -> int:
-    # interface points go to the inner region; continuity makes the
-    # choice irrelevant up to the matching residual
-    if x < -cfg.a:
-        return 0
-    if x < -cfg.a_minus:
-        return 1
-    if x <= cfg.a_minus:
-        return 2
-    if x <= cfg.a:
-        return 3
-    return 4
-
-
 def wavefunction_profile(e: float, cfg: PotentialConfig,
                          xs: "np.ndarray | list[float]") -> list[SpinorSample]:
     """Matched spinor wavefunction sampled at the given positions."""
     amps = solve_amplitudes(e, cfg)
-    k_by_region = {
-        Region.ZERO: wave_vector(e, Region.ZERO, cfg),
-        Region.PLUS: wave_vector(e, Region.PLUS, cfg),
-        Region.MINUS: wave_vector(e, Region.MINUS, cfg),
-    }
+    waves = _waves(e, cfg)
+    edges = _edges(cfg)
     out = []
     for x in xs:
-        idx = _region_index(float(x), cfg)
-        region = _REGIONS[idx]
-        u = cfg.potential(region)
-        kappa = k_by_region[region]
-        s = _slope(e, u, kappa, cfg.m)
-        ep = cmath.exp(kappa * float(x))
+        x = float(x)
+        # interface points go to the inner region; continuity makes the
+        # choice irrelevant up to the matching residual
+        idx = bisect_right(edges, x) if x < 0 else bisect_left(edges, x)
+        kappa, s = waves[_LEVEL_OF[idx]]
+        ep = cmath.exp(kappa * x)
         em = 1.0 / ep
         a_amp, b_amp = amps.a[idx], amps.b[idx]
         out.append(
             SpinorSample(
-                x=float(x),
+                x=x,
                 psi_plus=a_amp * ep + b_amp * em,
                 psi_minus=a_amp * s * ep - b_amp * s * em,
             )

@@ -14,6 +14,8 @@ import numpy as np
 
 from .core import PotentialConfig, Zone, zone_interval
 
+_WIDTH = 960
+_HEIGHT = 540
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 24.0
@@ -51,8 +53,7 @@ def _ticks(lo: float, hi: float, count: int) -> list[float]:
 
 def render_curve_svg(energies: "np.ndarray | list[float]",
                      t2s: "np.ndarray | list[float]",
-                     cfg: PotentialConfig, width: int = 960,
-                     height: int = 540, title: str | None = None) -> str:
+                     cfg: PotentialConfig, title: str | None = None) -> str:
     """SVG document for |T|^2 against E with shaded zones.
 
     energies and t2s are arrays, or anything np.asarray takes.
@@ -63,8 +64,8 @@ def render_curve_svg(energies: "np.ndarray | list[float]",
         raise ValueError("need two or more (E, |T|^2) samples of equal length")
     e_lo, e_hi = float(energies[0]), float(energies[-1])
     y_lo, y_hi = 0.0, 1.05
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(e: "float | np.ndarray") -> "float | np.ndarray":
         return _MARGIN_LEFT + (e - e_lo) / (e_hi - e_lo) * plot_w
@@ -73,9 +74,9 @@ def render_curve_svg(energies: "np.ndarray | list[float]",
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     for zone, fill in _ZONE_FILL.items():
         zlo, zhi = zone_interval(zone, cfg)
@@ -97,7 +98,7 @@ def render_curve_svg(energies: "np.ndarray | list[float]",
     axis_y = py(y_lo)
     parts.append(
         f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(axis_y)}" '
-        f'x2="{_fmt(width - _MARGIN_RIGHT)}" y2="{_fmt(axis_y)}" '
+        f'x2="{_fmt(_WIDTH - _MARGIN_RIGHT)}" y2="{_fmt(axis_y)}" '
         f'stroke="#000000" stroke-width="1"/>'
     )
     parts.append(
@@ -129,7 +130,7 @@ def render_curve_svg(energies: "np.ndarray | list[float]",
         )
     parts.append(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" '
-        f'y="{_fmt(height - 8)}" font-size="12" font-family="sans-serif" '
+        f'y="{_fmt(_HEIGHT - 8)}" font-size="12" font-family="sans-serif" '
         f'text-anchor="middle">E / m</text>'
     )
     if title is None:

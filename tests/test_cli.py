@@ -138,11 +138,38 @@ def test_config_file_with_flag_override(tmp_path):
     ["verify", *REF_FLAGS, "--e-max", "inf"],
     # only 1e-13 of the window lies outside the band around E = v_minus
     ["verify", *REF_FLAGS, "--e-min", repr(4.0 - 1e-6 - 1e-13), "--e-max", "4.0000005"],
+    ["sweep", *REF_FLAGS, "--param", "a-minus", "--from", "1", "--to", "2",
+     "--frames", "2", "--threads", "0"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, target", [
+    (["transmission", "--out", "{missing}/curve.csv"], "{missing}/curve.csv"),
+    (["transmission", "--out", "curve.csv", "--svg", "{missing}/curve.svg"],
+     "{missing}/curve.svg"),
+    (["resonances", "--zone", "conventional", "--out", "{missing}/res.json"],
+     "{missing}/res.json"),
+    (["verify", "--samples", "50", "--out", "{missing}/report.txt"],
+     "{missing}/report.txt"),
+    (["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "2",
+      "--points", "20", "--out-dir", "{file}"], "{file}"),
+], ids=["transmission-out", "transmission-svg", "resonances-out", "verify-out",
+        "sweep-out-dir-is-a-file"])
+def test_unwritable_output_exits_2(command, target, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    fill = {"missing": str(tmp_path / "missing"), "file": str(tmp_path / "a-file")}
+    argv = [command[0], *REF_FLAGS, *(arg.format(**fill) for arg in command[1:])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert target.format(**fill) in err
+    assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "a-file").read_text() == ""
 
 
 def test_config_file_problems_exit_2(tmp_path, capsys):

@@ -159,3 +159,68 @@ def test_array_singular_system_names_the_first(reference, monkeypatch):
     monkeypatch.setattr(oracle, "_system", singular_at_broken)
     with pytest.raises(SingularSystem, match=re.escape(f"E = {float(e[7])!r}: ")):
         solve_amplitudes(e, reference)
+
+
+# T and R of the five SCALAR_PINS energies solved together in one array
+# call, as hex floats from the hand-placed matching system this solver
+# replaced; the batched LAPACK solve rounds differently from the one-energy
+# solve, so these differ from SCALAR_PINS in the last bits at 1.3, 3.5 and
+# 11.4 (with the same numpy and LAPACK build)
+ARRAY_PINS = {
+    1.3: ('-0x1.558a9351d39d5p-7', '0x1.38b58ee90e2f1p-1',
+          '0x1.9550c23d26154p-1', '0x1.baaf9a719ebf8p-7'),
+    3.5: ('0x1.6b2bf01633b4cp-7', '-0x1.4561d386d9da8p-7',
+          '-0x1.559dfbd46604ep-1', '-0x1.7d4ac9588f422p-1'),
+    6.0: ('-0x1.0b4f0bccc709cp-2', '0x1.540c139db5f73p-2',
+          '0x1.6cd96e44bdda3p-1', '0x1.1ece3af04e3e5p-1'),
+    8.5: ('0x1.3b7f3395df2b0p-9', '-0x1.3cbc72960d3b2p-7',
+          '0x1.f0cd6cfd368e8p-1', '0x1.eedbd2ca42b1bp-3'),
+    11.4: ('0x1.dc2c43afbde01p-1', '0x1.72b08b00661fbp-2',
+           '0x1.783d4816c9f71p-6', '-0x1.e34d49aed96fep-5'),
+}
+
+
+def test_array_solve_is_pinned_bit_for_bit(reference):
+    energies = sorted(ARRAY_PINS)
+    amps = solve_amplitudes(np.array(energies), reference)
+    for i, e in enumerate(energies):
+        t, r = complex(amps.t[i]), complex(amps.r[i])
+        assert (t.real.hex(), t.imag.hex(), r.real.hex(), r.imag.hex()) == ARRAY_PINS[e]
+
+
+# psi_plus and psi_minus at E = 8.5 (tunnelling through the barriers, oscillating
+# on the floor) as hex floats, from the same earlier solver: the five interface
+# and centre points, which belong to the inner region, and one point inside each
+# of the five regions, left to right
+PROFILE_PINS = {
+    -7.0: ('-0x1.c26a86c055233p+0', '-0x1.b9f41415a424ap-3',
+           '0x1.a2298ceacd336p-1', '0x1.9a19b22bad6f0p-4'),
+    -5.5: ('-0x1.aa0a3e29ca962p+0', '-0x1.a20bd92e52ae7p-3',
+           '0x1.ec445ca7a5876p-1', '0x1.e2d04f5395e6dp-4'),
+    -4.0: ('-0x1.cf03762970198p-2', '-0x1.c799eda3519c9p-5',
+           '0x1.0da7c8bc7832ep-2', '0x1.07bdc38e6f8d0p-5'),
+    -2.5: ('-0x1.ddca9be0be99ap-4', '-0x1.e8eab3f171d9cp-7',
+           '0x1.361537176c323p-4', '0x1.2489602d51580p-7'),
+    -1.0: ('-0x1.5695c6cf7138bp-4', '-0x1.67adc629f4c98p-7',
+           '0x1.985596d9739a4p-4', '0x1.8a2aef532fc80p-7'),
+    0.0: ('-0x1.77bba678a24c7p-4', '-0x1.61725923cf67cp-7',
+          '-0x1.8556b4da5c49ap-4', '-0x1.8dbd341f6ae02p-7'),
+    2.5: ('0x1.f1fae18ffe400p-4', '0x1.fbe86c3738e3cp-7',
+          '-0x1.2129cb5ea5dbdp-4', '-0x1.0f2a67ff320e0p-7'),
+    4.0: ('0x1.05f835d4e3438p-5', '0x1.96d6f3ea2439ep-8',
+          '-0x1.46c12a9141861p-6', '-0x1.242d853d30443p-10'),
+    5.5: ('0x1.1e96d0e46d182p-8', '0x1.25461e95b3994p-7',
+          '-0x1.0494a8e369ae2p-7', '0x1.fd4840dafa023p-9'),
+    7.0: ('0x1.cb3617a752d74p-9', '0x1.318dd0b2b4836p-7',
+          '-0x1.0f7de81d6a282p-7', '0x1.98051b2cec1c2p-9'),
+}
+
+
+def test_profile_is_pinned_bit_for_bit(reference):
+    xs = sorted(PROFILE_PINS)
+    assert {-reference.a, -reference.a_minus, 0.0, reference.a_minus,
+            reference.a} <= set(xs)
+    for s in wavefunction_profile(8.5, reference, xs):
+        got = (s.psi_plus.real.hex(), s.psi_plus.imag.hex(),
+               s.psi_minus.real.hex(), s.psi_minus.imag.hex())
+        assert got == PROFILE_PINS[s.x]

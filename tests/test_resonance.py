@@ -74,7 +74,17 @@ def test_refinement_is_converged(reference, monkeypatch):
     tolerance = resonance._REFINE_TOLERANCE
     coarse = find_resonances(reference, [Zone.CONVENTIONAL])
     monkeypatch.setattr(resonance, "_REFINE_TOLERANCE", tolerance / 2.0)
+    # the halved tolerance must reach Brent, or the two runs agree trivially
+    xtols = []
+    real_brentq = resonance.brentq
+
+    def spy(f, a, b, **kwargs):
+        xtols.append(kwargs["xtol"])
+        return real_brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(resonance, "brentq", spy)
     fine = find_resonances(reference, [Zone.CONVENTIONAL])
+    assert xtols and set(xtols) == {tolerance / 2.0 * reference.m}
     assert len(coarse) == len(fine)
     for a, b in zip(coarse, fine):
         assert abs(a.energy - b.energy) <= tolerance * reference.m
