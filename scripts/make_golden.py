@@ -19,6 +19,7 @@ from dirac_double_barrier import (
     attach_widths,
     find_above_barrier,
     find_resonances,
+    scatter,
     solve_amplitudes,
     wavefunction_profile,
 )
@@ -26,6 +27,7 @@ from dirac_double_barrier import (
 # the paper's literal tables are the reference kept with the tests
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from paper_tables import factor_matrices  # noqa: E402
+from test_transfer import SAMPLE_ENERGIES  # noqa: E402
 
 mp.mp.dps = 50
 
@@ -69,6 +71,46 @@ def frozen_inner_barrier_block():
     print(")")
 
 
+def mp_amplitudes(e, cfg):
+    """T and R at 50 digits from the product of the four interface matrices.
+
+    Each interface matrix is W_L(x)^-1 W_R(x) with
+    W = [[e^{kx}, e^{-kx}], [s e^{kx}, -s e^{-kx}]], built from scratch
+    on mpmath numbers, so it shares no floats with the production code
+    and no step with its bounded walk.
+    """
+    m, e = mp.mpf(cfg.m), mp.mpf(e)
+    waves = []
+    for u in (0.0, cfg.v_plus, cfg.v_minus):
+        d = e - mp.mpf(u)
+        k = mp.sqrt(mp.mpc((m - d) * (m + d)))
+        waves.append((k, k / (m + d)))
+    a_minus, a = mp.mpf(cfg.a_minus), mp.mpf(cfg.a_plus) + mp.mpf(cfg.a_minus)
+
+    def w(wave, x):
+        k, s = wave
+        return mp.matrix([[mp.exp(k * x), mp.exp(-k * x)],
+                          [s * mp.exp(k * x), -s * mp.exp(-k * x)]])
+
+    levels = (0, 1, 2, 1, 0)
+    mat = mp.eye(2)
+    for i, x in enumerate((-a, -a_minus, a_minus, a)):
+        mat = mat * w(waves[levels[i]], x) ** -1 * w(waves[levels[i + 1]], x)
+    return 1 / mat[0, 0], mat[1, 0] / mat[0, 0]
+
+
+def frozen_sample_amplitudes():
+    print("# T and R at the SAMPLE_ENERGIES of test_transfer.py, 50-digit "
+          "reference")
+    print("SAMPLE_AMPLITUDES = {")
+    for e in SAMPLE_ENERGIES:
+        t, r = (complex(z.real, z.imag) for z in mp_amplitudes(e, CANONICAL))
+        s = scatter(e, CANONICAL)
+        err = max(abs(s.t - t), abs(s.r - r))
+        print(f"    {e!r}: ({t!r}, {r!r}),  # scatter deviation {err:.1e}")
+    print("}")
+
+
 def frozen_oracle_t2():
     e = 3.5
     amps = solve_amplitudes(e, CANONICAL)
@@ -81,7 +123,6 @@ def dense_grid_fwhm():
     cfg = CANONICAL
     conv = attach_widths(find_resonances(cfg, [Zone.CONVENTIONAL]), cfg)
     sharpest = min(conv, key=lambda r: r.fwhm)
-    from dirac_double_barrier import scatter
     window = 40.0 * sharpest.fwhm
     grid = np.linspace(sharpest.energy - window, sharpest.energy + window, 1_000_000)
     t2 = np.array([scatter(float(x), cfg).t2 for x in grid])
@@ -143,6 +184,8 @@ def floor_width_endpoint_counts():
 
 def main():
     frozen_inner_barrier_block()
+    print()
+    frozen_sample_amplitudes()
     print()
     frozen_oracle_t2()
     print()

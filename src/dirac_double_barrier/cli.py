@@ -14,8 +14,10 @@ error, 3 invalid potential configuration.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -115,6 +117,24 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
 
 
+def _check_outputs(*paths: "str | Path | None") -> None:
+    """Raise the OSError that writing each given path would, before any work.
+
+    A missing or unwritable directory, or a path naming a directory,
+    then exits 2 with nothing computed and nothing written.
+    """
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            code = errno.ENOENT
+        elif path.is_dir():
+            code = errno.EISDIR
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def _expand_zones(selected: "list[str] | None") -> list[Zone]:
     if not selected:
         selected = ["all"]
@@ -129,8 +149,10 @@ def _cmd_transmission(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_threads(args)
     e_min, e_max = _window(args, cfg)
+    out = Path(args.out or "transmission.csv")
+    _check_outputs(out, args.svg)
     curve = transmission_curve(cfg, e_min, e_max, args.points)
-    out = write_curve_csv(Path(args.out or "transmission.csv"), curve)
+    out = write_curve_csv(out, curve)
     print(f"wrote {len(curve.e)} rows to {out}")
     if args.svg:
         Path(args.svg).write_text(render_curve_svg(curve.e, curve.t2, cfg))
@@ -152,8 +174,10 @@ def _cmd_resonances(args: argparse.Namespace) -> int:
             "to search the above-barrier zone"
         )
     settings = SearchSettings(grid_points_per_zone=args.grid_points)
+    out = Path(args.out or "resonances.json")
+    _check_outputs(out)
     report = zone_report(cfg, zones, e_max, settings)
-    out = write_json(Path(args.out or "resonances.json"), report)
+    out = write_json(out, report)
     total = 0
     for entry in report["zones"]:
         n = len(entry["resonances"])
@@ -185,6 +209,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    _check_outputs(args.out)
     report = run_verification(
         cfg,
         samples=args.samples,

@@ -28,12 +28,14 @@ class BoundaryEnergy(InadmissibleEnergy):
 
 
 class NumericalOverflow(DoubleBarrierError):
-    """A boundary exponential left double-precision range."""
+    """A boundary exponential, or its exponent, left double-precision
+    range."""
 
 
 class DegenerateMatrix(DoubleBarrierError):
-    """M11 vanished; flux conservation forbids this, so it signals a
-    transcription bug rather than physics."""
+    """scatter's incident amplitude (a of the bounded walk, M11 of the
+    product up to a nonzero factor) vanished; flux conservation forbids
+    this, so it signals a transcription bug rather than physics."""
 
 
 class SingularSystem(DoubleBarrierError):

@@ -2,22 +2,37 @@
 
 In a region of constant potential U the spinor is a superposition
 A e^{kx} u(k) + B e^{-kx} u(-k) on the basis u(k) = (1, s)^T, with
-k = sqrt((m - d)(m + d)), d = E - U (principal branch) and
+k = sqrt((m - d)(m + d)), d = E - U (principal branch, so Re k >= 0) and
 s = k / (m + E - U).  Continuity of both components at an interface x
 between a left region L and a right region R maps the right amplitudes
 onto the left ones through one interface matrix,
 
     P = W_L(x)^-1 W_R(x),   W = [[e^{kx}, e^{-kx}], [s e^{kx}, -s e^{-kx}]],
 
-and the structure has four of them, at x = -a, -a_minus, a_minus and a,
-so the full transfer matrix is M = P1 P2 P3 P4.  Each det P = s_R / s_L,
-which telescopes to det M = 1.  With M11 = conj(M22) and M12 = conj(M21)
-this gives |T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.
+and the structure has four of them, at x = -a, -a_minus, a_minus and a.
+The same factors are contracted in two ways.
 
-The structure is mirror-symmetric, so P4 is P1 and P3 is P2 seen from
-the other side: the exponents at +x are those at -x, with the e^{+-v}
-pair swapped, to the bit.  Each mirrored pair therefore shares its four
-exponentials, 8 complex exp per energy instead of 16.
+The product M = P1 P2 P3 P4 (full_matrix, factor_matrices) is the
+transfer matrix itself, for the resonance search, verify and the paper
+tables.  Each det P = s_R / s_L, which telescopes to det M = 1, and with
+M11 = conj(M22) and M12 = conj(M21) this gives |T|^2 + |R|^2 = 1 for
+T = 1/M11 and R = M21/M11.  The structure is mirror-symmetric, so P4 is
+P1 and P3 is P2 seen from the other side: the exponents at +x are those
+at -x, with the e^{+-v} pair swapped, to the bit.  Each mirrored pair
+therefore shares its four exponentials, 8 complex exp per energy
+instead of 16.  Its entries grow like e^{2 kappa a_plus} under the
+barriers, so it overflows once a_plus passes a few hundred.
+
+The bounded walk (scatter) gets T and R from the same waves without
+forming M, the scattering-matrix idea (Ko & Inkson, Phys. Rev. B 38,
+9945 (1988); L. Li, J. Opt. Soc. Am. A 13, 1024 (1996)).  Referenced
+to the interface itself, P is [[c, f], [f, c]] with c = (1 + rho)/2,
+f = (1 - rho)/2 and rho = s_R / s_L.  Walking inward from the
+transmitted side, each interface maps the wave pair (a, b) by it, and
+crossing a region of width w multiplies a by e^{-2kw} while a separate
+factor tau collects e^{-kw}.  Then T = tau/a e^{-2 k0 a} and
+R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
+overflows at any barrier width, and an energy costs 3 complex exp.
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -25,7 +40,7 @@ yields Python complex numbers, an array goes through numpy ufuncs
 entrywise and yields arrays.  Keep single energies scalar: a one-element
 array costs several times more than a float.  The literal per-range
 formula tables of the paper live with the tests (tests/paper_tables.py),
-as the independent reference this formula is checked against.
+as the independent reference both contractions are checked against.
 """
 
 from __future__ import annotations
@@ -140,15 +155,16 @@ def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x
             mats = _steps(e, cfg, xp)
             if multiply:
                 mats = (mats[0] @ mats[1] @ mats[2] @ mats[3],)
+            for mat in mats:
+                # inf and nan survive summation, so a finite sum means
+                # finite entries; inf - inf is why this stays in errstate
+                at = _first_failure(xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22), e)
+                if at is not None:
+                    raise NumericalOverflow(f"transfer-matrix entry overflowed at E = {at!r}")
     except OverflowError:
         raise NumericalOverflow(
             f"boundary exponential overflowed for a = {cfg.a:g}"
         ) from None
-    for mat in mats:
-        # inf and nan survive summation, so a finite sum means finite entries
-        at = _first_failure(xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22), e)
-        if at is not None:
-            raise NumericalOverflow(f"transfer-matrix entry overflowed at E = {at!r}")
     return mats
 
 
@@ -183,19 +199,60 @@ class ScatteringResult(NamedTuple):
     zone: Zone | np.ndarray
 
 
+def _walk(e: Energy, cfg: PotentialConfig, xp) -> tuple:
+    """(a, b, tau, phase) of the bounded walk; T = tau/a phase, R = b/a phase.
+
+    The walk starts from (a, b) = (1/16, 0) on the transmitted side and
+    maps the pair at each interface by 2 P(rho) = [[1 + rho, 1 - rho],
+    [1 - rho, 1 + rho]], so that the four doublings restore the scale of
+    (1, 0).  Between two interfaces a takes g^2 = e^{-2kw}; the decays
+    g_+ = e^{-k_+ a_plus} and g_- = e^{-2 k_- a_minus} of the three
+    regions crossed make tau = g_+^2 g_-.  phase = e^{-2 k0 a} has
+    modulus 1, since the outside wave propagates.
+    """
+    (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, xp)
+    gp = xp.exp(-kp * cfg.a_plus)
+    gm = xp.exp(-km * (2.0 * cfg.a_minus))
+    gp2 = gp * gp
+    a, b = 0.0625, 0.0
+    # from x = +a inward: the barrier, the floor, the barrier, the outside.
+    # In place on arrays the walk owns (a float just rebinds), since every
+    # fresh 20k-energy temporary costs the allocator page faults.
+    for g2, rho in ((1.0, s0 / sp), (gp2, sp / sm), (gm * gm, sm / sp), (gp2, sp / s0)):
+        a *= g2
+        rho *= a - b  # delta = rho (a - b)
+        b += a        # sigma = a + b
+        a = b + rho   # sigma + delta
+        b -= rho      # sigma - delta
+    return a, b, gp2 * gm, xp.exp(k0 * (-2.0 * cfg.a))
+
+
 def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
     """Transmission and reflection at energy E, or at each energy of an array.
 
-    T = 1/M11, R = M21/M11; flux conservation guarantees
-    |T|^2 + |R|^2 = 1 up to roundoff.
+    Contracts the interface matrices as the bounded walk (see the module
+    docstring), valid at any barrier width; |T|^2 + |R|^2 = 1 up to
+    roundoff.  The amplitudes are those of the product, T = 1/M11 and
+    R = M21/M11, to roundoff.
     """
     rng, zone = classify(e, cfg)
-    (m,) = _evaluate(e, cfg, multiply=True)
-    at = _first_failure(abs(m.m11) >= 1e-300, e)
+    array = isinstance(e, np.ndarray)
+    xp = np if array else cmath
+    try:
+        with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
+            a, b, tau, phase = _walk(e, cfg, xp)
+            at = _first_failure(xp.isfinite(a + phase), e)
+    except ValueError:  # cmath's exp of an infinite imaginary part
+        at = e
     if at is not None:
-        raise DegenerateMatrix(f"M11 vanished at E = {at!r}")
-    t = 1.0 / m.m11
-    r = m.m21 / m.m11
+        # only an exponent past double range gets here: k a_plus or k0 a
+        raise NumericalOverflow(f"wave exponent overflowed at E = {at!r}")
+    at = _first_failure(abs(a) >= 1e-300, e)
+    if at is not None:
+        raise DegenerateMatrix(f"incident amplitude vanished at E = {at!r}")
+    q = phase / a
+    t = tau * q
+    r = b * q
     return ScatteringResult(
         e=e,
         t=t,

@@ -1,9 +1,10 @@
 """Frozen reference constants for the regression suite.
 
 Regenerate with scripts/make_golden.py.  Every value here was pinned
-through an independent route before being trusted: the step matrix at
-50-digit precision, |T|^2 via boundary matching, the width via a dense
-million-point grid, the rest via the engine itself after those checks.
+through an independent route before being trusted: the step matrix and
+the sample amplitudes at 50-digit precision, |T|^2 via boundary
+matching, the width via a dense million-point grid, the rest via the
+engine itself after those checks.
 """
 
 # reference potential used throughout: v_plus=8, v_minus=4, a_plus=3,
@@ -50,6 +51,21 @@ INNER_BARRIER_E6 = (
     -0.5773502691896257j,
     (0.7992761915150909 + 0.8333612080067473j),
 )
+
+# T and R at the SAMPLE_ENERGIES of test_transfer.py, 50-digit reference
+# (the four interface matrices multiplied on mpmath numbers); the
+# comments give scatter's deviation when these were frozen
+SAMPLE_AMPLITUDES = {
+    1.3: ((-0.01042301362363129+0.6107601794711565j), (0.7916317653316952+0.013509703075429815j)),  # 1.6e-16
+    2.0: ((0.7669124873646255-0.490335182351733j), (-0.2230239224568275-0.3488222694786943j)),  # 1.2e-15
+    3.5: ((0.011083118657919788-0.009929874691535568j), (-0.6672209450507669-0.7447112007718069j)),  # 1.6e-16
+    4.5: ((0.00618495405520612+0.01210216932449116j), (0.8903703023582566-0.4550340740202243j)),  # 2.3e-15
+    6.0: ((-0.26104372441637724+0.33207731866922646j), (0.7125963648713193+0.5601671617833959j)),  # 2.4e-15
+    7.5: ((-0.00517795295850401+0.004445899500953499j), (-0.65142249071864-0.7586844939543119j)),  # 1.8e-15
+    8.5: ((0.002407050177622208-0.009666019392264713j), (0.9703172740076099+0.24163021735907061j)),  # 3.0e-15
+    9.5: ((0.5802960234127712-0.8075607349980483j), (0.08556648778671902+0.061486264064275625j)),  # 8.8e-16
+    11.4: ((0.9300252105740007+0.36200158300337937j), (0.022963829421456125-0.05899681464397296j)),  # 7.2e-15
+}
 
 # boundary-matching |T|^2 deep in the lower gap, E = 3.5
 GAP_T2_E35 = 0.0002214379305751287

@@ -172,6 +172,36 @@ def test_unwritable_output_exits_2(command, target, tmp_path, monkeypatch, capsy
     assert (tmp_path / "a-file").read_text() == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["transmission", "--out", "curve.csv", "--svg", "{missing}/curve.svg"],
+    ["verify", "--out", "{missing}/report.txt"],
+], ids=["transmission-svg", "verify-out"])
+def test_unwritable_output_is_refused_before_any_work(command, tmp_path, monkeypatch, capsys):
+    # every output path is checked first: no CSV is left behind, and
+    # verify runs none of its 10,000 default samples
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], *REF_FLAGS,
+            *(arg.format(missing=tmp_path / "missing") for arg in command[1:])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_thick_barrier_curve_exits_0(tmp_path, monkeypatch, capsys):
+    # a_plus = 400 overflows the transfer-matrix product; scatter stays bounded
+    monkeypatch.chdir(tmp_path)
+    flags = ["--v-plus", "8", "--v-minus", "4", "--a-plus", "400", "--a-minus", "2.5"]
+    assert main(["transmission", *flags, "--points", "2000", "--out", "c.csv"]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "c.csv").read_text().splitlines()
+    assert len(rows) == 2001
+    for row in rows[1:]:
+        _, t2, r2, *_ = map(float, row.split(","))
+        assert abs(t2 + r2 - 1.0) < 1e-10
+
+
 def test_config_file_problems_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["verify", "--config", str(missing)]) == 2

@@ -24,7 +24,7 @@ from dirac_double_barrier import (
 )
 from dirac_double_barrier.core import nudge
 from step_reference import factor_determinants
-from frozen_values import GAP_T2_E35, INNER_BARRIER_E6
+from frozen_values import GAP_T2_E35, INNER_BARRIER_E6, SAMPLE_AMPLITUDES
 
 # one energy per zone plus one per matrix range boundary side
 SAMPLE_ENERGIES = (1.3, 2.0, 3.5, 4.5, 6.0, 7.5, 8.5, 9.5, 11.4)
@@ -97,9 +97,29 @@ def test_scatter_conserves_flux(reference, e):
     assert abs(s.t2 + s.r2 - 1.0) < 1e-12
     assert 0.0 <= s.t2 <= 1.0 + 1e-12
     assert (s.matrix_range, s.zone) == classify(e, reference)
+
+
+@pytest.mark.parametrize("e", SAMPLE_ENERGIES)
+def test_scatter_agrees_with_the_product(reference, e):
+    # two contractions of the same factors: they round differently
+    s = scatter(e, reference)
     m = full_matrix(e, reference)
-    assert abs(s.t - 1.0 / m.m11) < 1e-15
-    assert abs(s.r - m.m21 / m.m11) < 1e-15
+    assert abs(s.t - 1.0 / m.m11) < 1e-14
+    assert abs(s.r - m.m21 / m.m11) < 1e-14
+
+
+def test_sample_amplitudes_are_frozen():
+    assert tuple(SAMPLE_AMPLITUDES) == SAMPLE_ENERGIES
+
+
+@pytest.mark.parametrize("e", SAMPLE_ENERGIES)
+def test_scatter_matches_50_digit_amplitudes(reference, e):
+    t, r = SAMPLE_AMPLITUDES[e]
+    one = scatter(e, reference)
+    batch = scatter(np.array([e]), reference)
+    for got in (one, ScatteringResult(*(field[0] for field in batch))):
+        assert abs(got.t - t) < 1e-14
+        assert abs(got.r - r) < 1e-14
 
 
 def test_gap_transmission_matches_boundary_matching(reference):
@@ -139,8 +159,39 @@ def test_wide_barrier_overflows_cleanly_on_arrays():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # the barrier is evanescent, so growing, only between 7 and 9
-        with pytest.raises(NumericalOverflow, match="E = 7.5"):
-            full_matrix(np.array([6.0, 7.5, 8.5]), cfg)
+        for evaluate in (full_matrix, factor_matrices):
+            with pytest.raises(NumericalOverflow, match="E = 7.5"):
+                evaluate(np.array([6.0, 7.5, 8.5]), cfg)
+
+
+@pytest.mark.parametrize("a_plus", [16.0, 60.0, 400.0])
+def test_scatter_stays_bounded_on_thick_barriers(a_plus):
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    grid = nudge(np.linspace(1.01, cfg.v_plus + 4.0, 2000), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = scatter(grid, cfg)
+        if a_plus > 60.0:
+            # the product overflows here, and inf - inf in its finiteness
+            # test must not leak a RuntimeWarning
+            with pytest.raises(NumericalOverflow):
+                full_matrix(grid, cfg)
+    assert np.isfinite(s.t).all() and np.isfinite(s.r).all()
+    assert np.abs(s.t2 + s.r2 - 1.0).max() < 1e-12
+    if a_plus <= 60.0:
+        m = full_matrix(grid, cfg)
+        assert np.abs(s.t - 1.0 / m.m11).max() < 1e-12
+        assert np.abs(s.r - m.m21 / m.m11).max() < 1e-12
+
+
+def test_scatter_refuses_an_exponent_past_double_range():
+    # k0 a overflows at every energy, so no width bound can hold
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=1e308, a_minus=2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e, first in ((7.5, "7.5"), (np.array([6.0, 7.5]), "6.0")):
+            with pytest.raises(NumericalOverflow, match=f"E = {first}$"):
+                scatter(e, cfg)
 
 
 def test_array_path_matches_scalar_path(reference):
@@ -248,11 +299,22 @@ def test_shared_exponentials_match_four_call_steps_on_a_long_array(reference):
     _check_against_four_call_steps(grid, reference)
 
 
+def test_scatter_bits_do_not_depend_on_array_length(reference):
+    # above 256 KiB numpy may multiply temporaries in place with the
+    # operands swapped, which its SIMD complex product rounds differently
+    grid = nudge(np.linspace(1.01, reference.v_plus + 4.0, 20_000), reference)
+    whole = scatter(grid, reference)
+    parts = [scatter(grid[i:i + 1000], reference) for i in range(0, grid.size, 1000)]
+    for field in ("t", "r", "t2", "r2"):
+        joined = np.concatenate([getattr(part, field) for part in parts])
+        assert _bits(getattr(whole, field)) == _bits(joined)
+
+
 @st.composite
-def _thick_cases(draw):
+def _thick_cases(draw, a_plus_max=5.0):
     v_minus = draw(st.floats(2.3, 6.0))
     cfg = PotentialConfig(v_plus=v_minus + draw(st.floats(2.3, 8.0)), v_minus=v_minus,
-                          a_plus=draw(st.floats(0.2, 5.0)), a_minus=draw(st.floats(0.2, 3.2)))
+                          a_plus=draw(st.floats(0.2, a_plus_max)), a_minus=draw(st.floats(0.2, 3.2)))
     e = draw(st.floats(1.01, cfg.v_plus + 4.0))
     assume(min(abs(e - s) for s in special_energies(cfg)) > 1e-5)
     return cfg, e
@@ -264,3 +326,20 @@ def test_shared_exponentials_match_four_call_steps_property(case):
     cfg, e = case
     _check_against_four_call_steps(e, cfg)
     _check_against_four_call_steps(nudge(np.array([e, 0.5 * (e + 1.01)]), cfg), cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_thick_cases(a_plus_max=60.0))
+def test_scatter_holds_flux_at_any_width_property(case):
+    cfg, e = case
+    # within 1e-4 m of a special energy an interface ratio s_R/s_L grows
+    # like the distance^-1/2, and the roundoff with it (1.4e-13 at 1e-5
+    # m; the product's flux error there is twice that)
+    near = min(abs(e - s) for s in special_energies(cfg)) < 1e-4
+    tol = 1e-12 if near else 1e-13
+    one = scatter(e, cfg)
+    batch = scatter(nudge(np.array([e, 0.5 * (e + 1.01)]), cfg), cfg)
+    assert abs(one.t2 + one.r2 - 1.0) < tol
+    assert np.abs(batch.t2 + batch.r2 - 1.0).max() < tol
+    assert abs(batch.t[0] - one.t) < tol
+    assert abs(batch.r[0] - one.r) < tol
