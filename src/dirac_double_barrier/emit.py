@@ -6,17 +6,21 @@ an explicit "schema" field.
 
 Curves are columnar.  transmission_curve returns one ScatteringResult
 whose fields are arrays over the grid, and the CSV writer formats its
-columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R with one "%.12g"
-template per row.  transmission_rows splits the same batch into one
-ScatteringResult per energy; no emission path needs that view, but
-library callers that walk a curve row by row do.  ScatteringResult is a
-named tuple, so the rows come from one map over the columns, with no
-per-row loop in Python.
+columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R a block of rows at a
+time with _printf.g12_rows, in numpy and byte for byte as C's
+printf("%.12g").  A DEBUG record per curve counts the cells, and those
+of them that went through "%.12g" one by one.
+
+transmission_rows splits the same batch into one ScatteringResult per
+energy; no emission path needs that view, but library callers that walk
+a curve row by row do.  ScatteringResult is a named tuple, so the rows
+come from one map over the columns, with no per-row loop in Python.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from dataclasses import replace
@@ -33,6 +37,8 @@ from .resonance import (
     find_resonances,
 )
 from .transfer import ScatteringResult, scatter
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "E,T2,R2,reT,imT,reR,imR"
@@ -74,16 +80,32 @@ def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
     return list(map(ScatteringResult, *(c.tolist() for c in batch)))
 
 
-#: One CSV row: a 12-significant-digit cell per CSV_HEADER column.
-_CSV_ROW = ",".join(["%.12g"] * 7)
+#: Rows formatted together; a block's temporaries peak near 0.6 MB.
+_BLOCK_ROWS = 512
 
 
 def format_curve_csv(curve: ScatteringResult) -> str:
-    """CSV text of a batch from transmission_curve, one row per energy."""
+    """CSV text of a batch from transmission_curve, one row per energy.
+
+    Every cell is byte for byte C's printf("%.12g"), formatted in numpy
+    a block of rows at a time (see _printf.g12_rows).
+    """
+    # imported on first use: compiling the formatter and building its
+    # tables would add to the peak memory of every command, curve or not
+    from ._printf import g12_rows
+
     columns = (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
                curve.r.real, curve.r.imag)
-    rows = zip(*(c.tolist() for c in columns))
-    return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
+    chunks = [CSV_HEADER + "\n"]
+    slow = 0
+    for start in range(0, len(curve.e), _BLOCK_ROWS):
+        block = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
+        text, block_slow = g12_rows(block)
+        chunks.append(text.decode("ascii"))
+        slow += block_slow
+    log.debug("formatted %d CSV cells, %d of them one by one through '%%.12g'",
+              len(columns) * len(curve.e), slow)
+    return "".join(chunks)
 
 
 def write_curve_csv(path: "str | Path", curve: ScatteringResult) -> Path:
@@ -159,8 +181,15 @@ def write_json(path: "str | Path", doc: dict) -> Path:
 def _created() -> str:
     """Manifest timestamp, from SOURCE_DATE_EPOCH when set so reruns match."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    when = (datetime.fromtimestamp(int(epoch), timezone.utc) if epoch
-            else datetime.now(timezone.utc))
+    if not epoch:
+        return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    try:
+        when = datetime.fromtimestamp(int(epoch), timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(
+            "SOURCE_DATE_EPOCH must be an integer count of seconds within "
+            f"datetime's range, got {epoch!r}"
+        ) from None
     return when.isoformat(timespec="seconds")
 
 

@@ -1,7 +1,8 @@
 """Hand-rolled SVG rendering of transmission curves.
 
 Pure string assembly, no plotting dependency: the same inputs always
-produce byte-identical markup.  Zones where a region of the structure
+produce byte-identical markup.  The polyline's coordinates are formatted
+in numpy (_printf.f2_points), byte for byte as "%.2f".  Zones where a region of the structure
 supports oscillatory negative-energy solutions are shaded so resonance
 families are visually separated.
 """
@@ -88,9 +89,12 @@ def render_curve_svg(energies: "np.ndarray | list[float]",
             f'width="{_fmt(px(zhi) - px(zlo))}" height="{_fmt(plot_h)}" '
             f'fill="{fill}"/>'
         )
-    xs = px(energies).tolist()
-    ys = py(np.minimum(np.maximum(t2s, y_lo), y_hi)).tolist()
-    points = " ".join(["%.2f,%.2f" % xy for xy in zip(xs, ys)])
+    xs = px(energies)
+    ys = py(np.minimum(np.maximum(t2s, y_lo), y_hi))
+    # imported on first use, as in emit.format_curve_csv
+    from ._printf import f2_points
+
+    points = f2_points(xs, ys)
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#202020" '
         f'stroke-width="1.2"/>'

@@ -189,6 +189,20 @@ def test_unwritable_output_is_refused_before_any_work(command, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999"],
+                         ids=["not-an-integer", "out-of-range"])
+def test_bad_source_date_epoch_exits_2(epoch, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    outdir = tmp_path / "frames"
+    argv = ["sweep", *REF_FLAGS, "--param", "a-minus", "--from", "1", "--to", "2",
+            "--frames", "2", "--points", "20", "--out-dir", str(outdir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SOURCE_DATE_EPOCH must be an integer")
+    assert repr(epoch) in err
+    assert not outdir.exists()
+
+
 def test_thick_barrier_curve_exits_0(tmp_path, monkeypatch, capsys):
     # a_plus = 400 overflows the transfer-matrix product; scatter stays bounded
     monkeypatch.chdir(tmp_path)

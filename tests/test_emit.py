@@ -1,11 +1,15 @@
 import json
+import logging
 import math
+import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dirac_double_barrier import ScatteringResult, Zone
+from dirac_double_barrier import ScatteringResult, Zone, _printf, emit
 from dirac_double_barrier.emit import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -69,6 +73,116 @@ def test_columnar_csv_matches_per_cell_formatter_on_reference_curve(reference):
     assert format_curve_csv(batch) == format_rows_csv(_split(batch))
 
 
+def _columns_batch(cells):
+    """A batch whose seven CSV columns are the columns of cells (rows, 7)."""
+    cells = np.asarray(cells, dtype=float).reshape(-1, 7)
+    col = cells.T.copy()
+    t, r = np.empty((2, len(cells)), complex)
+    t.real, t.imag, r.real, r.imag = col[3:]
+    nothing = np.full(len(cells), None, dtype=object)
+    return ScatteringResult(e=col[0], t=t, r=r, t2=col[1], r2=col[2],
+                            matrix_range=nothing, zone=nothing)
+
+
+def _printf_csv(cells):
+    """The CSV text that formats every cell with its own '%.12g'."""
+    rows = np.asarray(cells, dtype=float).reshape(-1, 7).tolist()
+    return CSV_HEADER + "\n" + "".join(",".join("%.12g" % v for v in row) + "\n"
+                                       for row in rows)
+
+
+def _per_cell_count(caplog):
+    """(cells, per-cell cells) of the one formatting record in caplog."""
+    (record,) = [r for r in caplog.records if r.name == emit.__name__]
+    return record.args
+
+
+# any float64: drawn as a float, or as a bit pattern so that every
+# exponent, subnormals and nan payloads come up as often as any other
+_float64 = st.one_of(
+    st.floats(width=64),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_float64, min_size=7, max_size=7), min_size=1, max_size=600))
+def test_csv_cells_match_printf_on_any_floats(rows):
+    cells = np.array(rows)
+    assert format_curve_csv(_columns_batch(cells)) == _printf_csv(cells)
+
+
+def test_csv_cells_match_printf_at_every_exponent():
+    rng = np.random.default_rng(12)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+    # halfway values of twelve random digits at each decimal exponent,
+    # rounded to binary: near-ties that either rounding can get wrong
+    digits = rng.integers(10**11, 10**12, 631).astype(float)
+    near_ties = (digits + 0.5) * 1e-12 * 10.0 ** np.arange(-322, 309)
+    bits = rng.integers(0, 2**63, 40_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([neighbours, -neighbours, near_ties, bits,
+                             [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]])
+    values = np.resize(values, (len(values) + 6) // 7 * 7)
+    assert format_curve_csv(_columns_batch(values)) == _printf_csv(values)
+
+
+def test_thirteenth_digit_ties_take_the_per_cell_path(caplog):
+    # exact binary values whose 13th significant digit is a 5 followed by
+    # nothing: C rounds them half to even, which numpy's scaling cannot
+    # be trusted to see
+    n = np.arange(100_000_000_000, 100_000_000_000 + 70, dtype=float)
+    ties = np.concatenate([n + 0.5, -(n + 0.5), (10 * n + 5) * 10.0, (10 * n + 5) * 1000.0])
+    for v in ties:
+        assert Decimal(v).normalize().as_tuple().digits[12:] == (5,)
+    with caplog.at_level(logging.DEBUG, logger=emit.__name__):
+        text = format_curve_csv(_columns_batch(ties))
+    assert text == _printf_csv(ties)
+    assert _per_cell_count(caplog) == (len(ties), len(ties))
+
+
+def test_formatter_tables():
+    assert _printf.POW10.tolist() == [float(10**k) for k in range(309)]
+    for v in (0, 7, 1200, 9999):
+        assert int(_printf.DIGITS[v]).to_bytes(8, "little") == b"%04d\0\0\0\0" % v
+        assert _printf.TRAILING0[v] == len(b"%04d" % v) - len((b"%04d" % v).rstrip(b"0"))
+
+
+def test_formatting_logs_its_cell_counts(reference, caplog):
+    batch = transmission_curve(reference, 1.05, 11.5, 40)
+    with caplog.at_level(logging.DEBUG, logger=emit.__name__):
+        format_curve_csv(batch)
+    cells, per_cell = _per_cell_count(caplog)
+    assert cells == 7 * 40
+    assert 0 <= per_cell < cells
+    caplog.clear()
+    edge = [0.0, -0.0, math.nan, math.inf, 5e-324, 1e-290, 0.5]
+    with caplog.at_level(logging.DEBUG, logger=emit.__name__):
+        format_curve_csv(_columns_batch(edge))
+    # nan, inf and the subnormal go through '%.12g'; zeros and 1e-290 do not
+    assert _per_cell_count(caplog) == (7, 3)
+
+
+@pytest.mark.parametrize("a_plus", [9.0, 16.0])
+def test_columnar_csv_matches_per_cell_formatter_on_thick_barriers(reference, a_plus):
+    batch = transmission_curve(replace(reference, a_plus=a_plus), 1.01, 12.0, 20_000)
+    assert format_curve_csv(batch) == format_rows_csv(_split(batch))
+
+
+def test_formatting_the_reference_curve_stays_small(reference):
+    # the text, its per-block pieces and one block's temporaries: well
+    # under the 9.3 MB that one '%.12g' template per row takes here
+    batch = transmission_curve(reference, 1.01, 12.0, 20_000)
+    tracemalloc.start()
+    try:
+        text = format_curve_csv(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text) < 9.3e6
+
+
 def _bits(row):
     """Every float of a row's numeric fields, exactly (signed zeros too)."""
     numbers = (row.e, row.t.real, row.t.imag, row.r.real, row.r.imag, row.t2, row.r2)
@@ -103,6 +217,16 @@ def test_svg_polyline_matches_per_point_formatter(reference):
 def test_svg_polyline_clamps_like_the_per_point_formatter(reference):
     energies = [1.5, 2.0, 2.5, 3.5, 4.5, 5.5]
     t2s = [-0.0, -0.25, 1.2, math.nan, 1.05, 0.5]
+    want = f'<polyline points="{polyline_points(energies, t2s)}"'
+    assert want in render_curve_svg(energies, t2s, reference)
+
+
+def test_svg_polyline_matches_per_point_formatter_off_the_plot_box(reference):
+    # the first and last energies make x = 64 + E pixels; the others land
+    # on exact halves of a hundredth, left of the box, far right of it and
+    # at infinity, which all go through '%.2f' itself
+    energies = [0.0, 36.125, 36.375, -5000.0, 1e9, math.inf, 880.0]
+    t2s = [0.5, 0.25, 1.0, 0.0, 0.75, 0.5, 0.125]
     want = f'<polyline points="{polyline_points(energies, t2s)}"'
     assert want in render_curve_svg(energies, t2s, reference)
 
