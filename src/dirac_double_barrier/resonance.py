@@ -4,9 +4,11 @@ Full transmission |T|^2 = 1 happens exactly where the off-diagonal
 element of the full transfer matrix vanishes.  On the real energy axis
 M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
 |M11|), so the resonances are the roots of f = Im M21.  The search scans
-|M21|^2 on a uniform grid over a zone in one array evaluation, takes
-interior local minima as brackets, and refines each bracket on Im M21
-with Brent's method, carried here as a port of scipy's brentq.
+|M21|^2 on a uniform grid over a zone in one array call on the bounded
+walk (transfer.m21_squared, no matrix product), takes interior local
+minima as brackets, and refines each bracket on Im M21 of the scalar
+product full_matrix with Brent's method, carried here as a port of
+scipy's brentq.
 
 Widths come from half-maximum marches: from each peak, step outward at
 the zone's scan spacing until |T|^2 dips to 1/2, then refine that
@@ -29,7 +31,7 @@ import numpy as np
 
 from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, zone_interval
 from .errors import RefinementFailed
-from .transfer import full_matrix, scatter
+from .transfer import full_matrix, m21_squared, scatter
 
 log = logging.getLogger(__name__)
 
@@ -144,10 +146,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
 class SearchSettings:
     """The one search knob: scan points per zone.
 
-    It sets the grid scan, the width march's step (the zone's scan
-    spacing) and the most energies the march evaluates in one array
-    call.  Brent's tolerance and the |M21| gate are fixed,
-    _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
+    It sets the grid scan (|M21|^2 on the bounded walk), the width
+    march's step (the zone's scan spacing) and the most energies the
+    march evaluates in one array call.  Brackets are refined on the
+    product, full_matrix, with Brent's tolerance and the |M21| gate
+    fixed, _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
     """
 
     grid_points_per_zone: int = 4000
@@ -197,7 +200,7 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     if not hi > lo:
         return []
     grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
-    g = np.abs(full_matrix(grid, cfg).m21) ** 2
+    g = m21_squared(grid, cfg)
     minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     hits: list[tuple[float, float]] = []
     for i in minima:

@@ -13,7 +13,7 @@ and the structure has four of them, at x = -a, -a_minus, a_minus and a.
 The same factors are contracted in two ways.
 
 The product M = P1 P2 P3 P4 (full_matrix, factor_matrices) is the
-transfer matrix itself, for the resonance search, verify and the paper
+transfer matrix itself, for the root refinement, verify and the paper
 tables.  Each det P = s_R / s_L, which telescopes to det M = 1, and with
 M11 = conj(M22) and M12 = conj(M21) this gives |T|^2 + |R|^2 = 1 for
 T = 1/M11 and R = M21/M11.  The structure is mirror-symmetric, so P4 is
@@ -33,6 +33,8 @@ crossing a region of width w multiplies a by e^{-2kw} while a separate
 factor tau collects e^{-kw}.  Then T = tau/a e^{-2 k0 a} and
 R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
 overflows at any barrier width, and an energy costs 3 complex exp.
+The resonance scan reads |M21|^2 = |R|^2/|T|^2 = |b|^2/|tau|^2 off the
+walk (m21_squared), with no product.
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -41,6 +43,7 @@ entrywise and yields arrays.  Keep single energies scalar: a one-element
 array costs several times more than a float.  The literal per-range
 formula tables of the paper live with the tests (tests/paper_tables.py),
 as the independent reference both contractions are checked against.
+m21_squared alone takes arrays only: the scan is its one caller.
 """
 
 from __future__ import annotations
@@ -262,3 +265,22 @@ def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
         matrix_range=rng,
         zone=zone,
     )
+
+
+def m21_squared(e: np.ndarray, cfg: PotentialConfig) -> np.ndarray:
+    """|M21|^2 at each energy of an array, read off the bounded walk.
+
+    |M21|^2 = |R|^2/|T|^2 = |b|^2/|tau|^2, since T = 1/M11 and R = M21/M11:
+    the walk's a and phase cancel, so no product is formed.  It agrees
+    with np.abs(full_matrix(e, cfg).m21) ** 2 to roundoff.  Raises
+    NumericalOverflow at the first energy where it is not finite, as it
+    is once |tau|^2 underflows on wide barriers.
+    """
+    screen(e, cfg)
+    with np.errstate(all="ignore"):
+        _, b, tau, _ = _walk(e, cfg, np)
+        g = np.abs(b) ** 2 / np.abs(tau) ** 2
+    at = _first_failure(np.isfinite(g), e)
+    if at is not None:
+        raise NumericalOverflow(f"|M21|^2 overflowed at E = {at!r}")
+    return g

@@ -1,13 +1,16 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import scalar_march
 from dirac_double_barrier import (
+    NumericalOverflow,
     PotentialConfig,
+    RefinementFailed,
     SearchSettings,
     Zone,
     attach_widths,
@@ -119,6 +122,49 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
     found = find_resonances(cfg, resonance.BOUNDED_ZONES)
     found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
     assert found and {r.energy for r in found} <= set(roots)
+
+
+def test_scan_brackets_match_the_product(monkeypatch):
+    # the scan reads |M21|^2 off the bounded walk; the brackets it hands
+    # the refinement must be the local minima of the product's |M21|^2
+    scan = resonance.m21_squared
+    expected: list = []
+    seen: list = []
+
+    def scan_with_reference(grid, cfg):
+        g = np.abs(full_matrix(grid, cfg).m21) ** 2
+        i = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
+        expected.extend(zip(grid[i - 1].tolist(), grid[i + 1].tolist()))
+        return scan(grid, cfg)
+
+    def record(cfg, lo, hi):
+        seen.append((lo, hi))
+        raise RefinementFailed("recorded, not refined")
+
+    monkeypatch.setattr(resonance, "m21_squared", scan_with_reference)
+    monkeypatch.setattr(resonance, "_refine_bracket", record)
+    for v_plus in (6.6, 8.0, 13.0):
+        for v_minus, a_minus in ((2.5, 0.4), (4.0, 2.5), (4.5, 4.0)):
+            for a_plus in (0.5, 3.0, 9.0, 12.0, 16.0):
+                cfg = PotentialConfig(v_plus=v_plus, v_minus=v_minus,
+                                      a_plus=a_plus, a_minus=a_minus)
+                before = len(seen)
+                assert find_resonances(cfg, resonance.BOUNDED_ZONES) == []
+                assert find_above_barrier(cfg, cfg.v_plus + 4.0 * cfg.m) == []
+                assert seen[before:] == expected[before:], cfg
+    assert len(seen) > 2000
+
+
+@pytest.mark.parametrize("a_plus", [200.0, 400.0, 900.0])
+def test_wide_barriers_raise_without_a_warning(a_plus):
+    # |M21|^2 passes double range under the barriers here; the scan must
+    # say so rather than lose the zone to an infinite grid or leak a
+    # RuntimeWarning
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match=r"\|M21\|\^2 overflowed at E = "):
+            find_resonances(cfg)
 
 
 def test_gap_zone_holds_no_resonances(reference):

@@ -23,6 +23,7 @@ from dirac_double_barrier import (
     zone_interval,
 )
 from dirac_double_barrier.core import nudge
+from dirac_double_barrier.transfer import m21_squared
 from step_reference import factor_determinants
 from frozen_values import GAP_T2_E35, INNER_BARRIER_E6, SAMPLE_AMPLITUDES
 
@@ -182,6 +183,25 @@ def test_scatter_stays_bounded_on_thick_barriers(a_plus):
         m = full_matrix(grid, cfg)
         assert np.abs(s.t - 1.0 / m.m11).max() < 1e-12
         assert np.abs(s.r - m.m21 / m.m11).max() < 1e-12
+
+
+@pytest.mark.parametrize("a_plus", [0.5, 3.0, 16.0, 60.0])
+def test_m21_squared_is_the_product_element(a_plus):
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    grid = nudge(np.linspace(1.01, cfg.v_plus + 4.0, 2000), cfg)
+    # two contractions of the same factors, each energy to about 1e-12
+    want = np.abs(full_matrix(grid, cfg).m21) ** 2
+    assert (np.abs(m21_squared(grid, cfg) - want) / (1.0 + want)).max() < 2e-12
+
+
+def test_m21_squared_overflows_at_the_first_energy_past_double_range():
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=900.0, a_minus=2.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflow, match=r"overflowed at E = 7.5$"):
+            m21_squared(np.array([6.0, 7.5, 8.5]), cfg)
+        with pytest.raises(BoundaryEnergy):
+            m21_squared(np.array([6.0, cfg.v_plus]), cfg)
 
 
 def test_scatter_refuses_an_exponent_past_double_range():
