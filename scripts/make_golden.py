@@ -27,6 +27,7 @@ from dirac_double_barrier import (
 # the paper's literal tables are the reference kept with the tests
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from paper_tables import factor_matrices  # noqa: E402
+from test_oracle import PROFILE_PINS, SCALAR_PINS  # noqa: E402
 from test_transfer import SAMPLE_ENERGIES  # noqa: E402
 
 mp.mp.dps = 50
@@ -119,6 +120,35 @@ def frozen_oracle_t2():
     print(f"GAP_T2_E35 = {t2!r}")
 
 
+def print_pins(name, pins):
+    """One dict literal of four hex floats per key, two to a line."""
+    print(f"{name} = {{")
+    for key, (w, x, y, z) in pins.items():
+        head = f"    {key!r}: ("
+        print(f"{head}{w!r}, {x!r},")
+        print(f"{' ' * len(head)}{y!r}, {z!r}),")
+    print("}")
+
+
+def oracle_pins():
+    """The oracle's bit pins in tests/test_oracle.py, for the same keys.
+
+    Regenerate them only after the oracle matches SAMPLE_AMPLITUDES, so
+    that the pins record an oracle already checked against 50 digits.
+    """
+    def hexes(*zs):
+        return tuple(h for z in zs for h in (z.real.hex(), z.imag.hex()))
+
+    energies = sorted(SCALAR_PINS)
+    one = {e: solve_amplitudes(e, CANONICAL) for e in energies}
+    batch = solve_amplitudes(np.array(energies), CANONICAL)
+    profile = wavefunction_profile(8.5, CANONICAL, sorted(PROFILE_PINS))
+    print_pins("SCALAR_PINS", {e: hexes(one[e].t, one[e].r) for e in energies})
+    print_pins("ARRAY_PINS", {e: hexes(complex(batch.t[i]), complex(batch.r[i]))
+                              for i, e in enumerate(energies)})
+    print_pins("PROFILE_PINS", {s.x: hexes(s.psi_plus, s.psi_minus) for s in profile})
+
+
 def dense_grid_fwhm():
     cfg = CANONICAL
     conv = attach_widths(find_resonances(cfg, [Zone.CONVENTIONAL]), cfg)
@@ -188,6 +218,8 @@ def main():
     frozen_sample_amplitudes()
     print()
     frozen_oracle_t2()
+    print()
+    oracle_pins()
     print()
     dense_grid_fwhm()
     print()

@@ -3,17 +3,23 @@
 Writes the general solution in each of the five constant-potential
 regions on the unnormalized spinor basis
 
-    u(kappa) = (1, kappa / (m + E - U))^T,  weights A e^{kappa x} + B e^{-kappa x},
+    u(kappa) = (1, kappa / (m + E - U))^T,  weights A e^{kappa (x - x_A)} + B e^{-kappa (x - x_B)},
 
 and imposes continuity of both components by one rule at each of the
 four interfaces: the waves of the region on the left equal those of the
 region on the right.  The rule reads the level of each region
-(_LEVEL_OF) and the interface positions (_edges).  With unit incidence
-from the left (A1 = 1) and nothing returning on the right (B5 = 0) that
-leaves an 8x8 complex linear system.  This basis and bookkeeping differ
-deliberately from the ratio form behind the transfer matrices, so the
-two routes to T and R share no transcription and can cross-check each
-other; nothing here comes from transfer.py.
+(_LEVEL_OF), the interface positions (_edges) and the reference points
+x_A and x_B (_references).  A finite region (1, 2, 3) references A at
+its right edge and B at its left one, so with Re kappa >= 0 none of its
+weights exceeds 1 in modulus and the system stays finite at any barrier
+width.  Each distinct (level, offset) exponential is computed once, four
+per energy.  The two outside regions reference x = 0, which fixes the
+phase of t and r.  With unit incidence from the left (A1 = 1) and
+nothing returning on the right (B5 = 0) that leaves an 8x8 complex
+linear system.  This basis and bookkeeping differ deliberately from the
+ratio form behind the transfer matrices, so the two routes to T and R
+share no transcription and can cross-check each other; nothing here
+comes from transfer.py.
 
 solve_amplitudes takes one energy or a 1-D array of them and builds the
 same matrix entries either way: a float goes through cmath into one 8x8
@@ -52,6 +58,9 @@ _LEVEL_OF = (0, 1, 2, 1, 0)
 class AmplitudeSet:
     """Right- and left-moving amplitudes (A, B) per region, left to right.
 
+    a[0], b[0], a[4] and b[4] weight waves referenced at x = 0; the
+    interior a[1..3] weight e^{kappa x} referenced at their region's right
+    edge and b[1..3] weight e^{-kappa x} referenced at its left edge.
     a[0] = 1 is the incident amplitude and b[4] = 0 by construction;
     the transmitted amplitude is a[4], the reflected one b[0].  For an
     array of energies every amplitude and the residual are arrays with
@@ -113,6 +122,15 @@ def _edges(cfg: PotentialConfig) -> tuple[float, float, float, float]:
     return (-cfg.a, -cfg.a_minus, cfg.a_minus, cfg.a)
 
 
+def _references(edges: tuple[float, ...]) -> list[tuple[float, float]]:
+    """(left, right) reference points of each region's B and A waves, left to right.
+
+    A finite region references A at its right edge and B at its left one;
+    the two outside regions keep x = 0, the phase convention of t and r.
+    """
+    return [(0.0, 0.0), *zip(edges, edges[1:]), (0.0, 0.0)]
+
+
 def _system(e, cfg: PotentialConfig, xp) -> tuple[np.ndarray, np.ndarray]:
     """Matching matrix and right-hand side at E, with xp = cmath or numpy.
 
@@ -122,17 +140,26 @@ def _system(e, cfg: PotentialConfig, xp) -> tuple[np.ndarray, np.ndarray]:
     pairs, upper then lower spinor component, one pair per interface.
     """
     waves = _waves(e, cfg)
+    edges = _edges(cfg)
+    references = _references(edges)
+    weights = {}  # (level, signed offset) -> its exponential, each computed once
     mat = np.zeros(np.shape(e) + (8, 8), dtype=complex)
     rhs = np.zeros(np.shape(e) + (8,), dtype=complex)
-    for i, x in enumerate(_edges(cfg)):
+    for i, x in enumerate(edges):
         row = 2 * i
         for region in (i, i + 1):
-            k, s = waves[_LEVEL_OF[region]]
-            # A e^{kappa x} u(kappa), then B e^{-kappa x} u(-kappa)
-            for col, kappa, slope in ((2 * region - 1, k, s), (2 * region, -k, -s)):
+            level = _LEVEL_OF[region]
+            k, s = waves[level]
+            left, right = references[region]
+            # A e^{kappa (x - right)} u(kappa), then B e^{-kappa (x - left)} u(-kappa)
+            for col, offset, slope in ((2 * region - 1, x - right, s),
+                                       (2 * region, left - x, -s)):
                 if col == 8:
                     continue  # B5 = 0
-                w = xp.exp(kappa * x)
+                key = (level, offset)
+                if key not in weights:
+                    weights[key] = xp.exp(k * offset) if offset else 1.0
+                w = weights[key]
                 if region > i:
                     w = -w  # the right-hand region's side of the equation
                 if col < 0:  # A1 = 1 moves to the right-hand side
@@ -204,6 +231,7 @@ def wavefunction_profile(e: float, cfg: PotentialConfig,
     amps = solve_amplitudes(e, cfg)
     waves = _waves(e, cfg)
     edges = _edges(cfg)
+    references = _references(edges)
     out = []
     for x in xs:
         x = float(x)
@@ -211,8 +239,9 @@ def wavefunction_profile(e: float, cfg: PotentialConfig,
         # choice irrelevant up to the matching residual
         idx = bisect_right(edges, x) if x < 0 else bisect_left(edges, x)
         kappa, s = waves[_LEVEL_OF[idx]]
-        ep = cmath.exp(kappa * x)
-        em = 1.0 / ep
+        left, right = references[idx]
+        ep = cmath.exp(kappa * (x - right))
+        em = cmath.exp(kappa * (left - x))
         a_amp, b_amp = amps.a[idx], amps.b[idx]
         out.append(
             SpinorSample(

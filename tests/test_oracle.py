@@ -1,11 +1,14 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from dirac_double_barrier import (
+    PotentialConfig,
     SingularEnergy,
     SingularSystem,
+    ZONE_ORDER,
     find_resonances,
     oracle,
     sample_energies,
@@ -14,7 +17,8 @@ from dirac_double_barrier import (
     wavefunction_profile,
     Zone,
 )
-from frozen_values import FLOOR_ENHANCEMENT
+from dirac_double_barrier.emit import zone_report
+from frozen_values import FLOOR_ENHANCEMENT, SAMPLE_AMPLITUDES
 
 SAMPLE_ENERGIES = (1.3, 2.5, 3.5, 4.5, 6.0, 7.5, 8.5, 9.5, 11.4)
 
@@ -44,6 +48,56 @@ def test_agreement_with_transfer_route(reference, e):
     s = scatter(e, reference)
     assert abs(amps.t - s.t) < 1e-12
     assert abs(amps.r - s.r) < 1e-12
+
+
+def test_agreement_with_50_digit_amplitudes(reference):
+    energies = sorted(SAMPLE_AMPLITUDES)
+    batch = solve_amplitudes(np.array(energies), reference)
+    for i, e in enumerate(energies):
+        t, r = SAMPLE_AMPLITUDES[e]
+        one = solve_amplitudes(e, reference)
+        for got_t, got_r in ((one.t, one.r), (batch.t[i], batch.r[i])):
+            assert abs(got_t - t) < 1e-14
+            assert abs(got_r - r) < 1e-14
+
+
+@pytest.mark.parametrize("a_plus", [16.0, 60.0, 400.0, 900.0, 2000.0])
+def test_wide_barriers_stay_finite_and_agree_with_transfer(a_plus):
+    # every weight of a finite region is referenced at its own edge, so no
+    # exponential exceeds 1 in modulus however wide the barriers are
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    e = np.array(sample_energies(cfg, 200, seed=7))
+    xs = np.linspace(-cfg.a - 5.0, cfg.a + 5.0, 401)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_amplitudes(e, cfg)
+        ones = [solve_amplitudes(x, cfg) for x in SAMPLE_ENERGIES]
+        profile = wavefunction_profile(8.5, cfg, xs)
+    s = scatter(e, cfg)
+    assert np.isfinite(batch.residual).all()
+    assert np.abs(batch.t - s.t).max() < 1e-13
+    assert np.abs(batch.r - s.r).max() < 1e-13
+    for x, one in zip(SAMPLE_ENERGIES, ones):
+        s = scatter(x, cfg)
+        assert abs(one.t - s.t) < 1e-13
+        assert abs(one.r - s.r) < 1e-13
+    assert np.isfinite([(p.psi_plus, p.psi_minus) for p in profile]).all()
+
+
+@pytest.mark.parametrize("v_plus, e_max", [(8.0, 11.0), (10.0, 13.0)])
+def test_agreement_at_found_resonances(v_plus, e_max):
+    # random samples almost never land on a sharp peak, so check every
+    # resonance the two spectrum reports find
+    cfg = PotentialConfig(v_plus=v_plus, v_minus=4.0, a_plus=3.0, a_minus=2.5)
+    report = zone_report(cfg, ZONE_ORDER, e_max)
+    energies = [r["energy"] for zone in report["zones"] for r in zone["resonances"]]
+    assert len(energies) > 20
+    for e in energies:
+        amps = solve_amplitudes(e, cfg)
+        s = scatter(e, cfg)
+        assert abs(amps.t - s.t) < 1e-12
+        assert abs(amps.r - s.r) < 1e-12
+        assert abs(amps.t) ** 2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_full_transmission_at_tabulated_resonance(reference):
@@ -78,20 +132,21 @@ def test_floor_density_enhancement_at_first_resonance(reference):
     assert floor_max / outside_max == pytest.approx(FLOOR_ENHANCEMENT, rel=1e-9)
 
 
-# T and R of the one-energy solve as hex floats, recorded before the
-# solver took arrays; the float path must still reproduce them exactly
-# (with the same numpy and LAPACK build)
+# T and R of the one-energy solve as hex floats, printed by
+# scripts/make_golden.py once the oracle matched SAMPLE_AMPLITUDES; the
+# float path must reproduce them exactly (with the same numpy and LAPACK
+# build)
 SCALAR_PINS = {
-    1.3: ('-0x1.558a9351d39d5p-7', '0x1.38b58ee90e2f0p-1',
-          '0x1.9550c23d26156p-1', '0x1.baaf9a719ebf3p-7'),
-    3.5: ('0x1.6b2bf01633b4cp-7', '-0x1.4561d386d9dabp-7',
-          '-0x1.559dfbd466050p-1', '-0x1.7d4ac9588f422p-1'),
-    6.0: ('-0x1.0b4f0bccc709cp-2', '0x1.540c139db5f73p-2',
+    1.3: ('-0x1.558a9351d336bp-7', '0x1.38b58ee90e2fep-1',
+          '0x1.9550c23d2614dp-1', '0x1.baaf9a719e3c2p-7'),
+    3.5: ('0x1.6b2bf01633b4cp-7', '-0x1.4561d386d9da9p-7',
+          '-0x1.559dfbd466050p-1', '-0x1.7d4ac9588f424p-1'),
+    6.0: ('-0x1.0b4f0bccc709dp-2', '0x1.540c139db5f72p-2',
           '0x1.6cd96e44bdda3p-1', '0x1.1ece3af04e3e5p-1'),
-    8.5: ('0x1.3b7f3395df2b0p-9', '-0x1.3cbc72960d3b2p-7',
-          '0x1.f0cd6cfd368e8p-1', '0x1.eedbd2ca42b1bp-3'),
-    11.4: ('0x1.dc2c43afbde03p-1', '0x1.72b08b00661fbp-2',
-           '0x1.783d4816c9f9fp-6', '-0x1.e34d49aed9739p-5'),
+    8.5: ('0x1.3b7f3395df2aap-9', '-0x1.3cbc72960d3b0p-7',
+          '0x1.f0cd6cfd368edp-1', '0x1.eedbd2ca42b20p-3'),
+    11.4: ('0x1.dc2c43afbde13p-1', '0x1.72b08b00661bcp-2',
+           '0x1.783d4816c9efcp-6', '-0x1.e34d49aed9669p-5'),
 }
 
 
@@ -162,21 +217,21 @@ def test_array_singular_system_names_the_first(reference, monkeypatch):
 
 
 # T and R of the five SCALAR_PINS energies solved together in one array
-# call, as hex floats from the hand-placed matching system this solver
-# replaced; the batched LAPACK solve rounds differently from the one-energy
-# solve, so these differ from SCALAR_PINS in the last bits at 1.3, 3.5 and
-# 11.4 (with the same numpy and LAPACK build)
+# call, as hex floats from the same script; the batched LAPACK solve rounds
+# differently from the one-energy solve, so these differ from SCALAR_PINS
+# in the last bits at 1.3, 3.5 and 11.4 (with the same numpy and LAPACK
+# build)
 ARRAY_PINS = {
-    1.3: ('-0x1.558a9351d39d5p-7', '0x1.38b58ee90e2f1p-1',
-          '0x1.9550c23d26154p-1', '0x1.baaf9a719ebf8p-7'),
-    3.5: ('0x1.6b2bf01633b4cp-7', '-0x1.4561d386d9da8p-7',
-          '-0x1.559dfbd46604ep-1', '-0x1.7d4ac9588f422p-1'),
-    6.0: ('-0x1.0b4f0bccc709cp-2', '0x1.540c139db5f73p-2',
+    1.3: ('-0x1.558a9351d339cp-7', '0x1.38b58ee90e300p-1',
+          '0x1.9550c23d2614dp-1', '0x1.baaf9a719e392p-7'),
+    3.5: ('0x1.6b2bf01633b4ap-7', '-0x1.4561d386d9da8p-7',
+          '-0x1.559dfbd46604fp-1', '-0x1.7d4ac9588f423p-1'),
+    6.0: ('-0x1.0b4f0bccc709dp-2', '0x1.540c139db5f72p-2',
           '0x1.6cd96e44bdda3p-1', '0x1.1ece3af04e3e5p-1'),
-    8.5: ('0x1.3b7f3395df2b0p-9', '-0x1.3cbc72960d3b2p-7',
-          '0x1.f0cd6cfd368e8p-1', '0x1.eedbd2ca42b1bp-3'),
-    11.4: ('0x1.dc2c43afbde01p-1', '0x1.72b08b00661fbp-2',
-           '0x1.783d4816c9f71p-6', '-0x1.e34d49aed96fep-5'),
+    8.5: ('0x1.3b7f3395df2aap-9', '-0x1.3cbc72960d3b0p-7',
+          '0x1.f0cd6cfd368edp-1', '0x1.eedbd2ca42b20p-3'),
+    11.4: ('0x1.dc2c43afbde10p-1', '0x1.72b08b00661bdp-2',
+           '0x1.783d4816c9ee3p-6', '-0x1.e34d49aed96a1p-5'),
 }
 
 
@@ -189,30 +244,30 @@ def test_array_solve_is_pinned_bit_for_bit(reference):
 
 
 # psi_plus and psi_minus at E = 8.5 (tunnelling through the barriers, oscillating
-# on the floor) as hex floats, from the same earlier solver: the five interface
+# on the floor) as hex floats, from the same script: the five interface
 # and centre points, which belong to the inner region, and one point inside each
 # of the five regions, left to right
 PROFILE_PINS = {
-    -7.0: ('-0x1.c26a86c055233p+0', '-0x1.b9f41415a424ap-3',
-           '0x1.a2298ceacd336p-1', '0x1.9a19b22bad6f0p-4'),
-    -5.5: ('-0x1.aa0a3e29ca962p+0', '-0x1.a20bd92e52ae7p-3',
-           '0x1.ec445ca7a5876p-1', '0x1.e2d04f5395e6dp-4'),
-    -4.0: ('-0x1.cf03762970198p-2', '-0x1.c799eda3519c9p-5',
-           '0x1.0da7c8bc7832ep-2', '0x1.07bdc38e6f8d0p-5'),
-    -2.5: ('-0x1.ddca9be0be99ap-4', '-0x1.e8eab3f171d9cp-7',
-           '0x1.361537176c323p-4', '0x1.2489602d51580p-7'),
-    -1.0: ('-0x1.5695c6cf7138bp-4', '-0x1.67adc629f4c98p-7',
-           '0x1.985596d9739a4p-4', '0x1.8a2aef532fc80p-7'),
-    0.0: ('-0x1.77bba678a24c7p-4', '-0x1.61725923cf67cp-7',
-          '-0x1.8556b4da5c49ap-4', '-0x1.8dbd341f6ae02p-7'),
-    2.5: ('0x1.f1fae18ffe400p-4', '0x1.fbe86c3738e3cp-7',
-          '-0x1.2129cb5ea5dbdp-4', '-0x1.0f2a67ff320e0p-7'),
-    4.0: ('0x1.05f835d4e3438p-5', '0x1.96d6f3ea2439ep-8',
-          '-0x1.46c12a9141861p-6', '-0x1.242d853d30443p-10'),
-    5.5: ('0x1.1e96d0e46d182p-8', '0x1.25461e95b3994p-7',
-          '-0x1.0494a8e369ae2p-7', '0x1.fd4840dafa023p-9'),
-    7.0: ('0x1.cb3617a752d74p-9', '0x1.318dd0b2b4836p-7',
-          '-0x1.0f7de81d6a282p-7', '0x1.98051b2cec1c2p-9'),
+    -7.0: ('-0x1.c26a86c055235p+0', '-0x1.b9f41415a4242p-3',
+           '0x1.a2298ceacd336p-1', '0x1.9a19b22bad710p-4'),
+    -5.5: ('-0x1.aa0a3e29ca964p+0', '-0x1.a20bd92e52ae4p-3',
+           '0x1.ec445ca7a5879p-1', '0x1.e2d04f5395e69p-4'),
+    -4.0: ('-0x1.cf03762970198p-2', '-0x1.c799eda3519c4p-5',
+           '0x1.0da7c8bc7832ep-2', '0x1.07bdc38e6f8cdp-5'),
+    -2.5: ('-0x1.ddca9be0be998p-4', '-0x1.e8eab3f171da8p-7',
+           '0x1.361537176c328p-4', '0x1.2489602d51574p-7'),
+    -1.0: ('-0x1.5695c6cf71386p-4', '-0x1.67adc629f4cc8p-7',
+           '0x1.985596d9739a6p-4', '0x1.8a2aef532fcacp-7'),
+    0.0: ('-0x1.77bba678a24ccp-4', '-0x1.61725923cf674p-7',
+          '-0x1.8556b4da5c497p-4', '-0x1.8dbd341f6ae04p-7'),
+    2.5: ('0x1.f1fae18ffe3ffp-4', '0x1.fbe86c3738e44p-7',
+          '-0x1.2129cb5ea5dc1p-4', '-0x1.0f2a67ff320d4p-7'),
+    4.0: ('0x1.05f835d4e3438p-5', '0x1.96d6f3ea24396p-8',
+          '-0x1.46c12a914185fp-6', '-0x1.242d853d30434p-10'),
+    5.5: ('0x1.1e96d0e46d182p-8', '0x1.25461e95b3993p-7',
+          '-0x1.0494a8e369ae2p-7', '0x1.fd4840dafa025p-9'),
+    7.0: ('0x1.cb3617a752d73p-9', '0x1.318dd0b2b4833p-7',
+          '-0x1.0f7de81d6a280p-7', '0x1.98051b2cec1c2p-9'),
 }
 
 
