@@ -14,7 +14,8 @@ of them that went through "%.12g" one by one.
 transmission_rows splits the same batch into one ScatteringResult per
 energy; no emission path needs that view, but library callers that walk
 a curve row by row do.  ScatteringResult is a named tuple, so the rows
-come from one map over the columns, with no per-row loop in Python.
+come from one map over the zipped columns, with no per-row loop in
+Python.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +76,13 @@ def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
     """transmission_curve split into one ScatteringResult per grid point.
 
     The batch's fields are its columns in field order, so each row is
-    the named tuple of one entry of every column.
+    the named tuple of one entry of every column.  tuple.__new__ builds
+    it from the zipped entries directly, skipping the named tuple's
+    Python-level __new__, which rebuilds the same tuple from arguments.
     """
     batch = transmission_curve(cfg, e_min, e_max, points)
-    return list(map(ScatteringResult, *(c.tolist() for c in batch)))
+    row = partial(tuple.__new__, ScatteringResult)
+    return list(map(row, zip(*(c.tolist() for c in batch))))
 
 
 #: Rows formatted together; a block's temporaries peak near 0.6 MB.

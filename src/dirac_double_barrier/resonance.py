@@ -6,17 +6,21 @@ M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
 |M11|), so the resonances are the roots of f = Im M21.  The search scans
 |M21|^2 on a uniform grid over a zone in one array call on the bounded
 walk (transfer.m21_squared, no matrix product), takes interior local
-minima as brackets, and refines each bracket on Im M21 of the scalar
-product full_matrix with Brent's method, carried here as a port of
-scipy's brentq.
+minima as brackets, and refines each bracket on Im M21 = Im(b/tau), read
+off the same walk one energy at a time (transfer.m21), with Brent's
+method, carried here as a port of scipy's brentq.  Each zone's scan logs
+one DEBUG record of what it did: grid points, local minima, brackets
+refined, roots accepted, rejected, dropped and merged, and Brent's
+evaluations.
 
 Widths come from half-maximum marches: from each peak, step outward at
 the zone's scan spacing until |T|^2 dips to 1/2, then refine that
-crossing with brentq.  The marches of all resonances run in lockstep:
-each round gives every running march its next chunk (32 energies,
-doubling up to 1024) and evaluates all chunks in shared array calls of
-at most grid_points_per_zone energies, so a spectrum's widths cost a
-handful of array calls rather than one or more per march.  Each march
+crossing with brentq on |T|^2 of the walk at one energy (_t2).  The
+marches of all resonances run in lockstep: each round gives every
+running march its next chunk (32 energies, doubling up to 1024) and
+evaluates all chunks in shared array calls of at most
+grid_points_per_zone energies, so a spectrum's widths cost a handful of
+array calls rather than one or more per march.  Each march
 still picks the bracket that a one-energy-at-a-time march would.
 """
 
@@ -31,7 +35,10 @@ import numpy as np
 
 from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, zone_interval
 from .errors import RefinementFailed
-from .transfer import full_matrix, m21_squared, scatter
+from .transfer import _amplitudes, m21, m21_squared, scatter
+# unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
+# name resonance.full_matrix, so it stays bound
+from .transfer import full_matrix  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -148,9 +155,9 @@ class SearchSettings:
 
     It sets the grid scan (|M21|^2 on the bounded walk), the width
     march's step (the zone's scan spacing) and the most energies the
-    march evaluates in one array call.  Brackets are refined on the
-    product, full_matrix, with Brent's tolerance and the |M21| gate
-    fixed, _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
+    march evaluates in one array call.  Brackets are refined on M21 of
+    the bounded walk (transfer.m21), with Brent's tolerance and the |M21|
+    gate fixed, _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
     """
 
     grid_points_per_zone: int = 4000
@@ -173,17 +180,19 @@ class Resonance:
     fwhm: float | None = None
 
 
-def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, float]:
-    """Root of M21 inside (lo, hi) as (energy, residual).
+def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, float, int]:
+    """Root of M21 inside (lo, hi) as (energy, residual, evaluations).
 
-    brentq returns an energy it has evaluated, so the residual |M21| is
-    read from the values it saw rather than computed again.
+    M21 = b/tau comes off the bounded walk (transfer.m21).  brentq
+    returns an energy it has evaluated, so the residual |M21| is read
+    from the values it saw rather than computed again; it evaluates no
+    energy twice, so those values also count its evaluations.
     """
     seen: dict[float, complex] = {}
 
     def im_m21(e: float) -> float:
-        seen[e] = m21 = full_matrix(e, cfg).m21
-        return m21.imag
+        seen[e] = value = m21(e, cfg)
+        return value.imag
 
     try:
         root = brentq(im_m21, lo, hi, xtol=_REFINE_TOLERANCE * cfg.m)
@@ -191,7 +200,7 @@ def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, 
         raise RefinementFailed(
             f"Im M21 keeps its sign over ({lo:.9g}, {hi:.9g})"
         ) from None
-    return root, abs(seen[root])
+    return root, abs(seen[root]), len(seen)
 
 
 def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
@@ -203,15 +212,20 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     g = m21_squared(grid, cfg)
     minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     hits: list[tuple[float, float]] = []
+    rejected = dropped = merged = evaluations = 0
     for i in minima:
         try:
-            root, residual = _refine_bracket(cfg, float(grid[i - 1]), float(grid[i + 1]))
+            root, residual, n = _refine_bracket(cfg, float(grid[i - 1]), float(grid[i + 1]))
         except RefinementFailed as exc:
             log.debug("bracket near E = %.9g rejected: %s", grid[i], exc)
+            rejected += 1
+            evaluations += 2  # brentq compares the signs at both ends first
             continue
+        evaluations += n
         if residual < _RESIDUAL_ACCEPT:
             hits.append((root, residual))
         else:  # a converged sign change, so most likely a real resonance
+            dropped += 1
             log.warning("root at E = %.12g dropped: |M21| = %.3g is not below "
                         "residual_accept = %g", root, residual, _RESIDUAL_ACCEPT)
     hits.sort(key=lambda h: h[0])
@@ -220,10 +234,16 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     gap = max(10.0 * _REFINE_TOLERANCE, 1e-10) * cfg.m
     for h in hits:
         if deduped and abs(h[0] - deduped[-1][0]) < gap:
+            merged += 1
             if h[1] < deduped[-1][1]:
                 deduped[-1] = h
             continue
         deduped.append(h)
+    log.debug("scan of (%.9g, %.9g): %d grid points, %d local minima refined as "
+              "brackets, %d roots accepted, %d rejected where Im M21 keeps its sign, "
+              "%d dropped by the residual gate, %d merged as duplicates, "
+              "%d Brent evaluations", lo, hi, grid.size, minima.size, len(deduped),
+              rejected, dropped, merged, evaluations)
     return deduped
 
 
@@ -280,7 +300,14 @@ def find_above_barrier(cfg: PotentialConfig, e_max: float,
 
 
 def _t2(e: float, cfg: PotentialConfig) -> float:
-    return scatter(e, cfg).t2
+    """scatter(e, cfg).t2 to the bit, without classifying E or building the result.
+
+    Every energy it sees lies inside one zone's march, nudged off or
+    bracketed between nudged energies, so classify's screen has nothing
+    to reject.
+    """
+    t, _ = _amplitudes(e, cfg)
+    return abs(t) ** 2
 
 
 #: A half-maximum march: (start, limit, step), the step's sign its direction.

@@ -13,8 +13,8 @@ and the structure has four of them, at x = -a, -a_minus, a_minus and a.
 The same factors are contracted in two ways.
 
 The product M = P1 P2 P3 P4 (full_matrix, factor_matrices) is the
-transfer matrix itself, for the root refinement, verify and the paper
-tables.  Each det P = s_R / s_L, which telescopes to det M = 1, and with
+transfer matrix itself, for verify, the paper tables and library
+callers.  Each det P = s_R / s_L, which telescopes to det M = 1, and with
 M11 = conj(M22) and M12 = conj(M21) this gives |T|^2 + |R|^2 = 1 for
 T = 1/M11 and R = M21/M11.  The structure is mirror-symmetric, so P4 is
 P1 and P3 is P2 seen from the other side: the exponents at +x are those
@@ -33,8 +33,10 @@ crossing a region of width w multiplies a by e^{-2kw} while a separate
 factor tau collects e^{-kw}.  Then T = tau/a e^{-2 k0 a} and
 R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
 overflows at any barrier width, and an energy costs 3 complex exp.
-The resonance scan reads |M21|^2 = |R|^2/|T|^2 = |b|^2/|tau|^2 off the
-walk (m21_squared), with no product.
+The resonance search reads M21 = R/T = b/tau off the walk as well: its
+grid scan takes |M21|^2 = |b|^2/|tau|^2 over an array (m21_squared) and
+its Brent refinement takes b/tau one energy at a time (m21), with no
+product.
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -43,12 +45,14 @@ entrywise and yields arrays.  Keep single energies scalar: a one-element
 array costs several times more than a float.  The literal per-range
 formula tables of the paper live with the tests (tests/paper_tables.py),
 as the independent reference both contractions are checked against.
-m21_squared alone takes arrays only: the scan is its one caller.
+m21_squared alone takes arrays only and m21 floats only: the scan and
+the root refinement are their one callers.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from contextlib import nullcontext
 from typing import NamedTuple
 
@@ -230,15 +234,12 @@ def _walk(e: Energy, cfg: PotentialConfig, xp) -> tuple:
     return a, b, gp2 * gm, xp.exp(k0 * (-2.0 * cfg.a))
 
 
-def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
-    """Transmission and reflection at energy E, or at each energy of an array.
+def _checked_walk(e: Energy, cfg: PotentialConfig) -> tuple:
+    """_walk at admissible energies, with its overflow and degeneracy raised.
 
-    Contracts the interface matrices as the bounded walk (see the module
-    docstring), valid at any barrier width; |T|^2 + |R|^2 = 1 up to
-    roundoff.  The amplitudes are those of the product, T = 1/M11 and
-    R = M21/M11, to roundoff.
+    Raises NumericalOverflow where a wave exponent passed double range and
+    DegenerateMatrix where the incident amplitude a vanished.
     """
-    rng, zone = classify(e, cfg)
     array = isinstance(e, np.ndarray)
     xp = np if array else cmath
     try:
@@ -253,9 +254,26 @@ def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
     at = _first_failure(abs(a) >= 1e-300, e)
     if at is not None:
         raise DegenerateMatrix(f"incident amplitude vanished at E = {at!r}")
+    return a, b, tau, phase
+
+
+def _amplitudes(e: Energy, cfg: PotentialConfig) -> tuple:
+    """(T, R) off the checked walk, with no screen of the energies."""
+    a, b, tau, phase = _checked_walk(e, cfg)
     q = phase / a
-    t = tau * q
-    r = b * q
+    return tau * q, b * q
+
+
+def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
+    """Transmission and reflection at energy E, or at each energy of an array.
+
+    Contracts the interface matrices as the bounded walk (see the module
+    docstring), valid at any barrier width; |T|^2 + |R|^2 = 1 up to
+    roundoff.  The amplitudes are those of the product, T = 1/M11 and
+    R = M21/M11, to roundoff.
+    """
+    rng, zone = classify(e, cfg)
+    t, r = _amplitudes(e, cfg)
     return ScatteringResult(
         e=e,
         t=t,
@@ -265,6 +283,23 @@ def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
         matrix_range=rng,
         zone=zone,
     )
+
+
+def m21(e: float, cfg: PotentialConfig) -> complex:
+    """M21 at one energy, read off the bounded walk as b/tau.
+
+    M21 = R/T, and the walk's a and phase cancel from that ratio, so no
+    product is formed.  It agrees with full_matrix(e, cfg).m21 to
+    roundoff.  Screens E and raises as scatter does, and raises
+    NumericalOverflow where b/tau is not finite, as once tau underflows
+    on wide barriers.
+    """
+    screen(e, cfg)
+    _, b, tau, _ = _checked_walk(e, cfg)
+    value = b / tau if tau else math.inf
+    if not cmath.isfinite(value):
+        raise NumericalOverflow(f"M21 overflowed at E = {e!r}")
+    return value
 
 
 def m21_squared(e: np.ndarray, cfg: PotentialConfig) -> np.ndarray:

@@ -203,6 +203,12 @@ def test_transmission_rows_split_the_batch(reference):
         assert _bits(row) == _bits(ScatteringResult(*(c[i] for c in batch)))
         assert row.matrix_range is batch.matrix_range[i]
         assert row.zone is batch.zone[i]
+        # built with tuple.__new__, each row is the named tuple its fields make
+        rebuilt = ScatteringResult(*row)
+        assert row == rebuilt
+        assert [type(x) for x in row] == [type(x) for x in rebuilt]
+        assert row._replace(t2=0.5) == rebuilt._replace(t2=0.5)
+        assert row._replace(t2=0.5).t2 == 0.5 and row._replace(t2=0.5).e is row.e
 
 
 def test_svg_polyline_matches_per_point_formatter(reference):

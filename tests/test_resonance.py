@@ -20,8 +20,10 @@ from dirac_double_barrier import (
     full_matrix,
     resonance,
     scatter,
+    transfer,
     zone_interval,
 )
+from dirac_double_barrier.emit import zone_report
 from frozen_values import (
     ABOVE_BARRIER_ENERGIES,
     CONVENTIONAL_ENERGIES,
@@ -98,30 +100,131 @@ def test_refinement_is_converged(reference, monkeypatch):
     PotentialConfig(v_plus=10.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
 ], ids=["reference", "tall"])
 def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
-    # every bracket's Brent closure evaluates M21 at distinct energies,
-    # and the residual is |M21| at the root, read from those values
+    # every bracket's Brent closure evaluates the walk's M21 = b/tau at
+    # distinct energies, counts them, and the residual is |b/tau| at the
+    # root, read from those values
     refine = resonance._refine_bracket
     energies: list = []
     roots = []
 
     def counted(e, cfg):
         energies.append(e)
-        return full_matrix(e, cfg)
+        return transfer.m21(e, cfg)
 
     def checked(cfg, lo, hi):
         energies.clear()
-        root, residual = refine(cfg, lo, hi)
+        root, residual, evaluations = refine(cfg, lo, hi)
         assert all(type(e) is float for e in energies)
-        assert len(set(energies)) == len(energies)
-        assert residual.hex() == abs(full_matrix(root, cfg).m21).hex()
+        assert len(set(energies)) == len(energies) == evaluations
+        assert residual.hex() == abs(transfer.m21(root, cfg)).hex()
         roots.append(root)
-        return root, residual
+        return root, residual, evaluations
 
-    monkeypatch.setattr(resonance, "full_matrix", counted)
+    monkeypatch.setattr(resonance, "m21", counted)
     monkeypatch.setattr(resonance, "_refine_bracket", checked)
     found = find_resonances(cfg, resonance.BOUNDED_ZONES)
     found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
     assert found and {r.energy for r in found} <= set(roots)
+
+
+def _product_refinement(cfg, lo, hi):
+    """_refine_bracket on Im M21 of the product, the test-side reference."""
+    seen = {}
+
+    def im_m21(e):
+        seen[e] = value = full_matrix(e, cfg).m21
+        return value.imag
+
+    try:
+        root = resonance.brentq(im_m21, lo, hi, xtol=resonance._REFINE_TOLERANCE * cfg.m)
+    except ValueError:
+        raise RefinementFailed("Im M21 keeps its sign") from None
+    return root, abs(seen[root]), len(seen)
+
+
+_THIN_BARRIERS = [
+    PotentialConfig(v_plus=v_plus, v_minus=v_minus, a_plus=a_plus, a_minus=a_minus)
+    for v_plus in (6.6, 10.0, 13.0)
+    for v_minus in (2.5, 4.5)
+    for a_plus in (0.7, 3.0, 5.0)
+    for a_minus in (0.5, 2.5)
+]
+
+
+@pytest.mark.parametrize("cfg", [
+    PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+    PotentialConfig(v_plus=10.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+    *_THIN_BARRIERS,
+], ids=["reference", "tall", *(f"{c.v_plus:g}-{c.v_minus:g}-{c.a_plus:g}-{c.a_minus:g}"
+                               for c in _THIN_BARRIERS)])
+def test_walk_roots_match_the_product_roots(cfg, monkeypatch):
+    # Brent on Im(b/tau) of the walk finds the roots Brent on Im M21 of
+    # the product finds, to within their tolerance, and each is a root of
+    # the product by the same gate
+    def search():
+        found = find_resonances(cfg, resonance.BOUNDED_ZONES)
+        return found + find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
+
+    walk = search()
+    monkeypatch.setattr(resonance, "_refine_bracket", _product_refinement)
+    product = search()
+    xtol = resonance._REFINE_TOLERANCE * cfg.m
+    assert walk
+    assert [(r.zone, r.level) for r in walk] == [(r.zone, r.level) for r in product]
+    for w, p in zip(walk, product):
+        assert abs(w.energy - p.energy) <= 2.0 * xtol
+        assert abs(full_matrix(w.energy, cfg).m21.imag) < resonance._RESIDUAL_ACCEPT
+
+
+def test_search_and_widths_never_call_the_product(reference, monkeypatch):
+    want = zone_report(reference, list(Zone), 11.0)
+
+    def refuse(e, cfg):
+        raise AssertionError(f"the product was evaluated at E = {e!r}")
+
+    monkeypatch.setattr(resonance, "full_matrix", refuse)
+    assert zone_report(reference, list(Zone), 11.0) == want
+
+
+def _scan_counts(caplog) -> list:
+    """Per scan record: points, minima, accepted, rejected, dropped, merged, evaluations."""
+    return [[int(n) for n in re.findall(r"\b\d+\b", m.split("): ", 1)[1])]
+            for m in _records(caplog, logging.DEBUG) if m.startswith("scan of")]
+
+
+def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
+    evaluated = []
+
+    def counted(e, cfg):
+        evaluated.append(e)
+        return transfer.m21(e, cfg)
+
+    monkeypatch.setattr(resonance, "m21", counted)
+    caplog.set_level(logging.DEBUG, logger=resonance.__name__)
+    found = find_resonances(reference, resonance.BOUNDED_ZONES)
+    found += find_above_barrier(reference, 11.0)
+    counts = _scan_counts(caplog)
+    assert len(counts) == len(resonance.BOUNDED_ZONES) + 1
+    for points, minima, accepted, rejected, dropped, merged, _ in counts:
+        assert points == SearchSettings().grid_points_per_zone
+        assert minima == accepted + rejected + dropped + merged
+    assert [c[2] for c in counts] == [
+        sum(r.zone is z for r in found) for z in (*resonance.BOUNDED_ZONES, Zone.ABOVE_BARRIER)]
+    # three minima where Im M21 keeps its sign; no root dropped or merged
+    assert [sum(c[j] for c in counts) for j in (3, 4, 5)] == [3, 0, 0]
+    assert sum(c[6] for c in counts) == len(evaluated)
+
+    # at a_plus = 9 the gate drops all four conventional roots
+    caplog.clear()
+    thick = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0, a_minus=2.5)
+    assert find_resonances(thick, [Zone.CONVENTIONAL]) == []
+    assert [c[1:6] for c in _scan_counts(caplog)] == [[4, 0, 0, 4, 0]]
+
+    # brackets converging to one root are merged into it
+    caplog.clear()
+    monkeypatch.setattr(resonance, "_refine_bracket", lambda cfg, lo, hi: (7.5, 1e-12, 3))
+    assert [r.energy for r in find_resonances(reference, [Zone.CONVENTIONAL])] == [7.5]
+    assert [c[1:] for c in _scan_counts(caplog)] == [[4, 1, 0, 0, 3, 12]]
 
 
 def test_scan_brackets_match_the_product(monkeypatch):
@@ -203,7 +306,7 @@ def test_roots_dropped_by_the_residual_gate_are_warned(reference, caplog):
         find_resonances(reference, resonance.BOUNDED_ZONES)
         find_above_barrier(reference, 11.0)
     assert _records(caplog, logging.WARNING) == []
-    rejected = _records(caplog, logging.DEBUG)
+    rejected = [m for m in _records(caplog, logging.DEBUG) if m.startswith("bracket")]
     assert [m.split(":")[0] for m in rejected] == [
         f"bracket near E = {e} rejected" for e in ("3.90672677", "5.70717709", "6.52688119")
     ]
@@ -475,6 +578,27 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     assert len(seen) == 4
     assert all(min(start, limit) <= e <= max(start, limit) for e in seen)
     assert start not in seen
+
+
+@pytest.mark.parametrize("a_plus", [3.0, 16.0])
+def test_scalar_t2_is_that_of_scatter(reference, reference_resonances, monkeypatch, a_plus):
+    # the march's decisions at 1/2 and its crossing refinement read |T|^2
+    # off the walk without classify; the bits must be those of scatter
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    energies = core.nudge(np.random.default_rng(7).uniform(1.0, 12.0, 1000), cfg).tolist()
+    if a_plus == reference.a_plus:
+        t2 = resonance._t2
+
+        def recorded(e, cfg):
+            energies.append(e)
+            return t2(e, cfg)
+
+        monkeypatch.setattr(resonance, "_t2", recorded)
+        attach_widths(reference_resonances, reference)
+        monkeypatch.undo()
+        assert len(energies) > 1100
+    for e in energies:
+        assert resonance._t2(e, cfg).hex() == scatter(e, cfg).t2.hex()
 
 
 def test_march_from_a_non_peak_names_the_start(reference):

@@ -59,3 +59,52 @@ def test_compare_curves_counts_changed_cells(tmp_path):
     (tmp_path / "new" / "frame_001.csv").write_text("E,T2,R2\n1.5,0.25,0.75\n")
     short = _compare(tmp_path / "old", tmp_path / "new")
     assert short.returncode == 2 and "row count" in short.stderr
+
+
+def _compare_reports(*paths):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_reports.py"), *map(str, paths)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def _report(*conventional):
+    return {"schema": 1, "zones": [
+        {"name": "lower-klein", "resonances": [
+            {"energy": 1.5, "residual": 1e-15, "fwhm": None, "level": 0}]},
+        {"name": "conventional", "resonances": [
+            {"energy": e, "residual": res, "fwhm": w, "level": i}
+            for i, (e, res, w) in enumerate(conventional)]},
+    ]}
+
+
+def test_compare_reports_counts_changed_values(tmp_path):
+    old = _report((7.2, 5.84e-15, 1e-4), (7.7, 2e-15, 3e-4))
+    new = _report((7.2, 1.04e-14, 1e-4), (7.7, 2e-15, None))
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    for side, doc in (("old", old), ("new", new)):
+        (tmp_path / f"{side}.json").write_text(json.dumps(doc))
+        for name in ("frame_0000_resonances.json", "frame_0001_resonances.json"):
+            (tmp_path / side / name).write_text(json.dumps(doc))
+        (tmp_path / side / "manifest.json").write_text(json.dumps({"frames": [side]}))
+    same = _compare_reports(tmp_path / "old.json", tmp_path / "old.json")
+    assert same.returncode == 0
+    assert same.stdout.splitlines()[-1] == "0 values changed in 0 of 3 resonances"
+    one = _compare_reports(tmp_path / "old.json", tmp_path / "new.json")
+    assert one.returncode == 1
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in one.stdout.splitlines()[1:-1]}
+    assert rows[("lower-klein", "residual")] == ["0", "0.00e+00"]
+    assert rows[("conventional", "energy")] == ["0", "0.00e+00"]
+    assert rows[("conventional", "residual")] == ["1", "4.56e-15"]
+    assert rows[("conventional", "fwhm")] == ["1", "inf"]
+    assert rows[("conventional", "level")] == ["0", "0.00e+00"]
+    assert one.stdout.splitlines()[-1] == "2 values changed in 2 of 3 resonances"
+    both = _compare_reports(tmp_path / "old", tmp_path / "new")
+    assert both.returncode == 1
+    assert both.stdout.splitlines()[-1] == "4 values changed in 4 of 6 resonances"
+    (tmp_path / "new" / "frame_0001_resonances.json").write_text(json.dumps(_report()))
+    short = _compare_reports(tmp_path / "old", tmp_path / "new")
+    assert short.returncode == 2 and "holds 2 resonances on one side and 0" in short.stderr
+    mixed = _compare_reports(tmp_path / "old", tmp_path / "new.json")
+    assert mixed.returncode == 2

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from dirac_double_barrier import (
     full_matrix,
     scatter,
     special_energies,
+    transfer,
     zone_interval,
 )
 from dirac_double_barrier.core import nudge
@@ -192,6 +194,11 @@ def test_m21_squared_is_the_product_element(a_plus):
     # two contractions of the same factors, each energy to about 1e-12
     want = np.abs(full_matrix(grid, cfg).m21) ** 2
     assert (np.abs(m21_squared(grid, cfg) - want) / (1.0 + want)).max() < 2e-12
+    # and M21 itself, one energy at a time, as the root refinement reads it
+    for e in grid[::20].tolist():
+        got, want = transfer.m21(e, cfg), full_matrix(e, cfg).m21
+        assert type(got) is complex
+        assert abs(got - want) / (1.0 + abs(want)) < 2e-12
 
 
 def test_m21_squared_overflows_at_the_first_energy_past_double_range():
@@ -202,6 +209,12 @@ def test_m21_squared_overflows_at_the_first_energy_past_double_range():
             m21_squared(np.array([6.0, 7.5, 8.5]), cfg)
         with pytest.raises(BoundaryEnergy):
             m21_squared(np.array([6.0, cfg.v_plus]), cfg)
+        # tau underflows to 0 there, so b/tau has no finite value
+        assert cmath.isfinite(transfer.m21(6.0, cfg))
+        with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 7.5$"):
+            transfer.m21(7.5, cfg)
+        with pytest.raises(BoundaryEnergy):
+            transfer.m21(cfg.v_plus, cfg)
 
 
 def test_scatter_refuses_an_exponent_past_double_range():
