@@ -320,6 +320,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # --points, --grid-points or --frames too large
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

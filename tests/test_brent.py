@@ -143,4 +143,11 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    # a bare import loads only core and errors; the other layers load on first use
+    code = ("import sys, dirac_double_barrier; "
+            "print(*sorted(k for k in sys.modules if k.split('.')[0] == 'dirac_double_barrier'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["dirac_double_barrier", "dirac_double_barrier.core",
+                                   "dirac_double_barrier.errors"]
 

@@ -189,6 +189,27 @@ def test_unwritable_output_is_refused_before_any_work(command, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["transmission", "--points", "{n}", "--out", "curve.csv"],
+    ["resonances", "--grid-points", "{n}", "--out", "res.json"],
+    ["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "{n}",
+     "--points", "20", "--out-dir", "frames"],
+    ["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "2",
+     "--points", "{n}", "--out-dir", "frames"],
+], ids=["transmission-points", "resonances-grid-points", "sweep-frames", "sweep-points"])
+def test_oversized_request_exits_2(command, tmp_path, monkeypatch, capsys):
+    # 10**17 doubles (711 PiB) exceed even a 57-bit virtual address space,
+    # so the allocation fails at once on any host and touches no memory
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], *REF_FLAGS, *(arg.format(n=10**17) for arg in command[1:])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not enough memory: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"],
                          ids=["not-an-integer", "out-of-range"])
 def test_bad_source_date_epoch_exits_2(epoch, tmp_path, monkeypatch, capsys):

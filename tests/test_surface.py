@@ -9,6 +9,9 @@ break a benchmark run.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,7 +121,42 @@ def test_run_sweep_still_takes_workers():
     assert "workers" in inspect.signature(run_sweep).parameters
 
 
+def _export_owners() -> list:
+    """(name, module) for every name the package binds: its eager
+    ``from .module import ...`` statements, then its lazy table."""
+    tree = ast.parse(Path(dirac_double_barrier.__file__).read_text())
+    eager = [(alias.name, node.module) for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names]
+    lazy = [(name, module) for module, names in dirac_double_barrier._LAZY.items()
+            for name in names]
+    return eager + lazy
+
+
 def test_exports_are_pinned():
     assert dirac_double_barrier.__all__ == EXPORTS
-    for name in EXPORTS:
-        assert hasattr(dirac_double_barrier, name), name
+    owners = _export_owners()
+    bound = [name for name, _ in owners]
+    assert sorted(bound) == sorted(EXPORTS), "each export is bound exactly once"
+    for name, module in owners:
+        defining = importlib.import_module(f"{PACKAGE}.{module}")
+        assert getattr(dirac_double_barrier, name) is getattr(defining, name), name
+    namespace: dict = {}
+    exec(f"from {PACKAGE} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(EXPORTS)
+    with pytest.raises(AttributeError, match=f"module '{PACKAGE}' has no attribute 'nope'"):
+        dirac_double_barrier.nope  # noqa: B018
+    # after a bare import, dir() lists every export, and the lazy
+    # submodules resolve as attributes
+    src = str(Path(dirac_double_barrier.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import dirac_double_barrier as d; "
+            "print(sorted(set(d.__all__) - set(dir(d)))); "
+            "print(*(m.__name__ for m in (d.oracle, d.resonance, d.transfer, d.verify)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    unlisted, submodules = proc.stdout.splitlines()
+    assert unlisted == "[]"
+    assert submodules.split() == [f"{PACKAGE}.{m}" for m in
+                                  ("oracle", "resonance", "transfer", "verify")]
