@@ -114,7 +114,8 @@ def _waves(e, cfg: PotentialConfig) -> list:
         kappas = [np.sqrt((m - (e - u)) * (m + (e - u)) + 0j) for u in levels]
     else:
         kappas = [wave_vector(e, region, cfg) for region in _LEVELS]
-    return [(k, k / (m + e - u)) for u, k in zip(levels, kappas)]
+    # m + (E - U), not (m + E) - U, keeps the slope accurate near E = U - m
+    return [(k, k / (m + (e - u))) for u, k in zip(levels, kappas)]
 
 
 def _edges(cfg: PotentialConfig) -> tuple[float, float, float, float]:

@@ -3,11 +3,13 @@
 Full transmission |T|^2 = 1 happens exactly where the off-diagonal
 element of the full transfer matrix vanishes.  On the real energy axis
 M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
-|M11|), so the resonances are the roots of f = Im M21.  The search scans
-|M21|^2 on a uniform grid over a zone in one array call on the bounded
-walk (transfer.m21_squared, no matrix product), takes interior local
-minima as brackets, and refines each bracket on Im M21 = Im(b/tau), read
-off the same walk one energy at a time (transfer.m21), with Brent's
+|M11|), so the resonances are the roots of f = Im M21.  Every value the
+search reads comes off one checked bounded walk (transfer._checked_walk,
+no matrix product), which raises where the walk overflows or
+degenerates: M21 = b/tau and |M21|^2 = |b|^2/|tau|^2 for the roots, and
+|T|^2 (_t2) for the widths.  The search scans |M21|^2 on a uniform grid
+over a zone in one array call, takes interior local minima as brackets,
+and refines each bracket on Im M21 one energy at a time with Brent's
 method, carried here as a port of scipy's brentq.  Each zone's scan logs
 one DEBUG record of what it did: grid points, local minima, brackets
 refined, roots accepted, rejected, dropped and merged, and Brent's
@@ -15,17 +17,18 @@ evaluations.
 
 Widths come from half-maximum marches: from each peak, step outward at
 the zone's scan spacing until |T|^2 dips to 1/2, then refine that
-crossing with brentq on |T|^2 of the walk at one energy (_t2).  The
-marches of all resonances run in lockstep: each round gives every
-running march its next chunk (32 energies, doubling up to 1024) and
-evaluates all chunks in shared array calls of at most
-grid_points_per_zone energies, so a spectrum's widths cost a handful of
-array calls rather than one or more per march.  Each march
-still picks the bracket that a one-energy-at-a-time march would.
+crossing with brentq on |T|^2 at one energy.  The marches of all
+resonances run in lockstep: each round gives every running march its
+next chunk (32 energies, doubling up to 1024) and evaluates all chunks
+in shared array calls of at most grid_points_per_zone energies, so a
+spectrum's widths cost a handful of array calls rather than one or more
+per march.  Each march still picks the bracket that a
+one-energy-at-a-time march would.
 """
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import sys
@@ -33,12 +36,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, zone_interval
-from .errors import RefinementFailed
-from .transfer import _amplitudes, m21, m21_squared, scatter
+from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, screen, zone_interval
+from .errors import NumericalOverflow, RefinementFailed
+from .transfer import Energy, _amplitudes, _checked_walk
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
-# name resonance.full_matrix, so it stays bound
-from .transfer import full_matrix  # noqa: F401
+# names resonance.full_matrix and resonance.scatter, so they stay bound
+from .transfer import full_matrix, scatter  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -63,10 +66,11 @@ _MARCH_CHUNK = 32
 _MARCH_CHUNK_MAX = 1024
 
 #: March energies whose array |T|^2 lies this close to 1/2 are decided
-#: by the scalar kernel, which refines the crossing.  The two round
-#: differently, the more so the sharper the peak: within two widths of
-#: each peak they differ in |T|^2 by at most 1.0e-13 on the reference
-#: potential, 5.3e-12 at a_plus = 5 and 2.0e-10 at a_plus = 7.
+#: by _t2 on that one energy, as the crossing is refined.  numpy's array
+#: kernels and cmath's scalar ones round differently, the more so the
+#: sharper the peak: within two widths of each peak they differ in |T|^2
+#: by at most 1.0e-13 on the reference potential, 5.3e-12 at a_plus = 5
+#: and 2.0e-10 at a_plus = 7.
 _HALF_BAND = 1e-9
 
 #: Brent's xtol for resonance roots and half-maximum crossings, as a
@@ -156,8 +160,8 @@ class SearchSettings:
     It sets the grid scan (|M21|^2 on the bounded walk), the width
     march's step (the zone's scan spacing) and the most energies the
     march evaluates in one array call.  Brackets are refined on M21 of
-    the bounded walk (transfer.m21), with Brent's tolerance and the |M21|
-    gate fixed, _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
+    the bounded walk, with Brent's tolerance and the |M21| gate fixed,
+    _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
     """
 
     grid_points_per_zone: int = 4000
@@ -183,15 +187,23 @@ class Resonance:
 def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, float, int]:
     """Root of M21 inside (lo, hi) as (energy, residual, evaluations).
 
-    M21 = b/tau comes off the bounded walk (transfer.m21).  brentq
-    returns an energy it has evaluated, so the residual |M21| is read
-    from the values it saw rather than computed again; it evaluates no
-    energy twice, so those values also count its evaluations.
+    M21 = b/tau comes off the checked walk, since M21 = R/T and the
+    walk's a and phase cancel from that ratio; it raises
+    NumericalOverflow where b/tau is not finite, as once tau underflows
+    on wide barriers.  brentq returns an energy it has evaluated, so the
+    residual |M21| is read from the values it saw rather than computed
+    again; it evaluates no energy twice, so those values also count its
+    evaluations.
     """
     seen: dict[float, complex] = {}
 
     def im_m21(e: float) -> float:
-        seen[e] = value = m21(e, cfg)
+        screen(e, cfg)
+        _, b, tau, _ = _checked_walk(e, cfg)
+        value = b / tau if tau else math.inf
+        if not cmath.isfinite(value):
+            raise NumericalOverflow(f"M21 overflowed at E = {e!r}")
+        seen[e] = value
         return value.imag
 
     try:
@@ -209,7 +221,13 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     if not hi > lo:
         return []
     grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
-    g = m21_squared(grid, cfg)
+    screen(grid, cfg)
+    _, b, tau, _ = _checked_walk(grid, cfg)
+    with np.errstate(all="ignore"):
+        g = np.abs(b) ** 2 / np.abs(tau) ** 2  # |M21|^2 = |R|^2/|T|^2
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise NumericalOverflow(f"|M21|^2 overflowed at E = {float(grid[bad.argmax()])!r}")
     minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     hits: list[tuple[float, float]] = []
     rejected = dropped = merged = evaluations = 0
@@ -299,12 +317,12 @@ def find_above_barrier(cfg: PotentialConfig, e_max: float,
     ]
 
 
-def _t2(e: float, cfg: PotentialConfig) -> float:
+def _t2(e: Energy, cfg: PotentialConfig) -> "float | np.ndarray":
     """scatter(e, cfg).t2 to the bit, without classifying E or building the result.
 
-    Every energy it sees lies inside one zone's march, nudged off or
-    bracketed between nudged energies, so classify's screen has nothing
-    to reject.
+    Takes one energy or an array of them, as scatter does.  Every energy
+    it sees lies inside one zone's march, nudged off or bracketed between
+    nudged energies, so classify's screen has nothing to reject.
     """
     t, _ = _amplitudes(e, cfg)
     return abs(t) ** 2
@@ -318,9 +336,9 @@ def _dips(e: np.ndarray, cfg: PotentialConfig, cap: int) -> np.ndarray:
     """|T|^2 <= 1/2 at each energy, in array calls of at most cap energies.
 
     Energies whose array |T|^2 lies within _HALF_BAND of 1/2 are decided
-    by the scalar kernel, the one the crossing is refined on.
+    by _t2 on that one energy, as the crossing is refined.
     """
-    t2 = np.concatenate([scatter(e[i:i + cap], cfg).t2 for i in range(0, e.size, cap)])
+    t2 = np.concatenate([_t2(e[i:i + cap], cfg) for i in range(0, e.size, cap)])
     below = t2 <= 0.5
     for j in np.flatnonzero(np.abs(t2 - 0.5) < _HALF_BAND):
         below[j] = _t2(float(e[j]), cfg) <= 0.5

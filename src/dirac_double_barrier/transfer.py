@@ -33,10 +33,9 @@ crossing a region of width w multiplies a by e^{-2kw} while a separate
 factor tau collects e^{-kw}.  Then T = tau/a e^{-2 k0 a} and
 R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
 overflows at any barrier width, and an energy costs 3 complex exp.
-The resonance search reads M21 = R/T = b/tau off the walk as well: its
-grid scan takes |M21|^2 = |b|^2/|tau|^2 over an array (m21_squared) and
-its Brent refinement takes b/tau one energy at a time (m21), with no
-product.
+The resonance search reads the checked walk (_checked_walk) as well:
+M21 = R/T = b/tau, since a and the phase cancel from that ratio, so it
+needs no product.
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -45,14 +44,11 @@ entrywise and yields arrays.  Keep single energies scalar: a one-element
 array costs several times more than a float.  The literal per-range
 formula tables of the paper live with the tests (tests/paper_tables.py),
 as the independent reference both contractions are checked against.
-m21_squared alone takes arrays only and m21 floats only: the scan and
-the root refinement are their one callers.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from contextlib import nullcontext
 from typing import NamedTuple
 
@@ -283,39 +279,3 @@ def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
         matrix_range=rng,
         zone=zone,
     )
-
-
-def m21(e: float, cfg: PotentialConfig) -> complex:
-    """M21 at one energy, read off the bounded walk as b/tau.
-
-    M21 = R/T, and the walk's a and phase cancel from that ratio, so no
-    product is formed.  It agrees with full_matrix(e, cfg).m21 to
-    roundoff.  Screens E and raises as scatter does, and raises
-    NumericalOverflow where b/tau is not finite, as once tau underflows
-    on wide barriers.
-    """
-    screen(e, cfg)
-    _, b, tau, _ = _checked_walk(e, cfg)
-    value = b / tau if tau else math.inf
-    if not cmath.isfinite(value):
-        raise NumericalOverflow(f"M21 overflowed at E = {e!r}")
-    return value
-
-
-def m21_squared(e: np.ndarray, cfg: PotentialConfig) -> np.ndarray:
-    """|M21|^2 at each energy of an array, read off the bounded walk.
-
-    |M21|^2 = |R|^2/|T|^2 = |b|^2/|tau|^2, since T = 1/M11 and R = M21/M11:
-    the walk's a and phase cancel, so no product is formed.  It agrees
-    with np.abs(full_matrix(e, cfg).m21) ** 2 to roundoff.  Raises
-    NumericalOverflow at the first energy where it is not finite, as it
-    is once |tau|^2 underflows on wide barriers.
-    """
-    screen(e, cfg)
-    with np.errstate(all="ignore"):
-        _, b, tau, _ = _walk(e, cfg, np)
-        g = np.abs(b) ** 2 / np.abs(tau) ** 2
-    at = _first_failure(np.isfinite(g), e)
-    if at is not None:
-        raise NumericalOverflow(f"|M21|^2 overflowed at E = {at!r}")
-    return g

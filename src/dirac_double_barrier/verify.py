@@ -162,7 +162,11 @@ def run_verification(cfg: PotentialConfig,
     Checks, each against the same tolerance on the worst deviation:
 
     * flux conservation |T|^2 + |R|^2 = 1
-    * unit determinant of the full transfer matrix
+    * unit determinant of the full transfer matrix, relative to the
+      size of its two products: |det M - 1| / (|M11 M22| + |M12 M21|),
+      since det M = 1 is the difference of two products that grow like
+      e^{2 kappa a} under the barriers and the roundoff of that
+      difference grows with them
     * M11 = conj(M22) and M12 = conj(M21)
     * transfer-matrix T and R against the boundary-matching amplitudes,
       the worse of the two
@@ -191,7 +195,7 @@ def run_verification(cfg: PotentialConfig,
     oracle = solve_amplitudes(e, cfg)
     devs = (
         np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
-        np.abs(mat.det() - 1.0),
+        np.abs(mat.det() - 1.0) / (np.abs(mat.m11 * mat.m22) + np.abs(mat.m12 * mat.m21)),
         np.abs(mat.m11 - mat.m22.conjugate()),
         np.abs(mat.m12 - mat.m21.conjugate()),
         np.maximum(np.abs(t - oracle.t), np.abs(r - oracle.r)),

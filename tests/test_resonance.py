@@ -109,22 +109,28 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
 
     def counted(e, cfg):
         energies.append(e)
-        return transfer.m21(e, cfg)
+        return transfer._checked_walk(e, cfg)
 
     def checked(cfg, lo, hi):
         energies.clear()
         root, residual, evaluations = refine(cfg, lo, hi)
         assert all(type(e) is float for e in energies)
         assert len(set(energies)) == len(energies) == evaluations
-        assert residual.hex() == abs(transfer.m21(root, cfg)).hex()
+        assert residual.hex() == abs(_walk_m21(root, cfg)).hex()
         roots.append(root)
         return root, residual, evaluations
 
-    monkeypatch.setattr(resonance, "m21", counted)
+    monkeypatch.setattr(resonance, "_checked_walk", counted)
     monkeypatch.setattr(resonance, "_refine_bracket", checked)
     found = find_resonances(cfg, resonance.BOUNDED_ZONES)
     found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
     assert found and {r.energy for r in found} <= set(roots)
+
+
+def _walk_m21(e, cfg):
+    """M21 = b/tau off the checked walk at one energy, as the refinement reads it."""
+    _, b, tau, _ = transfer._checked_walk(e, cfg)
+    return b / tau
 
 
 def _product_refinement(cfg, lo, hi):
@@ -196,10 +202,11 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
     evaluated = []
 
     def counted(e, cfg):
-        evaluated.append(e)
-        return transfer.m21(e, cfg)
+        if not isinstance(e, np.ndarray):  # the scan's grid is the one array
+            evaluated.append(e)
+        return transfer._checked_walk(e, cfg)
 
-    monkeypatch.setattr(resonance, "m21", counted)
+    monkeypatch.setattr(resonance, "_checked_walk", counted)
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
     found = find_resonances(reference, resonance.BOUNDED_ZONES)
     found += find_above_barrier(reference, 11.0)
@@ -230,21 +237,22 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
 def test_scan_brackets_match_the_product(monkeypatch):
     # the scan reads |M21|^2 off the bounded walk; the brackets it hands
     # the refinement must be the local minima of the product's |M21|^2
-    scan = resonance.m21_squared
+    walk = transfer._checked_walk
     expected: list = []
     seen: list = []
 
     def scan_with_reference(grid, cfg):
+        assert isinstance(grid, np.ndarray)  # only the scan, nothing refined
         g = np.abs(full_matrix(grid, cfg).m21) ** 2
         i = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
         expected.extend(zip(grid[i - 1].tolist(), grid[i + 1].tolist()))
-        return scan(grid, cfg)
+        return walk(grid, cfg)
 
     def record(cfg, lo, hi):
         seen.append((lo, hi))
         raise RefinementFailed("recorded, not refined")
 
-    monkeypatch.setattr(resonance, "m21_squared", scan_with_reference)
+    monkeypatch.setattr(resonance, "_checked_walk", scan_with_reference)
     monkeypatch.setattr(resonance, "_refine_bracket", record)
     for v_plus in (6.6, 8.0, 13.0):
         for v_minus, a_minus in ((2.5, 0.4), (4.0, 2.5), (4.5, 4.0)):
@@ -414,20 +422,21 @@ def _half_crossing(cfg, start, limit, step, settings):
     return resonance._half_crossings(cfg, [(start, limit, step)], settings)[0]
 
 
-def _array_scatter_sizes(monkeypatch) -> list:
+def _array_t2_sizes(monkeypatch) -> list:
     sizes = []
+    t2 = resonance._t2
 
     def counted(e, cfg):
         if isinstance(e, np.ndarray):
             sizes.append(e.size)
-        return scatter(e, cfg)
+        return t2(e, cfg)
 
-    monkeypatch.setattr(resonance, "scatter", counted)
+    monkeypatch.setattr(resonance, "_t2", counted)
     return sizes
 
 
 def test_widths_take_a_few_shared_array_calls(reference, reference_resonances, monkeypatch):
-    sizes = _array_scatter_sizes(monkeypatch)
+    sizes = _array_t2_sizes(monkeypatch)
     settings = SearchSettings()
     attach_widths(reference_resonances, reference, settings)
     # one march at a time took 93 array calls here
@@ -445,7 +454,7 @@ def _march_counts(caplog) -> list:
 def test_oversized_rounds_are_split_without_moving_the_widths(reference, reference_resonances,
                                                               monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
-    sizes = _array_scatter_sizes(monkeypatch)
+    sizes = _array_t2_sizes(monkeypatch)
     settings = SearchSettings(grid_points_per_zone=16)
     got = [r.fwhm for r in attach_widths(reference_resonances, reference, settings)]
     _, rounds, energies, _ = _march_counts(caplog)
@@ -458,7 +467,7 @@ def test_oversized_rounds_are_split_without_moving_the_widths(reference, referen
 def test_a_chunk_longer_than_the_cap_is_split(reference, monkeypatch):
     e = core.nudge(np.linspace(6.0, 9.5, 100), reference)
     want = resonance._dips(e, reference, 100)
-    sizes = _array_scatter_sizes(monkeypatch)
+    sizes = _array_t2_sizes(monkeypatch)
     assert resonance._dips(e, reference, 16).tolist() == want.tolist()
     assert sizes == [16] * 6 + [4]
     assert want.any() and not want.all()
@@ -539,14 +548,15 @@ def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch)
     crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
     args = (reference, peak.energy, limit, (crossing - peak.energy) / 40, settings)
     want = scalar_march.half_crossing(*args)
+    t2 = resonance._t2
 
     def skewed(e, cfg):
-        out = scatter(e, cfg)
+        out = t2(e, cfg)
         if isinstance(e, np.ndarray):
-            out = out._replace(t2=out.t2 + np.where(out.t2 > 0.5, -5e-10, 5e-10))
+            out = out + np.where(out > 0.5, -5e-10, 5e-10)
         return out
 
-    monkeypatch.setattr(resonance, "scatter", skewed)
+    monkeypatch.setattr(resonance, "_t2", skewed)
     assert _half_crossing(*args) == want
 
 
@@ -568,12 +578,12 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     seen = []
 
     def flat(e, cfg):
-        out = scatter(e, cfg)
+        scatter(e, cfg)  # screens E, so an energy out of the window raises
         seen.extend(np.atleast_1d(e).tolist())
-        return out._replace(t2=np.full_like(out.t2, 0.9) if isinstance(e, np.ndarray) else 0.9)
+        return np.full_like(e, 0.9) if isinstance(e, np.ndarray) else 0.9
 
-    monkeypatch.setattr(resonance, "scatter", flat)
-    monkeypatch.setattr(scalar_march, "scatter", flat)
+    monkeypatch.setattr(resonance, "_t2", flat)
+    monkeypatch.setattr(scalar_march, "_t2", flat)
     assert march(reference, start, limit, step, settings) is None
     assert len(seen) == 4
     assert all(min(start, limit) <= e <= max(start, limit) for e in seen)
@@ -590,7 +600,8 @@ def test_scalar_t2_is_that_of_scatter(reference, reference_resonances, monkeypat
         t2 = resonance._t2
 
         def recorded(e, cfg):
-            energies.append(e)
+            if not isinstance(e, np.ndarray):  # arrays are the march's rounds
+                energies.append(e)
             return t2(e, cfg)
 
         monkeypatch.setattr(resonance, "_t2", recorded)
@@ -599,6 +610,9 @@ def test_scalar_t2_is_that_of_scatter(reference, reference_resonances, monkeypat
         assert len(energies) > 1100
     for e in energies:
         assert resonance._t2(e, cfg).hex() == scatter(e, cfg).t2.hex()
+    # and an array, as the march's rounds evaluate
+    grid = np.array(energies)
+    assert resonance._t2(grid, cfg).tobytes() == scatter(grid, cfg).t2.tobytes()
 
 
 def test_march_from_a_non_peak_names_the_start(reference):

@@ -15,17 +15,18 @@ from dirac_double_barrier import (
     NumericalOverflow,
     PotentialConfig,
     ScatteringResult,
+    SearchSettings,
     Zone,
     classify,
     factor_matrices,
     full_matrix,
+    resonance,
     scatter,
     special_energies,
     transfer,
     zone_interval,
 )
 from dirac_double_barrier.core import nudge
-from dirac_double_barrier.transfer import m21_squared
 from step_reference import factor_determinants
 from frozen_values import GAP_T2_E35, INNER_BARRIER_E6, SAMPLE_AMPLITUDES
 
@@ -191,12 +192,15 @@ def test_scatter_stays_bounded_on_thick_barriers(a_plus):
 def test_m21_squared_is_the_product_element(a_plus):
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
     grid = nudge(np.linspace(1.01, cfg.v_plus + 4.0, 2000), cfg)
-    # two contractions of the same factors, each energy to about 1e-12
+    # two contractions of the same factors, each energy to about 1e-12:
+    # the walk's |b|^2/|tau|^2, as the resonance scan reads |M21|^2
     want = np.abs(full_matrix(grid, cfg).m21) ** 2
-    assert (np.abs(m21_squared(grid, cfg) - want) / (1.0 + want)).max() < 2e-12
-    # and M21 itself, one energy at a time, as the root refinement reads it
+    _, b, tau, _ = transfer._checked_walk(grid, cfg)
+    assert (np.abs(np.abs(b) ** 2 / np.abs(tau) ** 2 - want) / (1.0 + want)).max() < 2e-12
+    # and M21 = b/tau itself, one energy at a time, as the root refinement reads it
     for e in grid[::20].tolist():
-        got, want = transfer.m21(e, cfg), full_matrix(e, cfg).m21
+        _, b, tau, _ = transfer._checked_walk(e, cfg)
+        got, want = b / tau, full_matrix(e, cfg).m21
         assert type(got) is complex
         assert abs(got - want) / (1.0 + abs(want)) < 2e-12
 
@@ -205,16 +209,19 @@ def test_m21_squared_overflows_at_the_first_energy_past_double_range():
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=900.0, a_minus=2.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalOverflow, match=r"overflowed at E = 7.5$"):
-            m21_squared(np.array([6.0, 7.5, 8.5]), cfg)
-        with pytest.raises(BoundaryEnergy):
-            m21_squared(np.array([6.0, cfg.v_plus]), cfg)
-        # tau underflows to 0 there, so b/tau has no finite value
-        assert cmath.isfinite(transfer.m21(6.0, cfg))
+        # the walk stays finite, but tau underflows to 0 where the barrier
+        # is evanescent, between 7 and 9, so b/tau has no finite value there
+        _, b, tau, _ = transfer._checked_walk(np.array([6.0, 7.5, 8.5]), cfg)
+        assert np.isfinite(b).all() and tau[0] != 0 and not tau[1:].any()
+        assert cmath.isfinite(b[0] / tau[0])
+        # the resonance scan and refinement say so at the first such energy
+        settings = SearchSettings(grid_points_per_zone=16)
+        with pytest.raises(NumericalOverflow, match=r"\|M21\|\^2 overflowed at E = 7.1$"):
+            resonance._scan_interval(cfg, 6.0, 7.5, settings)
         with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 7.5$"):
-            transfer.m21(7.5, cfg)
+            resonance._refine_bracket(cfg, 7.5, 7.6)
         with pytest.raises(BoundaryEnergy):
-            transfer.m21(cfg.v_plus, cfg)
+            resonance._refine_bracket(cfg, 6.0, cfg.v_plus)
 
 
 def test_scatter_refuses_an_exponent_past_double_range():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dirac_double_barrier import (
+    PotentialConfig,
     oracle,
     run_verification,
     sample_energies,
@@ -17,9 +18,20 @@ from dirac_double_barrier.core import EVAL_MARGIN
 from dirac_double_barrier.transfer import Matrix2x2, full_matrix
 
 
-def test_reference_invariants_hold(reference):
-    report = run_verification(reference, samples=500, seed=1)
-    assert report.passed
+@pytest.mark.parametrize("a_plus, a_minus, samples, seed", [
+    (3.0, 2.5, 500, 1), (5.0, 2.5, 500, 1), (9.0, 2.5, 500, 1), (16.0, 2.5, 500, 1),
+    (3.0, 3.5, 500, 1), (3.0, 4.0, 500, 1),
+    # these seeds draw energies about 1e-6 above v_minus - m, where the
+    # oracle's slope once lost digits to (m + E) - U
+    (3.0, 2.5, 10_000, 2077), (3.0, 2.5, 10_000, 9527),
+])
+def test_reference_invariants_hold(a_plus, a_minus, samples, seed):
+    # the reference potential, then wider barriers and floors, where the
+    # entries of M grow like e^{2 kappa a} and det M - 1 is the roundoff
+    # of a difference of two such products
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=a_minus)
+    report = run_verification(cfg, samples=samples, seed=seed)
+    assert report.passed, report.render()
     assert len(report.checks) == 5
     for check in report.checks:
         assert check.worst < 1e-10, check.name
@@ -173,6 +185,13 @@ def test_injected_corruption_is_pinned_to_its_invariant(reference, monkeypatch):
     failed = failures_with(lambda m: Matrix2x2(m.m11, m.m12, m.m21 + 1e-6, m.m22))
     assert "transfer vs boundary matching" in failed
     assert "M11 = conj(M22)" not in failed
+
+    # a real scale keeps both conjugation symmetries but moves det M by
+    # 2e-9 of the size of its products, which the scaled check must see
+    failed = failures_with(lambda m: Matrix2x2(*(x * (1.0 + 1e-9) for x in m)))
+    assert "det M = 1" in failed
+    assert "M11 = conj(M22)" not in failed
+    assert "M12 = conj(M21)" not in failed
 
 
 def test_oracle_is_called_once_per_chunk_at_most(reference, monkeypatch):
