@@ -36,7 +36,7 @@ from .emit import transmission_rows  # noqa: F401
 from .errors import ConfigError, DoubleBarrierError
 from .resonance import SearchSettings
 from .svg import render_curve_svg
-from .verify import run_verification
+from .verify import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, run_verification
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -286,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the randomized invariant suite")
     _add_potential_args(p_verify)
-    p_verify.add_argument("--samples", type=int, default=10_000,
-                          help="energy samples (default 10000)")
+    p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                          help=f"energy samples (default {DEFAULT_SAMPLES})")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="generator seed (default 0)")
     p_verify.add_argument("--e-min", type=float,
                           help="window start (default 1.001 m)")
     p_verify.add_argument("--e-max", type=float,
                           help="window end (default v_plus + 4 m)")
-    p_verify.add_argument("--tolerance", type=float, default=1e-10,
-                          help="worst-deviation bound (default 1e-10)")
+    p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                          help=f"worst-deviation bound (default {DEFAULT_TOLERANCE:g})")
     p_verify.add_argument("--out", metavar="PATH",
                           help="also write the report to a file")
     p_verify.set_defaults(handler=_cmd_verify)
@@ -320,7 +320,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:  # an output path that cannot be written
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # --points, --grid-points or --frames too large
+    except MemoryError as exc:  # --points, --grid-points, --frames or --samples too large
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConfigError as exc:

@@ -163,6 +163,18 @@ def nudge(e: "float | np.ndarray", cfg: PotentialConfig,
     return out if isinstance(e, np.ndarray) else float(out)
 
 
+def check_window(cfg: PotentialConfig, e_min: float, e_max: float) -> None:
+    """Raise ValueError unless m < e_min < e_max < inf."""
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"the energy window must be finite, got ({e_min}, {e_max})")
+    if not e_min > cfg.m:
+        raise ValueError(
+            f"e_min must exceed the threshold m = {cfg.m:g}, got {e_min}"
+        )
+    if not e_max > e_min:
+        raise ValueError("e_max must exceed e_min")
+
+
 def zone_interval(zone: Zone, cfg: PotentialConfig) -> tuple[float, float]:
     """Open energy interval (lo, hi) covered by the zone.
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ZONE_ORDER, PotentialConfig, Zone, nudge, zone_interval
+from .core import ZONE_ORDER, PotentialConfig, Zone, check_window, nudge, zone_interval
 from .resonance import (
     SearchSettings,
     attach_widths,
@@ -52,14 +52,7 @@ SWEEP_PARAMS = ("a-minus", "a-plus")
 def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
                     points: int) -> np.ndarray:
     """Uniform energy grid nudged off the special energies."""
-    if not (math.isfinite(e_min) and math.isfinite(e_max)):
-        raise ValueError(f"the energy window must be finite, got ({e_min}, {e_max})")
-    if not e_min > cfg.m:
-        raise ValueError(
-            f"e_min must exceed the threshold m = {cfg.m:g}, got {e_min}"
-        )
-    if not e_max > e_min:
-        raise ValueError("e_max must exceed e_min")
+    check_window(cfg, e_min, e_max)
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
     return nudge(np.linspace(e_min, e_max, points), cfg)

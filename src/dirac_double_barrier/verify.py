@@ -1,10 +1,10 @@
 """Randomized invariant suite over the scattering engine.
 
-Draws admissible energies from a seeded generator and tracks the worst
-deviation of each conserved quantity: flux, the transfer-matrix
-determinant, its two conjugation symmetries, and agreement between the
-transfer-matrix and boundary-matching transmission and reflection
-amplitudes.
+Draws energies uniformly from a seeded generator, moved off the special
+energies by core.nudge as the grids are, and tracks the worst deviation
+of each conserved quantity: flux, the transfer-matrix determinant, its
+two conjugation symmetries, and agreement between the transfer-matrix
+and boundary-matching transmission and reflection amplitudes.
 """
 
 from __future__ import annotations
@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EVAL_MARGIN, PotentialConfig, special_energies
+from .core import EVAL_MARGIN, PotentialConfig, check_window, nudge, special_energies
 from .oracle import solve_amplitudes
 from .transfer import full_matrix
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 10_000
-
-#: Most uniform draws sample_energies makes, and most in one round.
-_MAX_DRAWS = 10**8
-_ROUND_MAX = 2**20
 
 
 @dataclass(frozen=True)
@@ -78,77 +74,39 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _window(cfg: PotentialConfig, e_min: float | None,
+            e_max: float | None) -> tuple[float, float]:
+    """The window, with e_min defaulting to 1.001 m and e_max to v_plus + 4 m."""
+    return (1.001 * cfg.m if e_min is None else e_min,
+            cfg.v_plus + 4.0 * cfg.m if e_max is None else e_max)
+
+
 def sample_energies(cfg: PotentialConfig, n: int, seed: int,
                     e_min: float | None = None,
                     e_max: float | None = None) -> list[float]:
-    """n admissible energies, uniform over the window, deterministic in seed.
+    """n energies drawn uniformly over the window, deterministic in seed.
 
-    Draws within (e_min, e_max) and rejects anything within EVAL_MARGIN
-    of a special energy.  The kept values are the first n admissible
-    ones of a single stream of draws, so the rounds of draws can be
-    sized from the admissible fraction of the window without changing
-    them.  A non-finite window, one that lies entirely inside the
-    rejection bands, or one whose admissible part is so thin that n
-    values would take more than _MAX_DRAWS draws raises ValueError.
+    The draws go through core.nudge, as grid points do: one within
+    EVAL_MARGIN * m of a special energy moves to exactly that distance,
+    on the side it lies on.  So a window edge inside such a band can
+    leave samples up to EVAL_MARGIN * m beyond it.  Raises ValueError
+    for n < 1, for a window that core.check_window refuses, and for one
+    that lies entirely inside a single band, where no draw would stay
+    in the window.
     """
-    if e_min is None:
-        e_min = 1.001 * cfg.m
-    if e_max is None:
-        e_max = cfg.v_plus + 4.0 * cfg.m
+    e_min, e_max = _window(cfg, e_min, e_max)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not (math.isfinite(e_min) and math.isfinite(e_max)):
-        raise ValueError(f"the energy window must be finite, got ({e_min}, {e_max})")
-    if not e_min > cfg.m:
-        raise ValueError(f"e_min must exceed m = {cfg.m:g}, got {e_min}")
-    if not e_max > e_min:
-        raise ValueError("e_max must exceed e_min")
+    check_window(cfg, e_min, e_max)
     width = EVAL_MARGIN * cfg.m
-    # bands more than a width away cannot reject a draw, even by rounding
-    bad = [b for b in special_energies(cfg)
-           if e_min - 2.0 * width < b < e_max + 2.0 * width]
-    # the window's length outside the bands; they come in ascending order
-    covered, reach = 0.0, e_min
-    for b in bad:
-        lo, hi = max(b - width, reach), min(b + width, e_max)
-        if hi > lo:
-            covered += hi - lo
-            reach = hi
-    admissible = (e_max - e_min) - covered
-    if not admissible > 0:
-        raise ValueError(
-            f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
-            f"excluded energy {' and '.join(f'{b:g}' for b in bad)}; "
-            f"nothing in it can be sampled"
-        )
-    fraction = admissible / (e_max - e_min)
-
-    def too_thin(detail: str) -> ValueError:
-        return ValueError(
-            f"window ({e_min!r}, {e_max!r}) leaves only {admissible:.3g} of its "
-            f"length outside the excluded bands: {detail}"
-        )
-
-    if n / fraction > _MAX_DRAWS:
-        raise too_thin(f"{n} samples would take about {n / fraction:.3g} draws, "
-                       f"more than the cap of {_MAX_DRAWS:g}")
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    found = drawn = 0
-    while found < n:
-        if drawn >= _MAX_DRAWS:
-            raise too_thin(f"the cap of {_MAX_DRAWS:g} draws kept {found} of {n} samples")
-        # enough draws to fill the rest with a tenth to spare, in bounded rounds
-        size = min(math.ceil(1.1 * (n - found) / fraction) + 16,
-                   _ROUND_MAX, _MAX_DRAWS - drawn)
-        draws = rng.uniform(e_min, e_max, size=size)
-        keep = np.ones(size, dtype=bool)
-        for b in bad:
-            keep &= np.abs(draws - b) > width
-        kept.append(draws[keep])
-        found += kept[-1].size
-        drawn += size
-    return np.concatenate(kept)[:n].tolist()
+    for b in special_energies(cfg):
+        if b - width <= e_min and e_max <= b + width:
+            raise ValueError(
+                f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
+                f"excluded energy {b:g}; nothing in it can be sampled"
+            )
+    draws = np.random.default_rng(seed).uniform(e_min, e_max, size=n)
+    return nudge(draws, cfg).tolist()
 
 
 def run_verification(cfg: PotentialConfig,
@@ -176,10 +134,7 @@ def run_verification(cfg: PotentialConfig,
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    if e_min is None:
-        e_min = 1.001 * cfg.m
-    if e_max is None:
-        e_max = cfg.v_plus + 4.0 * cfg.m
+    e_min, e_max = _window(cfg, e_min, e_max)
     energies = sample_energies(cfg, samples, seed, e_min, e_max)
     names = (
         "flux |T|^2 + |R|^2 = 1",

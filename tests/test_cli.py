@@ -136,8 +136,8 @@ def test_config_file_with_flag_override(tmp_path):
      "--frames", "2", "--e-max", "inf"],
     ["resonances", *REF_FLAGS, "--e-max", "inf"],
     ["verify", *REF_FLAGS, "--e-max", "inf"],
-    # only 1e-13 of the window lies outside the band around E = v_minus
-    ["verify", *REF_FLAGS, "--e-min", repr(4.0 - 1e-6 - 1e-13), "--e-max", "4.0000005"],
+    # the whole window lies in the band around the range edge E = v_minus
+    ["verify", *REF_FLAGS, "--e-min", "3.9999995", "--e-max", "4.0000005"],
     ["sweep", *REF_FLAGS, "--param", "a-minus", "--from", "1", "--to", "2",
      "--frames", "2", "--threads", "0"],
 ])
@@ -196,7 +196,9 @@ def test_unwritable_output_is_refused_before_any_work(command, tmp_path, monkeyp
      "--points", "20", "--out-dir", "frames"],
     ["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "2",
      "--points", "{n}", "--out-dir", "frames"],
-], ids=["transmission-points", "resonances-grid-points", "sweep-frames", "sweep-points"])
+    ["verify", "--samples", "{n}"],
+], ids=["transmission-points", "resonances-grid-points", "sweep-frames", "sweep-points",
+        "verify-samples"])
 def test_oversized_request_exits_2(command, tmp_path, monkeypatch, capsys):
     # 10**17 doubles (711 PiB) exceed even a 57-bit virtual address space,
     # so the allocation fails at once on any host and touches no memory
@@ -330,6 +332,15 @@ def test_verify_cli_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "all invariants hold" in out
+
+
+def test_verify_samples_a_window_beside_a_band(capsys):
+    # only 1e-13 of the window lies outside the band around E = v_minus;
+    # draws in the band move to its edge, as grid points do
+    argv = ["verify", *REF_FLAGS, "--samples", "100",
+            "--e-min", repr(4.0 - 1e-6 - 1e-13), "--e-max", "4.0000005"]
+    assert main(argv) == 0
+    assert "all invariants hold" in capsys.readouterr().out
 
 
 def test_verify_report_is_deterministic(capsys):

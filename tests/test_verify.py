@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from dirac_double_barrier import (
     special_energies,
 )
 from dirac_double_barrier import verify as verify_mod
-from dirac_double_barrier.core import EVAL_MARGIN
+from dirac_double_barrier.core import EVAL_MARGIN, nudge
 from dirac_double_barrier.transfer import Matrix2x2, full_matrix
 
 
@@ -78,7 +77,7 @@ def test_window_inside_a_rejection_band_is_refused(reference):
 
 
 def one_round_per_n(cfg, n, seed, e_min, e_max):
-    """The sampler's original loop: rounds of n draws until n are kept."""
+    """The rejection sampler verify once had: rounds of n draws until n are kept."""
     bad = special_energies(cfg)
     width = EVAL_MARGIN * cfg.m
     rng = np.random.default_rng(seed)
@@ -92,53 +91,71 @@ def one_round_per_n(cfg, n, seed, e_min, e_max):
     return out[:n].tolist()
 
 
-# slivers of 1e-9 and 3e-10 beside the band around v_minus = 4, a window
-# with a sliver on either side of it, one across three bands, and the
-# verify default window
-SAMPLING_WINDOWS = [
+# a window across three bands and the verify default window
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("n, e_min, e_max", [(300, 2.5, 5.5), (2000, 1.001, 12.0)])
+def test_sampling_keeps_the_values_of_the_one_round_per_n_loop(reference, seed, n,
+                                                                e_min, e_max):
+    # no draw of these seeds falls in a band, so the rejection sampler
+    # kept every one of them: the samples are unchanged
+    want = one_round_per_n(reference, n, seed, e_min, e_max)
+    assert sample_energies(reference, n, seed, e_min, e_max) == want
+
+
+# slivers of 1e-9 and 3e-10 beside the band around v_minus = 4, where
+# most draws land in the band, a window with a sliver on either side of
+# it, one across three bands, and the verify default window
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("n, e_min, e_max", [
     (100, 4.0 - EVAL_MARGIN - 1e-9, 4.0 + EVAL_MARGIN / 2),
     (40, 4.0 - EVAL_MARGIN - 3e-10, 4.0 + EVAL_MARGIN / 2),
     (50, 4.0 - EVAL_MARGIN - 2e-9, 4.0 + EVAL_MARGIN + 2e-9),
     (300, 2.5, 5.5),
     (2000, 1.001, 12.0),
-]
+])
+def test_samples_are_the_nudged_uniform_draws(reference, seed, n, e_min, e_max):
+    draws = np.random.default_rng(seed).uniform(e_min, e_max, size=n)
+    assert sample_energies(reference, n, seed, e_min, e_max) == nudge(draws, reference).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("n, e_min, e_max", SAMPLING_WINDOWS)
-def test_sampling_keeps_the_values_of_the_one_round_per_n_loop(reference, seed, n,
-                                                                e_min, e_max):
-    want = one_round_per_n(reference, n, seed, e_min, e_max)
-    assert sample_energies(reference, n, seed, e_min, e_max) == want
+def test_default_window_samples_are_the_plain_draws(reference, seed):
+    n = verify_mod.DEFAULT_SAMPLES
+    draws = np.random.default_rng(seed).uniform(1.001, 12.0, size=n)
+    assert sample_energies(reference, n, seed) == draws.tolist()
 
 
-@pytest.mark.parametrize("n, e_min, e_max", SAMPLING_WINDOWS)
-def test_sampling_in_many_small_rounds_keeps_the_values(reference, monkeypatch, n,
-                                                        e_min, e_max):
-    # the kept values filter one stream of draws, whatever the round sizes
-    monkeypatch.setattr(verify_mod, "_ROUND_MAX", 7)
-    want = one_round_per_n(reference, n, 3, e_min, e_max)
-    assert sample_energies(reference, n, 3, e_min, e_max) == want
+def test_a_draw_in_a_band_moves_to_its_edge(reference):
+    # draw 4805 of seed 44 is 8.00000032, inside the band around v_plus
+    draws = np.random.default_rng(44).uniform(1.001, 12.0, size=10_000)
+    assert abs(draws[4805] - 8.0) < EVAL_MARGIN
+    samples = sample_energies(reference, 10_000, 44)
+    assert samples[4805] == 8.0 + EVAL_MARGIN
+    assert samples[:4805] == draws[:4805].tolist()
 
 
-def test_sliver_too_thin_to_fill_is_refused_at_once(reference):
-    # 1e-13 of admissible length beside the band around v_minus = 4: the
-    # one-round-per-n loop would need about 1.5e9 draws for 100 samples
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"leaves only 9\.99e-14 of its length .* "
-                                         r"about 1\.5e\+09 draws, more than the cap"):
-        sample_energies(reference, 100, 0, 4.0 - EVAL_MARGIN - 1e-13,
-                        4.0 + EVAL_MARGIN / 2)
-    assert time.perf_counter() - start < 0.5
+def test_window_beside_a_band_is_sampled_at_once(reference):
+    # only 1e-13 of the window lies outside the band around v_minus = 4
+    e_min, e_max = 4.0 - EVAL_MARGIN - 1e-13, 4.0 + EVAL_MARGIN / 2
+    width = EVAL_MARGIN * reference.m
+    samples = sample_energies(reference, 100, 0, e_min, e_max)
+    assert len(samples) == 100
+    for e in samples:
+        assert min(abs(e - b) for b in special_energies(reference)) >= width * (1 - 1e-9)
+        assert e_min - width * (1 + 1e-9) <= e <= e_max + width * (1 + 1e-9)
 
 
-def test_draws_that_run_past_the_cap_are_refused(reference, monkeypatch):
-    # half of the window is admissible, so 50 samples take about 100 draws;
-    # seed 0 keeps fewer than 50 of its first 101
-    monkeypatch.setattr(verify_mod, "_MAX_DRAWS", 101)
-    with pytest.raises(ValueError, match="the cap of 101 draws kept 4[0-9] of 50 samples"):
-        sample_energies(reference, 50, 0, 4.0 - 3e-6, 4.0 + 1e-6)
-    assert len(sample_energies(reference, 50, 2, 4.0 - 3e-6, 4.0 + 1e-6)) == 50
+@pytest.mark.parametrize("a_plus, a_minus", [
+    (3.0, 2.5), (5.0, 2.5), (9.0, 2.5), (16.0, 2.5), (3.0, 3.5), (3.0, 4.0),
+])
+def test_invariants_hold_at_the_band_edges(a_plus, a_minus):
+    # about a third of the draws in a window of 3e-6 around a special
+    # energy land on an edge of its band, where the oracle's slope once
+    # lost digits
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=a_minus)
+    for s in special_energies(cfg)[1:]:
+        report = run_verification(cfg, 200, seed=0, e_min=s - 3e-6, e_max=s + 3e-6)
+        assert report.passed, report.render()
 
 
 def test_report_names_every_check(reference):
