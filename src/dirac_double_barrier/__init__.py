@@ -5,9 +5,17 @@ an independent boundary-matching cross-check.
 A bare import loads ``core``, ``errors`` and numpy.  The walk
 (``transfer``), the search (``resonance``), the oracle and the verifier
 load on first use of one of their names (PEP 562), so a caller that needs
-only part of the package does not compile the rest.  Every CLI process
-still loads them all: ``cli`` binds the names the benchmark tracer
-(``perfbench/tracing.py``) wraps.
+only part of the package does not compile the rest.  ``cli`` and ``emit``
+bind their names from the other layers the same way, so each CLI
+subcommand loads only the layers it runs (besides ``core``, ``errors``,
+``defaults`` and ``cli``):
+
+* ``transmission``: ``emit``, ``transfer``, ``_printf``, and ``svg`` with
+  ``--svg``;
+* ``resonances``: ``emit``, ``transfer``, ``resonance``;
+* ``sweep``: ``emit``, ``transfer``, ``_printf``, and ``resonance`` with
+  ``--with-resonances``;
+* ``verify``: ``transfer``, ``oracle``, ``verify``.
 """
 
 import importlib
@@ -43,6 +51,30 @@ from .errors import (
 
 __version__ = "0.1.0"
 
+def _lazy_attributes(namespace: dict, owners: dict):
+    """A PEP 562 module ``__getattr__`` for the module whose globals are namespace.
+
+    owners maps a submodule of this package to the names the module
+    takes from it.  The first lookup of such a name imports the
+    submodule and binds the name in namespace, unless something bound it
+    meanwhile; a binding set on the module (a test's replacement, the
+    benchmark's tracer) is never overwritten.  Code inside the module
+    must look these names up on the module object, since a plain global
+    lookup does not reach ``__getattr__``.
+    """
+    owner = {name: module for module, names in owners.items() for name in names}
+
+    def __getattr__(name):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        submodule = importlib.import_module(f".{module}", namespace["__package__"])
+        return namespace.setdefault(name, getattr(submodule, name))
+
+    return __getattr__
+
+
 #: Submodule -> the exports it defines, imported on first access.
 _LAZY = {
     "oracle": ("AmplitudeSet", "SpinorSample", "solve_amplitudes", "wavefunction_profile"),
@@ -52,19 +84,14 @@ _LAZY = {
                  "scatter"),
     "verify": ("CheckResult", "VerificationReport", "run_verification", "sample_energies"),
 }
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+_export = _lazy_attributes(globals(), _LAZY)
 
 
 def __getattr__(name):
-    module = _OWNER.get(name)
-    if module is not None:
-        value = getattr(importlib.import_module(f".{module}", __name__), name)
-        globals()[name] = value
-        return value
     if name in _LAZY:
         # importing a submodule binds it in this namespace
         return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _export(name)
 
 
 def __dir__():

@@ -15,28 +15,40 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
+from . import _lazy_attributes
 from .core import ZONE_ORDER, PotentialConfig, Zone, zone_interval
-from .emit import (
+from .defaults import (
+    CURVE_E_MIN,
+    DEFAULT_SAMPLES,
+    DEFAULT_TOLERANCE,
+    E_MAX_ABOVE_V_PLUS,
+    GRID_POINTS_PER_ZONE,
+    RESONANCE_E_MAX_ABOVE_V_PLUS,
     SWEEP_PARAMS,
-    run_sweep,
-    transmission_curve,
-    write_curve_csv,
-    write_json,
-    zone_report,
+    VERIFY_E_MIN,
+    window,
 )
-# unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
-# name cli.transmission_rows, so it stays bound
-from .emit import transmission_rows  # noqa: F401
 from .errors import ConfigError, DoubleBarrierError
-from .resonance import SearchSettings
-from .svg import render_curve_svg
-from .verify import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, run_verification
+
+# each layer loads when a handler first calls into it, so a subcommand
+# compiles only the layers it runs.  transmission_rows is called by no
+# handler, but the benchmark tracer (perfbench/tracing.py) wraps the name
+# cli.transmission_rows, so it resolves too.
+__getattr__ = _lazy_attributes(globals(), {
+    "emit": ("run_sweep", "transmission_curve", "transmission_rows",
+             "write_curve_csv", "write_json", "zone_report"),
+    "resonance": ("SearchSettings",),
+    "svg": ("render_curve_svg",),
+    "verify": ("run_verification",),
+})
+#: This module: handlers call the names above through it, so a
+#: replacement set on the module is the one that runs.
+_module = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -66,6 +78,8 @@ def _add_potential_args(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> PotentialConfig:
     values: dict = {"mass": 1.0}
     if args.config:
+        import json
+
         try:
             data = json.loads(Path(args.config).read_text())
         except OSError as exc:
@@ -105,12 +119,6 @@ def _number(key: str, value) -> float:
     raise UsageError(f"config value {key} must be a number, got {value!r}")
 
 
-def _window(args: argparse.Namespace, cfg: PotentialConfig) -> tuple[float, float]:
-    e_min = args.e_min if args.e_min is not None else 1.01 * cfg.m
-    e_max = args.e_max if args.e_max is not None else cfg.v_plus + 4.0 * cfg.m
-    return e_min, e_max
-
-
 def _check_threads(args: argparse.Namespace) -> None:
     # --threads does nothing, but a value below 1 stays a usage error
     if args.threads < 1:
@@ -148,14 +156,14 @@ def _expand_zones(selected: "list[str] | None") -> list[Zone]:
 def _cmd_transmission(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_threads(args)
-    e_min, e_max = _window(args, cfg)
+    e_min, e_max = window(cfg, args.e_min, args.e_max, CURVE_E_MIN)
     out = Path(args.out or "transmission.csv")
     _check_outputs(out, args.svg)
-    curve = transmission_curve(cfg, e_min, e_max, args.points)
-    out = write_curve_csv(out, curve)
+    curve = _module.transmission_curve(cfg, e_min, e_max, args.points)
+    out = _module.write_curve_csv(out, curve)
     print(f"wrote {len(curve.e)} rows to {out}")
     if args.svg:
-        Path(args.svg).write_text(render_curve_svg(curve.e, curve.t2, cfg))
+        Path(args.svg).write_text(_module.render_curve_svg(curve.e, curve.t2, cfg))
         print(f"wrote {args.svg}")
     for zone in ZONE_ORDER:
         lo, hi = zone_interval(zone, cfg)
@@ -167,17 +175,19 @@ def _cmd_transmission(args: argparse.Namespace) -> int:
 def _cmd_resonances(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     zones = _expand_zones(args.zone)
-    e_max = args.e_max if args.e_max is not None else cfg.v_plus + 3.0 * cfg.m
+    e_max = args.e_max
+    if e_max is None:
+        e_max = cfg.v_plus + RESONANCE_E_MAX_ABOVE_V_PLUS * cfg.m
     if Zone.ABOVE_BARRIER in zones and not e_max > cfg.v_plus + cfg.m:
         raise UsageError(
             f"--e-max must exceed v_plus + m = {cfg.v_plus + cfg.m:g} "
             "to search the above-barrier zone"
         )
-    settings = SearchSettings(grid_points_per_zone=args.grid_points)
+    settings = _module.SearchSettings(grid_points_per_zone=args.grid_points)
     out = Path(args.out or "resonances.json")
     _check_outputs(out)
-    report = zone_report(cfg, zones, e_max, settings)
-    out = write_json(out, report)
+    report = _module.zone_report(cfg, zones, e_max, settings)
+    out = _module.write_json(out, report)
     total = 0
     for entry in report["zones"]:
         n = len(entry["resonances"])
@@ -190,8 +200,8 @@ def _cmd_resonances(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_threads(args)
-    e_min, e_max = _window(args, cfg)
-    manifest = run_sweep(
+    e_min, e_max = window(cfg, args.e_min, args.e_max, CURVE_E_MIN)
+    manifest = _module.run_sweep(
         cfg,
         args.param,
         args.start,
@@ -210,7 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_outputs(args.out)
-    report = run_verification(
+    report = _module.run_verification(
         cfg,
         samples=args.samples,
         seed=args.seed,
@@ -231,14 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scattering on a double square barrier with an elevated floor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    curve_start = f"window start (default {CURVE_E_MIN:g} m)"
+    window_end = f"window end (default v_plus + {E_MAX_ABOVE_V_PLUS:g} m)"
 
     p_trans = sub.add_parser("transmission", help="write a |T|^2 curve as CSV")
     _add_potential_args(p_trans)
-    p_trans.add_argument("--e-min", type=float, help="window start (default 1.01 m)")
-    p_trans.add_argument("--e-max", type=float,
-                         help="window end (default v_plus + 4 m)")
+    p_trans.add_argument("--e-min", type=float, help=curve_start)
+    p_trans.add_argument("--e-max", type=float, help=window_end)
     p_trans.add_argument("--points", type=int, default=2000,
-                         help="grid points (default 2000)")
+                         help="grid points (default %(default)s)")
     p_trans.add_argument("--out", metavar="PATH",
                          help="CSV path (default transmission.csv)")
     p_trans.add_argument("--svg", metavar="PATH",
@@ -253,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--zone", action="append", choices=_ZONE_CHOICES,
                        help="zone to search, repeatable (default all)")
     p_res.add_argument("--e-max", type=float,
-                       help="above-barrier cutoff (default v_plus + 3 m)")
-    p_res.add_argument("--grid-points", type=int, default=4000,
-                       help="scan points per zone (default 4000)")
+                       help="above-barrier cutoff (default v_plus + "
+                            f"{RESONANCE_E_MAX_ABOVE_V_PLUS:g} m)")
+    p_res.add_argument("--grid-points", type=int, default=GRID_POINTS_PER_ZONE,
+                       help="scan points per zone (default %(default)s)")
     p_res.add_argument("--out", metavar="PATH",
                        help="JSON path (default resonances.json)")
     p_res.set_defaults(handler=_cmd_resonances)
@@ -270,13 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="STOP", help="last swept value")
     p_sweep.add_argument("--frames", type=int, required=True,
                          help="number of evenly spaced values")
-    p_sweep.add_argument("--e-min", type=float, help="window start (default 1.01 m)")
-    p_sweep.add_argument("--e-max", type=float,
-                         help="window end (default v_plus + 4 m)")
+    p_sweep.add_argument("--e-min", type=float, help=curve_start)
+    p_sweep.add_argument("--e-max", type=float, help=window_end)
     p_sweep.add_argument("--points", type=int, default=1000,
-                         help="grid points per frame (default 1000)")
+                         help="grid points per frame (default %(default)s)")
     p_sweep.add_argument("--out-dir", default="sweep", metavar="DIR",
-                         help="output directory (default sweep)")
+                         help="output directory (default %(default)s)")
     p_sweep.add_argument("--with-resonances", action="store_true",
                          help="also write a resonance report per frame")
     p_sweep.add_argument("--threads", type=int, default=1,
@@ -287,15 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the randomized invariant suite")
     _add_potential_args(p_verify)
     p_verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                          help=f"energy samples (default {DEFAULT_SAMPLES})")
+                          help="energy samples (default %(default)s)")
     p_verify.add_argument("--seed", type=int, default=0,
-                          help="generator seed (default 0)")
+                          help="generator seed (default %(default)s)")
     p_verify.add_argument("--e-min", type=float,
-                          help="window start (default 1.001 m)")
-    p_verify.add_argument("--e-max", type=float,
-                          help="window end (default v_plus + 4 m)")
+                          help=f"window start (default {VERIFY_E_MIN:g} m)")
+    p_verify.add_argument("--e-max", type=float, help=window_end)
     p_verify.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                          help=f"worst-deviation bound (default {DEFAULT_TOLERANCE:g})")
+                          help="worst-deviation bound (default %(default)g)")
     p_verify.add_argument("--out", metavar="PATH",
                           help="also write the report to a file")
     p_verify.set_defaults(handler=_cmd_verify)

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
@@ -31,22 +32,25 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _lazy_attributes
 from .core import ZONE_ORDER, PotentialConfig, Zone, check_window, nudge, zone_interval
-from .resonance import (
-    SearchSettings,
-    attach_widths,
-    find_above_barrier,
-    find_resonances,
-)
+from .defaults import SWEEP_PARAMS
 from .transfer import ScatteringResult, scatter
+
+# the search loads on first use, by zone_report; curves and sweeps
+# without resonances never compile it
+__getattr__ = _lazy_attributes(globals(), {
+    "resonance": ("SearchSettings", "attach_widths", "find_above_barrier",
+                  "find_resonances"),
+})
+#: This module: zone_report calls the search through it, so a
+#: replacement set on the module is the one that runs.
+_module = sys.modules[__name__]
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "E,T2,R2,reT,imT,reR,imR"
-
-#: Swept parameter names accepted by run_sweep, as spelled on the CLI.
-SWEEP_PARAMS = ("a-minus", "a-plus")
 
 
 def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
@@ -134,15 +138,15 @@ def zone_report(cfg: PotentialConfig, zones: "list[Zone] | tuple[Zone, ...]",
     zone, when asked for, is searched up to e_max.
     """
     if settings is None:
-        settings = SearchSettings()
+        settings = _module.SearchSettings()
     wanted = [z for z in ZONE_ORDER if z in set(zones)]
     if not wanted:
         raise ValueError("zones must be nonempty")
     bounded = [z for z in wanted if z is not Zone.ABOVE_BARRIER]
-    resonances = find_resonances(cfg, bounded, settings) if bounded else []
+    resonances = _module.find_resonances(cfg, bounded, settings) if bounded else []
     if Zone.ABOVE_BARRIER in wanted:
-        resonances += find_above_barrier(cfg, e_max, settings)
-    resonances = attach_widths(resonances, cfg, settings)
+        resonances += _module.find_above_barrier(cfg, e_max, settings)
+    resonances = _module.attach_widths(resonances, cfg, settings)
 
     zone_entries = []
     for zone in wanted:

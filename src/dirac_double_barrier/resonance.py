@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, screen, zone_interval
+from .defaults import GRID_POINTS_PER_ZONE
 from .errors import NumericalOverflow, RefinementFailed
 from .transfer import Energy, _amplitudes, _checked_walk
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
@@ -164,7 +165,7 @@ class SearchSettings:
     _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
     """
 
-    grid_points_per_zone: int = 4000
+    grid_points_per_zone: int = GRID_POINTS_PER_ZONE
 
     def __post_init__(self):
         if self.grid_points_per_zone < 16:

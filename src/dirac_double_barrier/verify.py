@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EVAL_MARGIN, PotentialConfig, check_window, nudge, special_energies
+from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, window
 from .oracle import solve_amplitudes
 from .transfer import full_matrix
-
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _window(cfg: PotentialConfig, e_min: float | None,
-            e_max: float | None) -> tuple[float, float]:
-    """The window, with e_min defaulting to 1.001 m and e_max to v_plus + 4 m."""
-    return (1.001 * cfg.m if e_min is None else e_min,
-            cfg.v_plus + 4.0 * cfg.m if e_max is None else e_max)
-
-
 def sample_energies(cfg: PotentialConfig, n: int, seed: int,
                     e_min: float | None = None,
                     e_max: float | None = None) -> list[float]:
@@ -94,7 +85,7 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
     that lies entirely inside a single band, where no draw would stay
     in the window.
     """
-    e_min, e_max = _window(cfg, e_min, e_max)
+    e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     check_window(cfg, e_min, e_max)
@@ -134,7 +125,7 @@ def run_verification(cfg: PotentialConfig,
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    e_min, e_max = _window(cfg, e_min, e_max)
+    e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
     energies = sample_energies(cfg, samples, seed, e_min, e_max)
     names = (
         "flux |T|^2 + |R|^2 = 1",
