@@ -18,8 +18,6 @@ subcommand loads only the layers it runs (besides ``core``, ``errors``,
 * ``verify``: ``transfer``, ``oracle``, ``verify``.
 """
 
-import importlib
-
 from .core import (
     EVAL_MARGIN,
     SINGULAR_TOL,
@@ -60,7 +58,8 @@ def _lazy_attributes(namespace: dict, owners: dict):
     meanwhile; a binding set on the module (a test's replacement, the
     benchmark's tracer) is never overwritten.  Code inside the module
     must look these names up on the module object, since a plain global
-    lookup does not reach ``__getattr__``.
+    lookup does not reach ``__getattr__``.  ``__import__``, unlike
+    ``importlib.import_module``, shows the import in ``-X importtime``.
     """
     owner = {name: module for module, names in owners.items() for name in names}
 
@@ -69,7 +68,7 @@ def _lazy_attributes(namespace: dict, owners: dict):
         if module is None:
             raise AttributeError(
                 f"module {namespace['__name__']!r} has no attribute {name!r}")
-        submodule = importlib.import_module(f".{module}", namespace["__package__"])
+        submodule = __import__(f"{namespace['__package__']}.{module}", fromlist=(name,))
         return namespace.setdefault(name, getattr(submodule, name))
 
     return __getattr__
@@ -90,7 +89,7 @@ _export = _lazy_attributes(globals(), _LAZY)
 def __getattr__(name):
     if name in _LAZY:
         # importing a submodule binds it in this namespace
-        return importlib.import_module(f".{name}", __name__)
+        return __import__(f"{__name__}.{name}", fromlist=("_",))
     return _export(name)
 
 

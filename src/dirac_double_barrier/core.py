@@ -164,7 +164,8 @@ def nudge(e: "float | np.ndarray", cfg: PotentialConfig,
 
 
 def check_window(cfg: PotentialConfig, e_min: float, e_max: float) -> None:
-    """Raise ValueError unless m < e_min < e_max < inf."""
+    """Raise ValueError unless m < e_min < e_max < inf and the window
+    leaves each special energy's EVAL_MARGIN band, which nudge empties."""
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ValueError(f"the energy window must be finite, got ({e_min}, {e_max})")
     if not e_min > cfg.m:
@@ -173,6 +174,13 @@ def check_window(cfg: PotentialConfig, e_min: float, e_max: float) -> None:
         )
     if not e_max > e_min:
         raise ValueError("e_max must exceed e_min")
+    width = EVAL_MARGIN * cfg.m
+    for b in special_energies(cfg):
+        if b - width <= e_min and e_max <= b + width:
+            raise ValueError(
+                f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
+                f"excluded energy {b:g}; nothing in it can be sampled"
+            )
 
 
 def zone_interval(zone: Zone, cfg: PotentialConfig) -> tuple[float, float]:
@@ -186,13 +194,38 @@ def zone_interval(zone: Zone, cfg: PotentialConfig) -> tuple[float, float]:
     return edges[i], edges[i + 1]
 
 
-def _reject_singular(e: float, u: float, cfg: PotentialConfig) -> None:
+def _first_near(e: "float | np.ndarray", table, tol: float,
+                floor: float = -math.inf) -> "tuple[float, float | None] | None":
+    """(E, s) for the first energy E within tol of an entry s of table, else None.
+
+    e is one energy or a 1-D array of them, scanned energy-major: the
+    first such energy in array order, then the first entry of table it
+    lies near.  An energy at or below floor counts too, with s = None.
+    """
+    bad = e <= floor
+    for s in table:
+        bad |= abs(e - s) < tol
+    if isinstance(e, np.ndarray):
+        if not bad.any():
+            return None
+        e = float(e[bad.argmax()])
+    elif not bad:
+        return None
+    if e <= floor:
+        return e, None
+    return e, next(s for s in table if abs(e - s) < tol)
+
+
+def _reject_singular(e: "float | np.ndarray", levels, cfg: PotentialConfig) -> None:
+    """Raise SingularEnergy at the first energy within the singular
+    tolerance of U +/- m of one of the levels U."""
     tol = SINGULAR_TOL * cfg.m
-    for s in (u - cfg.m, u + cfg.m):
-        if abs(e - s) < tol:
-            raise SingularEnergy(
-                e, f"E = {e!r} lies within {tol:g} of the singular energy {s:g}"
-            )
+    hit = _first_near(e, [s for u in levels for s in (u - cfg.m, u + cfg.m)], tol)
+    if hit is not None:
+        e, s = hit
+        raise SingularEnergy(
+            e, f"E = {e!r} lies within {tol:g} of the singular energy {s:g}"
+        )
 
 
 def wave_vector(e: float, region: Region, cfg: PotentialConfig) -> complex:
@@ -203,7 +236,7 @@ def wave_vector(e: float, region: Region, cfg: PotentialConfig) -> complex:
     (oscillatory solutions).
     """
     u = cfg.potential(region)
-    _reject_singular(e, u, cfg)
+    _reject_singular(e, (u,), cfg)
     d = e - u
     # factored form keeps the difference of squares accurate near |d| = m
     return cmath.sqrt((cfg.m - d) * (cfg.m + d))
@@ -216,7 +249,7 @@ def alpha_beta(e: float, region: Region, cfg: PotentialConfig) -> tuple[complex,
     they are oscillatory; each is the other's reciprocal up to that sign.
     """
     u = cfg.potential(region)
-    _reject_singular(e, u, cfg)
+    _reject_singular(e, (u,), cfg)
     d = e - u
     alpha = cmath.sqrt((cfg.m - d) / (cfg.m + d))
     beta = cmath.sqrt((cfg.m + d) / (cfg.m - d))
@@ -234,12 +267,6 @@ def kinematics(e: float, region: Region, cfg: PotentialConfig) -> Kinematics:
 _RANGE_ORDER = (MatrixRange.I, MatrixRange.II, MatrixRange.III)
 
 
-def _cuts(cfg: PotentialConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Lower edges of matrix ranges II, III and of zones 2..5."""
-    m, vm, vp = cfg.m, cfg.v_minus, cfg.v_plus
-    return (vm, vp), (vm - m, vm + m, vp - m, vp + m)
-
-
 def screen(e: "float | np.ndarray", cfg: PotentialConfig) -> None:
     """Raise BoundaryEnergy unless every energy is admissible.
 
@@ -248,21 +275,15 @@ def screen(e: "float | np.ndarray", cfg: PotentialConfig) -> None:
     the first such energy, with the message that energy alone gets.
     """
     tol = SINGULAR_TOL * cfg.m
-    bad = e <= cfg.m + tol
-    # the threshold, the first special energy, is screened above
-    for b in special_energies(cfg)[1:]:
-        bad |= abs(e - b) < tol
-    if isinstance(e, np.ndarray):
-        if not bad.any():
-            return
-        e = float(e[bad.argmax()])
-    elif not bad:
+    # the threshold, the first special energy, is the floor
+    hit = _first_near(e, special_energies(cfg)[1:], tol, floor=cfg.m + tol)
+    if hit is None:
         return
-    if e <= cfg.m + tol:
+    e, b = hit
+    if b is None:
         raise BoundaryEnergy(
             e, f"E = {e!r} is at or below the scattering threshold m = {cfg.m:g}"
         )
-    b = next(b for b in special_energies(cfg)[1:] if abs(e - b) < tol)
     raise BoundaryEnergy(e, f"E = {e!r} lies within {tol:g} of the boundary energy {b:g}")
 
 
@@ -275,7 +296,8 @@ def classify(e: "float | np.ndarray",
     screen does.
     """
     screen(e, cfg)
-    range_cuts, zone_cuts = _cuts(cfg)
+    # ranges II and III start at v_minus and v_plus, zones 2..5 at U +/- m
+    range_cuts, zone_cuts = special_energies(cfg)[2::3], singular_energies(cfg)[1:]
     if isinstance(e, np.ndarray):
         return (
             np.array(_RANGE_ORDER, dtype=object)[np.searchsorted(range_cuts, e, side="right")],

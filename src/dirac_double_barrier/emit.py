@@ -8,8 +8,7 @@ Curves are columnar.  transmission_curve returns one ScatteringResult
 whose fields are arrays over the grid, and the CSV writer formats its
 columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R a block of rows at a
 time with _printf.g12_rows, in numpy and byte for byte as C's
-printf("%.12g").  A DEBUG record per curve counts the cells, and those
-of them that went through "%.12g" one by one.
+printf("%.12g").
 
 transmission_rows splits the same batch into one ScatteringResult per
 energy; no emission path needs that view, but library callers that walk
@@ -21,7 +20,6 @@ Python.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import sys
@@ -46,8 +44,6 @@ __getattr__ = _lazy_attributes(globals(), {
 #: This module: zone_report calls the search through it, so a
 #: replacement set on the module is the one that runs.
 _module = sys.modules[__name__]
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "E,T2,R2,reT,imT,reR,imR"
@@ -99,14 +95,9 @@ def format_curve_csv(curve: ScatteringResult) -> str:
     columns = (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
                curve.r.real, curve.r.imag)
     chunks = [CSV_HEADER + "\n"]
-    slow = 0
     for start in range(0, len(curve.e), _BLOCK_ROWS):
         block = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
-        text, block_slow = g12_rows(block)
-        chunks.append(text.decode("ascii"))
-        slow += block_slow
-    log.debug("formatted %d CSV cells, %d of them one by one through '%%.12g'",
-              len(columns) * len(curve.e), slow)
+        chunks.append(g12_rows(block)[0].decode("ascii"))
     return "".join(chunks)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SINGULAR_TOL, PotentialConfig, Region, wave_vector
+from .core import PotentialConfig, Region, _reject_singular
 from .errors import SingularSystem
 
 #: Relative residual above which the linear solve is reported as singular.
@@ -96,24 +96,17 @@ class SpinorSample:
 def _waves(e, cfg: PotentialConfig) -> list:
     """(kappa, slope) of the outside, barrier and floor regions, in that order.
 
-    The slope kappa / (m + E - U) is the lower component of u(kappa).
-
-    A float goes through core.wave_vector.  An array takes the same
-    expression through numpy, once a screen has raised SingularEnergy at
-    its first energy that a float would be rejected at.
+    kappa is the principal sqrt of m^2 - (E - U)^2, as core.wave_vector
+    takes it, and the slope kappa / (m + E - U) is the lower component
+    of u(kappa).  Raises SingularEnergy at the first energy that lies at
+    U +/- m of one of the three levels, as core.wave_vector does.
     """
     m = cfg.m
     levels = [cfg.potential(region) for region in _LEVELS]
-    if isinstance(e, np.ndarray):
-        near = np.zeros(e.shape, dtype=bool)
-        for u in levels:
-            for s in (u - m, u + m):
-                near |= np.abs(e - s) < SINGULAR_TOL * m
-        if near.any():
-            _waves(float(e[near.argmax()]), cfg)  # raises, as for a float
-        kappas = [np.sqrt((m - (e - u)) * (m + (e - u)) + 0j) for u in levels]
-    else:
-        kappas = [wave_vector(e, region, cfg) for region in _LEVELS]
+    _reject_singular(e, levels, cfg)
+    xp = np if isinstance(e, np.ndarray) else cmath
+    # factored form keeps the difference of squares accurate near |E - U| = m
+    kappas = [xp.sqrt((m - (e - u)) * (m + (e - u)) + 0j) for u in levels]
     # m + (E - U), not (m + E) - U, keeps the slope accurate near E = U - m
     return [(k, k / (m + (e - u))) for u, k in zip(levels, kappas)]
 

@@ -194,12 +194,12 @@ def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, 
     on wide barriers.  brentq returns an energy it has evaluated, so the
     residual |M21| is read from the values it saw rather than computed
     again; it evaluates no energy twice, so those values also count its
-    evaluations.
+    evaluations.  Nothing is screened: (lo, hi) lies in one zone's screened
+    grid, so it holds no U +/- m, and the walk is regular at v_minus, v_plus.
     """
     seen: dict[float, complex] = {}
 
     def im_m21(e: float) -> float:
-        screen(e, cfg)
         _, b, tau, _ = _checked_walk(e, cfg)
         value = b / tau if tau else math.inf
         if not cmath.isfinite(value):

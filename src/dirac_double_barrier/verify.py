@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EVAL_MARGIN, PotentialConfig, check_window, nudge, special_energies
+from .core import PotentialConfig, check_window, nudge
 from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, window
 from .oracle import solve_amplitudes
 from .transfer import full_matrix
@@ -81,21 +81,13 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
     EVAL_MARGIN * m of a special energy moves to exactly that distance,
     on the side it lies on.  So a window edge inside such a band can
     leave samples up to EVAL_MARGIN * m beyond it.  Raises ValueError
-    for n < 1, for a window that core.check_window refuses, and for one
-    that lies entirely inside a single band, where no draw would stay
-    in the window.
+    for n < 1 and for a window that core.check_window refuses, one that
+    lies entirely inside a single band among them.
     """
     e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     check_window(cfg, e_min, e_max)
-    width = EVAL_MARGIN * cfg.m
-    for b in special_energies(cfg):
-        if b - width <= e_min and e_max <= b + width:
-            raise ValueError(
-                f"window ({e_min!r}, {e_max!r}) lies within {width:g} of the "
-                f"excluded energy {b:g}; nothing in it can be sampled"
-            )
     draws = np.random.default_rng(seed).uniform(e_min, e_max, size=n)
     return nudge(draws, cfg).tolist()
 

@@ -87,6 +87,34 @@ def test_resonance_report(tmp_path, capsys):
     assert "conventional: 4 resonances" in stdout
 
 
+@pytest.mark.parametrize("a_minus, zones, edge", [
+    ("2.2632220631144735", [], 8.0),
+    ("0.2216255059240653", ["--zone", "gap-lower"], 4.0),
+], ids=["v_plus", "v_minus"])
+def test_resonances_with_a_root_on_a_range_edge_exit_0(a_minus, zones, edge, tmp_path, capsys):
+    out = tmp_path / "res.json"
+    argv = ["resonances", "--v-plus", "8", "--v-minus", "4", "--a-plus", "3",
+            "--a-minus", a_minus, *zones, "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert edge in [r["energy"] for z in report["zones"] for r in z["resonances"]]
+
+
+@pytest.mark.parametrize("command", [
+    ["transmission", "--out", "curve.csv"],
+    ["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "2"],
+], ids=["transmission", "sweep"])
+def test_a_window_inside_one_band_exits_2(command, tmp_path, monkeypatch, capsys):
+    # every grid point would be nudged out of (v_plus - 4e-7, v_plus + 4e-7)
+    monkeypatch.chdir(tmp_path)
+    argv = [command[0], *REF_FLAGS, *command[1:],
+            "--e-min", "7.9999996", "--e-max", "8.0000004", "--points", "5"]
+    assert main(argv) == 2
+    assert "excluded energy 8;" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resonance_zone_selection(tmp_path):
     out = tmp_path / "conv.json"
     code = main(["resonances", *REF_FLAGS, "--zone", "conventional",

@@ -64,6 +64,20 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, loaded):
     assert set(modules) == loaded
 
 
+def test_importtime_lists_the_lazily_loaded_layers(tmp_path):
+    # -X importtime reports only imports made through __import__
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["verify", *REF, "--samples", "20"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", LOADED, json.dumps(argv)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {f"{PACKAGE}.verify", f"{PACKAGE}.oracle"} <= timed
+
+
 #: Replaces three lazily bound names before their first call: two the way
 #: perfbench/tracing.py does (look up, wrap, restore) and one set on the
 #: module before its layer was ever loaded (then deleted).

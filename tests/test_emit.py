@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_double_barrier import ScatteringResult, Zone, _printf, emit
+from dirac_double_barrier import ScatteringResult, Zone, _printf
 from dirac_double_barrier.emit import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -91,10 +90,9 @@ def _printf_csv(cells):
                                        for row in rows)
 
 
-def _per_cell_count(caplog):
-    """(cells, per-cell cells) of the one formatting record in caplog."""
-    (record,) = [r for r in caplog.records if r.name == emit.__name__]
-    return record.args
+def _per_cell_count(cells) -> int:
+    """How many of the cells g12_rows formats one by one through '%.12g'."""
+    return _printf.g12_rows(np.asarray(cells, dtype=float).reshape(-1, 7))[1]
 
 
 # any float64: drawn as a float, or as a bit pattern so that every
@@ -128,7 +126,7 @@ def test_csv_cells_match_printf_at_every_exponent():
     assert format_curve_csv(_columns_batch(values)) == _printf_csv(values)
 
 
-def test_thirteenth_digit_ties_take_the_per_cell_path(caplog):
+def test_thirteenth_digit_ties_take_the_per_cell_path():
     # exact binary values whose 13th significant digit is a 5 followed by
     # nothing: C rounds them half to even, which numpy's scaling cannot
     # be trusted to see
@@ -136,10 +134,8 @@ def test_thirteenth_digit_ties_take_the_per_cell_path(caplog):
     ties = np.concatenate([n + 0.5, -(n + 0.5), (10 * n + 5) * 10.0, (10 * n + 5) * 1000.0])
     for v in ties:
         assert Decimal(v).normalize().as_tuple().digits[12:] == (5,)
-    with caplog.at_level(logging.DEBUG, logger=emit.__name__):
-        text = format_curve_csv(_columns_batch(ties))
-    assert text == _printf_csv(ties)
-    assert _per_cell_count(caplog) == (len(ties), len(ties))
+    assert format_curve_csv(_columns_batch(ties)) == _printf_csv(ties)
+    assert _per_cell_count(ties) == len(ties)
 
 
 def test_formatter_tables():
@@ -149,19 +145,13 @@ def test_formatter_tables():
         assert _printf.TRAILING0[v] == len(b"%04d" % v) - len((b"%04d" % v).rstrip(b"0"))
 
 
-def test_formatting_logs_its_cell_counts(reference, caplog):
+def test_formatter_counts_its_per_cell_cells(reference):
     batch = transmission_curve(reference, 1.05, 11.5, 40)
-    with caplog.at_level(logging.DEBUG, logger=emit.__name__):
-        format_curve_csv(batch)
-    cells, per_cell = _per_cell_count(caplog)
-    assert cells == 7 * 40
-    assert 0 <= per_cell < cells
-    caplog.clear()
-    edge = [0.0, -0.0, math.nan, math.inf, 5e-324, 1e-290, 0.5]
-    with caplog.at_level(logging.DEBUG, logger=emit.__name__):
-        format_curve_csv(_columns_batch(edge))
+    columns = (batch.e, batch.t2, batch.r2, batch.t.real, batch.t.imag,
+               batch.r.real, batch.r.imag)
+    assert 0 <= _per_cell_count(np.stack(columns, axis=1)) < 7 * 40
     # nan, inf and the subnormal go through '%.12g'; zeros and 1e-290 do not
-    assert _per_cell_count(caplog) == (7, 3)
+    assert _per_cell_count([0.0, -0.0, math.nan, math.inf, 5e-324, 1e-290, 0.5]) == 3
 
 
 @pytest.mark.parametrize("a_plus", [9.0, 16.0])
@@ -330,6 +320,16 @@ def test_refused_sweep_leaves_no_directory(reference, tmp_path, window):
     with pytest.raises(ValueError):
         run_sweep(reference, "a-minus", 1.0, 2.0, 2, outdir, **window)
     assert not outdir.exists()
+
+
+def test_a_window_inside_one_band_is_refused(reference, tmp_path):
+    # nudge would move every energy of the window out of it
+    with pytest.raises(ValueError, match="excluded energy 8;"):
+        transmission_curve(reference, 7.9999996, 8.0000004, 5)
+    with pytest.raises(ValueError, match="excluded energy 8;"):
+        run_sweep(reference, "a-minus", 1.0, 2.0, 2, tmp_path / "sweep",
+                  7.9999996, 8.0000004, 5)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_validation(reference, tmp_path):

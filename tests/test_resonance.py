@@ -278,6 +278,25 @@ def test_wide_barriers_raise_without_a_warning(a_plus):
             find_resonances(cfg)
 
 
+#: Potentials (v_plus 8, v_minus 4, a_plus 3) with a root within the
+#: singular tolerance of a matrix-range edge: (a_minus, zone, edge).
+RANGE_EDGE_ROOTS = [
+    (2.2632220631144735, Zone.CONVENTIONAL, 8.0),
+    (0.2216255059240653, Zone.GAP_LOWER, 4.0),
+]
+
+
+@pytest.mark.parametrize("a_minus, zone, edge", RANGE_EDGE_ROOTS, ids=["v_plus", "v_minus"])
+def test_a_root_on_a_range_edge_is_found(a_minus, zone, edge):
+    # classify refuses E this close to v_plus or v_minus, but the walk is
+    # regular there, so the refinement evaluates such energies as any other
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=a_minus)
+    found = find_resonances(cfg, [zone])
+    (root,) = [r for r in found if abs(r.energy - edge) < core.SINGULAR_TOL]
+    assert round(root.energy, 10) == edge
+    assert root.residual < resonance._RESIDUAL_ACCEPT
+
+
 def test_gap_zone_holds_no_resonances(reference):
     assert find_resonances(reference, [Zone.GAP_LOWER]) == []
 

@@ -220,7 +220,8 @@ def test_m21_squared_overflows_at_the_first_energy_past_double_range():
             resonance._scan_interval(cfg, 6.0, 7.5, settings)
         with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 7.5$"):
             resonance._refine_bracket(cfg, 7.5, 7.6)
-        with pytest.raises(BoundaryEnergy):
+        # the refinement screens nothing: the range edge v_plus reaches the walk
+        with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 8.0$"):
             resonance._refine_bracket(cfg, 6.0, cfg.v_plus)
 
 
