@@ -2,7 +2,9 @@
 
 emit writes every CSV cell through g12_rows, and svg the polyline through
 f2_points.  Each cell is built as 64-bit words of ASCII bytes, NUL where
-a byte is unused, and the cells are joined by deleting the NULs.  Digits
+a byte is unused, and the cells are joined by deleting the NULs; g12_rows
+builds them in a bytearray the caller reuses from block to block, so one
+bytearray.translate drops the NULs, with no copy of the words.  Digits
 come four at a time from a table of the 10,000 four-digit groups.  A
 value's digits are rint of the value scaled by a power of ten.  A cell
 that this cannot be shown to round as C does (nan, inf, a magnitude the
@@ -45,6 +47,8 @@ EXPONENTS = (_U64(ord("e"))
              | np.where(_D < 0, _U64(ord("-")), _U64(ord("+"))) << _U64(8)
              | DIGITS[np.abs(_D)] >> np.where(np.abs(_D) < 100, _U64(16), _U64(8))
              << _U64(16))
+#: Bytes of words a CSV row takes: seven cells of five words.
+ROW_BYTES = 7 * 5 * 8
 #: byte 6 of a CSV cell's last word: a comma, or a newline ending a row
 CSV_SEPARATORS = np.array([ord(",")] * 6 + [ord("\n")], _U64) << _U64(48)
 #: "." at byte 4 of a polyline coordinate, then the comma after an x and
@@ -53,24 +57,32 @@ F2_SEPARATORS = np.array([ord(".") << 32 | ord(",") << 56,
                           ord(".") << 32 | ord(" ") << 56], _U64)
 
 
-def _join(words: np.ndarray, template: bytes, values: np.ndarray,
-          slow: np.ndarray) -> bytes:
-    """The bytes of `words` without their NULs.  A slow cell's words hold
+def _join(raw: "bytes | bytearray", template: bytes, values: np.ndarray,
+          slow: np.ndarray) -> "bytes | bytearray":
+    """The words' bytes `raw` without their NULs.  A slow cell's words hold
     `template`, which bytes formatting fills with its value."""
-    text = words.tobytes().translate(None, b"\0")
+    text = raw.translate(None, b"\0")
     return text % tuple(values[slow].tolist()) if slow.any() else text
 
 
-def g12_rows(block: np.ndarray) -> tuple[bytes, int]:
+def g12_rows(block: np.ndarray, buffer: bytearray) -> tuple[bytearray, int]:
     """'%.12g' CSV lines of a (rows, 7) float block, and how many cells
-    went through '%.12g' itself."""
+    went through '%.12g' itself.
+
+    The cells' words are written into `buffer`, ROW_BYTES a row, and its
+    bytes past the block's words are zeroed, so that deleting the NULs of
+    the whole buffer leaves the block's text: one buffer of the largest
+    block serves every block of a curve.
+    """
     x = block.ravel()
     with np.errstate(all="ignore"):
         d, groups, slow = _decimal(x)
-    words = _g12_words(x, d, groups)
+    words = np.frombuffer(buffer, _U64).reshape(-1, 5)
+    words[x.size:] = 0
+    words = _g12_words(x, d, groups, words[:x.size])
     words[slow] = (int.from_bytes(b"%.12g", "little"), 0, 0, 0, 0)
     words.reshape(block.shape + (5,))[..., 4] |= CSV_SEPARATORS
-    return _join(words, b"%.12g", x, slow), int(np.count_nonzero(slow))
+    return _join(buffer, b"%.12g", x, slow), int(np.count_nonzero(slow))
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,9 +121,11 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, groups, slow
 
 
-def _g12_words(x: np.ndarray, d: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Five words per cell: sign and leading "0.000", three four-digit
-    groups with the point inserted, and the exponent."""
+def _g12_words(x: np.ndarray, d: np.ndarray, groups: np.ndarray,
+               words: np.ndarray) -> np.ndarray:
+    """Five words per cell, written into `words` (cells, 5): sign and
+    leading "0.000", three four-digit groups with the point inserted, and
+    the exponent."""
     hi, mid, lo = groups.T
     trailing = np.where(lo != 0, TRAILING0[lo],
                         4 + np.where(mid != 0, TRAILING0[mid], 4 + TRAILING0[hi]))
@@ -120,7 +134,6 @@ def _g12_words(x: np.ndarray, d: np.ndarray, groups: np.ndarray) -> np.ndarray:
     # otherwise the point after the first digit and an exponent
     sci = (d < -4) | (d >= 12)
     point = np.where(sci, 0, d)
-    words = np.empty((x.size, 5), _U64)
     words[:, 0] = HEADS.take(5 * np.signbit(x) + np.maximum(-point, 0))
     # digits written: the significant ones, and the integer part in full
     digits = DIGITS.take(groups)
@@ -160,4 +173,4 @@ def f2_points(xs: np.ndarray, ys: np.ndarray) -> str:
              | DIGITS.take(cents) >> _U64(16) << _U64(40))
     words.reshape(-1, 2)[:] |= F2_SEPARATORS
     words[slow] = int.from_bytes(b"%.2f", "little") | (words[slow] & _U64(0xFF << 56))
-    return _join(words, b"%.2f", v, slow)[:-1].decode("ascii")
+    return _join(words.tobytes(), b"%.2f", v, slow)[:-1].decode("ascii")

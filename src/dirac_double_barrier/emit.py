@@ -8,7 +8,12 @@ Curves are columnar.  transmission_curve returns one ScatteringResult
 whose fields are arrays over the grid, and the CSV writer formats its
 columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R a block of rows at a
 time with _printf.g12_rows, in numpy and byte for byte as C's
-printf("%.12g").
+printf("%.12g").  write_curve_csv streams the blocks' bytes to the file
+as they come, through one reused buffer, so the text is never held whole.
+
+run_sweep scans widths only, so the grid's zones, waves and interface
+ratios are the same in every frame: it runs scatter's width-free half
+(transfer._prepare) once and its width half (transfer._finish) per frame.
 
 transmission_rows splits the same batch into one ScatteringResult per
 energy; no emission path needs that view, but library callers that walk
@@ -27,13 +32,14 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import _lazy_attributes
 from .core import ZONE_ORDER, PotentialConfig, Zone, check_window, nudge, zone_interval
 from .defaults import SWEEP_PARAMS
-from .transfer import ScatteringResult, scatter
+from .transfer import ScatteringResult, _finish, _prepare, scatter
 
 # the search loads on first use, by zone_report; curves and sweeps
 # without resonances never compile it
@@ -78,32 +84,53 @@ def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
     return list(map(row, zip(*(c.tolist() for c in batch))))
 
 
-#: Rows formatted together; a block's temporaries peak near 0.6 MB.
+#: Rows formatted together.  A block's words take 140 kB, in one buffer
+#: per curve; streaming the 20k-row reference curve peaks near 0.66 MB.
 _BLOCK_ROWS = 512
+
+
+def _csv_blocks(curve: ScatteringResult) -> Iterator[bytes]:
+    """The CSV of a batch from transmission_curve: the header's bytes, then
+    each block of rows', formatted in numpy (see _printf.g12_rows).
+
+    Every block's words go into one buffer, allocated here and reused,
+    and a block is yielded before the next one is formatted.
+    """
+    # imported on first use: compiling the formatter and building its
+    # tables would add to the peak memory of every command, curve or not
+    from ._printf import ROW_BYTES, g12_rows
+
+    columns = (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
+               curve.r.real, curve.r.imag)
+    buffer = bytearray(ROW_BYTES * min(len(curve.e), _BLOCK_ROWS))
+    yield CSV_HEADER.encode() + b"\n"
+    for start in range(0, len(curve.e), _BLOCK_ROWS):
+        block = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
+        yield g12_rows(block, buffer)[0]
 
 
 def format_curve_csv(curve: ScatteringResult) -> str:
     """CSV text of a batch from transmission_curve, one row per energy.
 
-    Every cell is byte for byte C's printf("%.12g"), formatted in numpy
-    a block of rows at a time (see _printf.g12_rows).
+    Every cell is byte for byte C's printf("%.12g").
     """
-    # imported on first use: compiling the formatter and building its
-    # tables would add to the peak memory of every command, curve or not
-    from ._printf import g12_rows
-
-    columns = (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
-               curve.r.real, curve.r.imag)
-    chunks = [CSV_HEADER + "\n"]
-    for start in range(0, len(curve.e), _BLOCK_ROWS):
-        block = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
-        chunks.append(g12_rows(block)[0].decode("ascii"))
-    return "".join(chunks)
+    return "".join(chunk.decode("ascii") for chunk in _csv_blocks(curve))
 
 
 def write_curve_csv(path: "str | Path", curve: ScatteringResult) -> Path:
+    """Write format_curve_csv's text to path, streamed a block at a time.
+
+    If formatting or writing fails, the file is removed again, so no
+    partial CSV is left behind.
+    """
     path = Path(path)
-    path.write_text(format_curve_csv(curve))
+    out = path.open("wb")
+    try:
+        with out:
+            out.writelines(_csv_blocks(curve))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -208,9 +235,9 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     # the swept widths leave the special energies where they are, so one
-    # grid serves every frame; building it first refuses a bad window
-    # before anything is written
-    grid = admissible_grid(cfg, e_min, e_max, points)
+    # grid and its width-free half serve every frame; building it first
+    # refuses a bad window before anything is written
+    prepared = _prepare(admissible_grid(cfg, e_min, e_max, points), cfg)
     created = _created()
     field = param.replace("-", "_")
     values = np.linspace(start, stop, frames)
@@ -223,7 +250,7 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
         manifest_frames = []
         for i, (frame_cfg, value) in enumerate(zip(configs, values)):
             name = f"frame_{i:04d}.csv"
-            written.append(write_curve_csv(outdir / name, scatter(grid, frame_cfg)))
+            written.append(write_curve_csv(outdir / name, _finish(prepared, frame_cfg)))
             entry = {"value": _sig12(float(value)), "file": name}
             if with_resonances:
                 rname = f"frame_{i:04d}_resonances.json"

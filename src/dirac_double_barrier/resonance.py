@@ -325,7 +325,7 @@ def _t2(e: Energy, cfg: PotentialConfig) -> "float | np.ndarray":
     it sees lies inside one zone's march, nudged off or bracketed between
     nudged energies, so classify's screen has nothing to reject.
     """
-    t, _ = _amplitudes(e, cfg)
+    t, _ = _amplitudes(_checked_walk(e, cfg))
     return abs(t) ** 2
 
 

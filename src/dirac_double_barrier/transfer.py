@@ -35,7 +35,11 @@ R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
 overflows at any barrier width, and an energy costs 3 complex exp.
 The resonance search reads the checked walk (_checked_walk) as well:
 M21 = R/T = b/tau, since a and the phase cancel from that ratio, so it
-needs no product.
+needs no product.  The walk comes in two halves: the wave vectors and
+the ratios rho (_media) depend on the energies and the heights alone,
+the decays, the phase and the recurrence (_walk) on the widths.  scatter
+runs both; a sweep over widths runs the first once per grid (_prepare,
+which also classifies the energies) and the second per frame (_finish).
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -59,6 +63,9 @@ from .errors import DegenerateMatrix, NumericalOverflow
 
 #: One energy, or a 1-D array of them.
 Energy = float | np.ndarray
+
+#: The context a float runs in: numpy's error state concerns arrays alone.
+_SCALAR = nullcontext()
 
 
 class Matrix2x2(NamedTuple):
@@ -154,7 +161,7 @@ def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x
     array = isinstance(e, np.ndarray)
     xp = np if array else cmath
     try:
-        with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
+        with _quiet(e):
             mats = _steps(e, cfg, xp)
             if multiply:
                 mats = (mats[0] @ mats[1] @ mats[2] @ mats[3],)
@@ -202,46 +209,63 @@ class ScatteringResult(NamedTuple):
     zone: Zone | np.ndarray
 
 
-def _walk(e: Energy, cfg: PotentialConfig, xp) -> tuple:
-    """(a, b, tau, phase) of the bounded walk; T = tau/a phase, R = b/a phase.
+def _quiet(e: Energy):
+    """The error state the walk runs in.  On an array, overflow and invalid
+    results are left to its finiteness checks; a float needs no context."""
+    return np.errstate(over="ignore", invalid="ignore") if isinstance(e, np.ndarray) else _SCALAR
 
-    The walk starts from (a, b) = (1/16, 0) on the transmitted side and
-    maps the pair at each interface by 2 P(rho) = [[1 + rho, 1 - rho],
-    [1 - rho, 1 + rho]], so that the four doublings restore the scale of
-    (1, 0).  Between two interfaces a takes g^2 = e^{-2kw}; the decays
-    g_+ = e^{-k_+ a_plus} and g_- = e^{-2 k_- a_minus} of the three
-    regions crossed make tau = g_+^2 g_-.  phase = e^{-2 k0 a} has
-    modulus 1, since the outside wave propagates.
+
+def _media(e: Energy, cfg: PotentialConfig) -> tuple:
+    """The walk's width-free half, run under _quiet(e): (e, k0, kp, km, rhos).
+
+    k of the outside, barrier and floor regions, and rho = s_R / s_L at
+    the four interfaces from x = +a inward, depend on the energies and
+    the heights alone, so a sweep over widths computes them once per grid.
     """
-    (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, xp)
-    gp = xp.exp(-kp * cfg.a_plus)
-    gm = xp.exp(-km * (2.0 * cfg.a_minus))
-    gp2 = gp * gp
-    a, b = 0.0625, 0.0
-    # from x = +a inward: the barrier, the floor, the barrier, the outside.
-    # In place on arrays the walk owns (a float just rebinds), since every
-    # fresh 20k-energy temporary costs the allocator page faults.
-    for g2, rho in ((1.0, s0 / sp), (gp2, sp / sm), (gm * gm, sm / sp), (gp2, sp / s0)):
-        a *= g2
-        rho *= a - b  # delta = rho (a - b)
-        b += a        # sigma = a + b
-        a = b + rho   # sigma + delta
-        b -= rho      # sigma - delta
-    return a, b, gp2 * gm, xp.exp(k0 * (-2.0 * cfg.a))
+    (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, np if isinstance(e, np.ndarray) else cmath)
+    return e, k0, kp, km, (s0 / sp, sp / sm, sm / sp, sp / s0)
 
 
-def _checked_walk(e: Energy, cfg: PotentialConfig) -> tuple:
-    """_walk at admissible energies, with its overflow and degeneracy raised.
+def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
+    """(a, b, tau, phase) of the bounded walk on _media, run under _quiet(e).
+
+    T = tau/a phase and R = b/a phase.  The walk starts from (a, b) =
+    (1/16, 0) on the transmitted side and maps the pair at each interface
+    by 2 P(rho) = [[1 + rho, 1 - rho], [1 - rho, 1 + rho]], so that the
+    four doublings restore the scale of (1, 0).  Between two interfaces a
+    takes g^2 = e^{-2kw}; the decays g_+ = e^{-k_+ a_plus} and
+    g_- = e^{-2 k_- a_minus} of the three regions crossed make
+    tau = g_+^2 g_-.  phase = e^{-2 k0 a} has modulus 1, since the
+    outside wave propagates.
 
     Raises NumericalOverflow where a wave exponent passed double range and
     DegenerateMatrix where the incident amplitude a vanished.
     """
+    e, k0, kp, km, (rho0, rho1, rho2, rho3) = media
     array = isinstance(e, np.ndarray)
     xp = np if array else cmath
     try:
-        with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
-            a, b, tau, phase = _walk(e, cfg, xp)
-            at = _first_failure(xp.isfinite(a + phase), e)
+        gp = xp.exp(-kp * cfg.a_plus)
+        gm = xp.exp(-km * (2.0 * cfg.a_minus))
+        gp2 = gp * gp
+        # the first interface meets (1/16, 0); then from x = +a inward the
+        # barrier, the floor and the barrier.  In place on arrays the walk
+        # owns, since every fresh 20k-energy temporary costs the allocator
+        # page faults.
+        delta = rho0 * 0.0625
+        a, b = 0.0625 + delta, 0.0625 - delta
+        for g2, rho in ((gp2, rho1), (gm * gm, rho2), (gp2, rho3)):
+            a *= g2
+            delta = a - b
+            # rho (a - b) into the temporary, not into rho, which the frames
+            # of a sweep share; written as a product, numpy would reuse a
+            # large temporary with the operands swapped (see _interface)
+            delta = np.multiply(rho, delta, out=delta) if array else rho * delta
+            b += a         # sigma = a + b
+            a = b + delta  # sigma + delta
+            b -= delta     # sigma - delta
+        phase = xp.exp(k0 * (-2.0 * cfg.a))
+        at = _first_failure(xp.isfinite(a + phase), e)
     except ValueError:  # cmath's exp of an infinite imaginary part
         at = e
     if at is not None:
@@ -250,14 +274,35 @@ def _checked_walk(e: Energy, cfg: PotentialConfig) -> tuple:
     at = _first_failure(abs(a) >= 1e-300, e)
     if at is not None:
         raise DegenerateMatrix(f"incident amplitude vanished at E = {at!r}")
-    return a, b, tau, phase
+    return a, b, gp2 * gm, phase
 
 
-def _amplitudes(e: Energy, cfg: PotentialConfig) -> tuple:
-    """(T, R) off the checked walk, with no screen of the energies."""
-    a, b, tau, phase = _checked_walk(e, cfg)
+def _checked_walk(e: Energy, cfg: PotentialConfig) -> tuple:
+    """Both halves of the walk at admissible energies, with no screen of the energies."""
+    with _quiet(e):
+        return _walk(_media(e, cfg), cfg)
+
+
+def _amplitudes(walk: tuple) -> tuple:
+    """(T, R) of a checked walk's (a, b, tau, phase)."""
+    a, b, tau, phase = walk
     q = phase / a
     return tau * q, b * q
+
+
+def _prepare(e: Energy, cfg: PotentialConfig) -> tuple:
+    """scatter's width-free half: the matrix ranges and zones of E, and _media."""
+    rng, zone = classify(e, cfg)
+    with _quiet(e):
+        return rng, zone, _media(e, cfg)
+
+
+def _finish(prepared: tuple, cfg: PotentialConfig) -> ScatteringResult:
+    """scatter's width half: the result at cfg's widths on a _prepare of its heights."""
+    rng, zone, media = prepared
+    with _quiet(media[0]):
+        t, r = _amplitudes(_walk(media, cfg))
+    return ScatteringResult(media[0], t, r, abs(t) ** 2, abs(r) ** 2, rng, zone)
 
 
 def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
@@ -266,16 +311,6 @@ def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:
     Contracts the interface matrices as the bounded walk (see the module
     docstring), valid at any barrier width; |T|^2 + |R|^2 = 1 up to
     roundoff.  The amplitudes are those of the product, T = 1/M11 and
-    R = M21/M11, to roundoff.
+    R = M21/M11, to roundoff.  It runs _prepare, then _finish.
     """
-    rng, zone = classify(e, cfg)
-    t, r = _amplitudes(e, cfg)
-    return ScatteringResult(
-        e=e,
-        t=t,
-        r=r,
-        t2=abs(t) ** 2,
-        r2=abs(r) ** 2,
-        matrix_range=rng,
-        zone=zone,
-    )
+    return _finish(_prepare(e, cfg), cfg)

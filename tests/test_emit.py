@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_double_barrier import ScatteringResult, Zone, _printf
+from dirac_double_barrier import ScatteringResult, Zone, _printf, transfer
 from dirac_double_barrier.emit import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -17,6 +17,7 @@ from dirac_double_barrier.emit import (
     run_sweep,
     transmission_curve,
     transmission_rows,
+    write_curve_csv,
     zone_report,
 )
 from dirac_double_barrier.svg import render_curve_svg
@@ -92,7 +93,8 @@ def _printf_csv(cells):
 
 def _per_cell_count(cells) -> int:
     """How many of the cells g12_rows formats one by one through '%.12g'."""
-    return _printf.g12_rows(np.asarray(cells, dtype=float).reshape(-1, 7))[1]
+    block = np.asarray(cells, dtype=float).reshape(-1, 7)
+    return _printf.g12_rows(block, bytearray(_printf.ROW_BYTES * len(block)))[1]
 
 
 # any float64: drawn as a float, or as a bit pattern so that every
@@ -171,6 +173,102 @@ def test_formatting_the_reference_curve_stays_small(reference):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text) < 9.3e6
+
+
+@pytest.fixture(scope="module")
+def reference_curve(reference):
+    return transmission_curve(reference, 1.01, 12.0, 20_000)
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 2000, 20_000])
+def test_streamed_csv_is_the_formatted_text(reference_curve, tmp_path, rows):
+    # block edges fall after 512 rows; one row needs a one-row buffer
+    batch = ScatteringResult(*(c[:rows] for c in reference_curve))
+    path = write_curve_csv(tmp_path / "curve.csv", batch)
+    text = format_curve_csv(batch)
+    assert path.read_bytes() == text.encode("ascii")
+    assert text.count("\n") == rows + 1
+
+
+def test_streaming_the_reference_curve_stays_under_a_megabyte(reference_curve, tmp_path):
+    # one block's words and temporaries at a time, not the 2.2 MB text
+    path = tmp_path / "curve.csv"
+    tracemalloc.start()
+    try:
+        write_curve_csv(path, reference_curve)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 < path.stat().st_size
+
+
+def _failing_on_call(n, monkeypatch):
+    """Make the n-th block formatted from now on raise."""
+    real, calls = _printf.g12_rows, []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise RuntimeError("forced failure")
+        return real(*args)
+
+    monkeypatch.setattr(_printf, "g12_rows", flaky)
+
+
+def test_a_failed_write_leaves_no_file(reference_curve, tmp_path, monkeypatch):
+    _failing_on_call(2, monkeypatch)
+    path = tmp_path / "curve.csv"
+    with pytest.raises(RuntimeError, match="forced failure"):
+        write_curve_csv(path, reference_curve)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing_block", [2, 6])
+def test_a_sweep_failing_mid_frame_leaves_no_file(reference, tmp_path, monkeypatch,
+                                                  failing_block):
+    # 2,000 rows make four blocks a frame: block 2 fails the first frame,
+    # block 6 the second, after the first frame's file was written
+    _failing_on_call(failing_block, monkeypatch)
+    outdir = tmp_path / "frames"
+    with pytest.raises(RuntimeError, match="forced failure"):
+        run_sweep(reference, "a-minus", 1.0, 2.0, 3, outdir, 1.01, 12.0, 2000)
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("param", ["a-minus", "a-plus"])
+def test_every_sweep_frame_is_the_curve_of_its_widths(reference, tmp_path, param):
+    frames, points = 5, 600
+    manifest = run_sweep(reference, param, 1.0, 3.0, frames, tmp_path, 1.01, 12.0, points)
+    field = param.replace("-", "_")
+    for frame, value in zip(manifest["frames"], np.linspace(1.0, 3.0, frames), strict=True):
+        curve = transmission_curve(replace(reference, **{field: float(value)}), 1.01, 12.0,
+                                   points)
+        assert (tmp_path / frame["file"]).read_bytes() == format_curve_csv(curve).encode()
+
+
+def test_a_sweep_at_20k_points_matches_short_curves(reference, tmp_path):
+    # at 16,384 energies or more numpy reuses large temporaries in place, so
+    # a frame must not depend on the grid's length: each equals its curve
+    # computed 1,000 energies at a time
+    grid = admissible_grid(reference, 1.01, 12.0, 20_000)
+    manifest = run_sweep(reference, "a-plus", 3.0, 16.0, 2, tmp_path, 1.01, 12.0, 20_000)
+    for frame, a_plus in zip(manifest["frames"], (3.0, 16.0), strict=True):
+        cfg = replace(reference, a_plus=a_plus)
+        parts = [transfer.scatter(grid[i:i + 1000], cfg) for i in range(0, grid.size, 1000)]
+        curve = ScatteringResult(*(np.concatenate(c) for c in zip(*parts)))
+        assert (tmp_path / frame["file"]).read_bytes() == format_curve_csv(curve).encode()
+
+
+def test_a_sweep_computes_its_width_free_half_once(reference, tmp_path, monkeypatch):
+    calls = {"_waves": 0, "classify": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(transfer, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(transfer, name, spy)
+    run_sweep(reference, "a-minus", 1.0, 3.0, 5, tmp_path, 1.01, 12.0, 300)
+    assert calls == {"_waves": 1, "classify": 1}
 
 
 def _bits(row):

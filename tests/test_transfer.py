@@ -351,6 +351,22 @@ def test_scatter_bits_do_not_depend_on_array_length(reference):
         assert _bits(getattr(whole, field)) == _bits(joined)
 
 
+def test_the_width_free_half_serves_any_widths(reference):
+    # what a width sweep does: _prepare once, _finish per frame; at 20,000
+    # energies, where numpy reuses large temporaries in place, the shared
+    # ratios must keep their operand order and come out of a frame unchanged
+    grid = nudge(np.linspace(1.01, reference.v_plus + 4.0, 20_000), reference)
+    prepared = transfer._prepare(grid, reference)
+    for a_plus, a_minus in ((3.0, 2.5), (16.0, 1.0), (0.5, 4.0), (3.0, 2.5)):
+        cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=a_minus)
+        got, want = transfer._finish(prepared, cfg), scatter(grid, cfg)
+        for field in ("t", "r", "t2", "r2"):
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field))
+        assert got.e is grid
+        assert (got.matrix_range == want.matrix_range).all()
+        assert (got.zone == want.zone).all()
+
+
 @st.composite
 def _thick_cases(draw, a_plus_max=5.0):
     v_minus = draw(st.floats(2.3, 6.0))
