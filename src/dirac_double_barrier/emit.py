@@ -5,11 +5,11 @@ cell format never change without a schema bump, and JSON documents carry
 an explicit "schema" field.
 
 Curves are columnar.  transmission_curve returns one ScatteringResult
-whose fields are arrays over the grid, and the CSV writer formats its
-columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R a block of rows at a
-time with _printf.g12_rows, in numpy and byte for byte as C's
-printf("%.12g").  write_curve_csv streams the blocks' bytes to the file
-as they come, through one reused buffer, so the text is never held whole.
+whose fields are arrays over the grid, and write_curve_csv writes the
+header and then its columns E, |T|^2, |R|^2, Re T, Im T, Re R, Im R as
+_printf.csv_blocks formats them, a block of rows at a time, in numpy and
+byte for byte as C's printf("%.12g").  Each block goes to the file as it
+comes, so the text is never held whole.
 
 run_sweep scans widths only, so the grid's zones, waves and interface
 ratios are the same in every frame: it runs scatter's width-free half
@@ -32,7 +32,6 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -84,50 +83,24 @@ def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
     return list(map(row, zip(*(c.tolist() for c in batch))))
 
 
-#: Rows formatted together.  A block's words take 140 kB, in one buffer
-#: per curve; streaming the 20k-row reference curve peaks near 0.66 MB.
-_BLOCK_ROWS = 512
-
-
-def _csv_blocks(curve: ScatteringResult) -> Iterator[bytes]:
-    """The CSV of a batch from transmission_curve: the header's bytes, then
-    each block of rows', formatted in numpy (see _printf.g12_rows).
-
-    Every block's words go into one buffer, allocated here and reused,
-    and a block is yielded before the next one is formatted.
-    """
-    # imported on first use: compiling the formatter and building its
-    # tables would add to the peak memory of every command, curve or not
-    from ._printf import ROW_BYTES, g12_rows
-
-    columns = (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
-               curve.r.real, curve.r.imag)
-    buffer = bytearray(ROW_BYTES * min(len(curve.e), _BLOCK_ROWS))
-    yield CSV_HEADER.encode() + b"\n"
-    for start in range(0, len(curve.e), _BLOCK_ROWS):
-        block = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
-        yield g12_rows(block, buffer)[0]
-
-
-def format_curve_csv(curve: ScatteringResult) -> str:
-    """CSV text of a batch from transmission_curve, one row per energy.
-
-    Every cell is byte for byte C's printf("%.12g").
-    """
-    return "".join(chunk.decode("ascii") for chunk in _csv_blocks(curve))
-
-
 def write_curve_csv(path: "str | Path", curve: ScatteringResult) -> Path:
-    """Write format_curve_csv's text to path, streamed a block at a time.
+    """Write the CSV of a batch from transmission_curve to path, one row
+    per energy, streamed a block of rows at a time.
 
     If formatting or writing fails, the file is removed again, so no
     partial CSV is left behind.
     """
+    # imported on first use: compiling the formatter and building its
+    # tables would add to the peak memory of every command, curve or not
+    from ._printf import csv_blocks
+
     path = Path(path)
     out = path.open("wb")
     try:
         with out:
-            out.writelines(_csv_blocks(curve))
+            out.write(CSV_HEADER.encode() + b"\n")
+            out.writelines(csv_blocks((curve.e, curve.t2, curve.r2, curve.t.real,
+                                       curve.t.imag, curve.r.real, curve.r.imag)))
     except BaseException:
         path.unlink(missing_ok=True)
         raise

@@ -91,7 +91,7 @@ def render_curve_svg(energies: "np.ndarray | list[float]",
         )
     xs = px(energies)
     ys = py(np.minimum(np.maximum(t2s, y_lo), y_hi))
-    # imported on first use, as in emit.format_curve_csv
+    # imported on first use, as in emit.write_curve_csv
     from ._printf import f2_points
 
     points = f2_points(xs, ys)

@@ -216,18 +216,20 @@ def _quiet(e: Energy):
 
 
 def _media(e: Energy, cfg: PotentialConfig) -> tuple:
-    """The walk's width-free half, run under _quiet(e): (e, k0, kp, km, rhos).
+    """The walk's width-free half: (e, k0, kp, km, rhos).
 
     k of the outside, barrier and floor regions, and rho = s_R / s_L at
     the four interfaces from x = +a inward, depend on the energies and
     the heights alone, so a sweep over widths computes them once per grid.
+    It needs no error state: admissible energies lie off every U +/- m,
+    where m + E - U or some s would vanish.
     """
     (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, np if isinstance(e, np.ndarray) else cmath)
     return e, k0, kp, km, (s0 / sp, sp / sm, sm / sp, sp / s0)
 
 
 def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
-    """(a, b, tau, phase) of the bounded walk on _media, run under _quiet(e).
+    """(a, b, tau, phase) of the bounded walk on _media, in _quiet(e).
 
     T = tau/a phase and R = b/a phase.  The walk starts from (a, b) =
     (1/16, 0) on the transmitted side and maps the pair at each interface
@@ -245,27 +247,29 @@ def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
     array = isinstance(e, np.ndarray)
     xp = np if array else cmath
     try:
-        gp = xp.exp(-kp * cfg.a_plus)
-        gm = xp.exp(-km * (2.0 * cfg.a_minus))
-        gp2 = gp * gp
-        # the first interface meets (1/16, 0); then from x = +a inward the
-        # barrier, the floor and the barrier.  In place on arrays the walk
-        # owns, since every fresh 20k-energy temporary costs the allocator
-        # page faults.
-        delta = rho0 * 0.0625
-        a, b = 0.0625 + delta, 0.0625 - delta
-        for g2, rho in ((gp2, rho1), (gm * gm, rho2), (gp2, rho3)):
-            a *= g2
-            delta = a - b
-            # rho (a - b) into the temporary, not into rho, which the frames
-            # of a sweep share; written as a product, numpy would reuse a
-            # large temporary with the operands swapped (see _interface)
-            delta = np.multiply(rho, delta, out=delta) if array else rho * delta
-            b += a         # sigma = a + b
-            a = b + delta  # sigma + delta
-            b -= delta     # sigma - delta
-        phase = xp.exp(k0 * (-2.0 * cfg.a))
-        at = _first_failure(xp.isfinite(a + phase), e)
+        with _quiet(e):
+            gp = xp.exp(-kp * cfg.a_plus)
+            gm = xp.exp(-km * (2.0 * cfg.a_minus))
+            gp2 = gp * gp
+            # the first interface meets (1/16, 0); then from x = +a inward
+            # the barrier, the floor and the barrier.  In place on arrays
+            # the walk owns, since every fresh 20k-energy temporary costs
+            # the allocator page faults.
+            delta = rho0 * 0.0625
+            a, b = 0.0625 + delta, 0.0625 - delta
+            for g2, rho in ((gp2, rho1), (gm * gm, rho2), (gp2, rho3)):
+                a *= g2
+                delta = a - b
+                # rho (a - b) into the temporary, not into rho, which the
+                # frames of a sweep share; written as a product, numpy would
+                # reuse a large temporary with the operands swapped (see
+                # _interface)
+                delta = np.multiply(rho, delta, out=delta) if array else rho * delta
+                b += a         # sigma = a + b
+                a = b + delta  # sigma + delta
+                b -= delta     # sigma - delta
+            phase = xp.exp(k0 * (-2.0 * cfg.a))
+            at = _first_failure(xp.isfinite(a + phase), e)
     except ValueError:  # cmath's exp of an infinite imaginary part
         at = e
     if at is not None:
@@ -279,12 +283,11 @@ def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
 
 def _checked_walk(e: Energy, cfg: PotentialConfig) -> tuple:
     """Both halves of the walk at admissible energies, with no screen of the energies."""
-    with _quiet(e):
-        return _walk(_media(e, cfg), cfg)
+    return _walk(_media(e, cfg), cfg)
 
 
 def _amplitudes(walk: tuple) -> tuple:
-    """(T, R) of a checked walk's (a, b, tau, phase)."""
+    """(T, R) of a checked walk's (a, b, tau, phase), where |a| >= 1e-300."""
     a, b, tau, phase = walk
     q = phase / a
     return tau * q, b * q
@@ -293,15 +296,13 @@ def _amplitudes(walk: tuple) -> tuple:
 def _prepare(e: Energy, cfg: PotentialConfig) -> tuple:
     """scatter's width-free half: the matrix ranges and zones of E, and _media."""
     rng, zone = classify(e, cfg)
-    with _quiet(e):
-        return rng, zone, _media(e, cfg)
+    return rng, zone, _media(e, cfg)
 
 
 def _finish(prepared: tuple, cfg: PotentialConfig) -> ScatteringResult:
     """scatter's width half: the result at cfg's widths on a _prepare of its heights."""
     rng, zone, media = prepared
-    with _quiet(media[0]):
-        t, r = _amplitudes(_walk(media, cfg))
+    t, r = _amplitudes(_walk(media, cfg))
     return ScatteringResult(media[0], t, r, abs(t) ** 2, abs(r) ** 2, rng, zone)
 
 

@@ -339,6 +339,37 @@ def test_roots_dropped_by_the_residual_gate_are_warned(reference, caplog):
     ]
 
 
+def _random_potentials(count, seed=1):
+    """Seeded potentials over the ranges the search is meant to cover."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v_minus = rng.uniform(2.5, 4.5)
+        yield PotentialConfig(v_plus=v_minus + rng.uniform(2.3, 8.0), v_minus=v_minus,
+                              a_plus=rng.uniform(0.3, 6.0), a_minus=rng.uniform(0.3, 4.0))
+
+
+# ten random potentials, and a_plus = 9 on the reference floor, whose four
+# conventional roots the residual gate drops with a WARNING each
+@pytest.mark.parametrize("cfg", [*_random_potentials(10),
+                                 PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0,
+                                                 a_minus=2.5)])
+def test_every_sign_change_is_a_root_or_a_warned_drop(cfg, caplog):
+    # Im M21 = Im(b/tau) is continuous in a bounded zone, so each of its
+    # sign changes on a dense grid is a resonance the search must report
+    # or say it dropped
+    margin = core.EVAL_MARGIN * cfg.m
+    for zone in resonance.BOUNDED_ZONES:
+        lo, hi = zone_interval(zone, cfg)
+        grid = core.nudge(np.linspace(lo + margin, hi - margin, 64_000), cfg)
+        _, b, tau, _ = transfer._checked_walk(grid, cfg)
+        negative = np.signbit((b / tau).imag)
+        changes = np.count_nonzero(negative[1:] != negative[:-1])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=resonance.__name__):
+            found = find_resonances(cfg, [zone])
+        assert changes == len(found) + len(_records(caplog, logging.WARNING)), zone
+
+
 def test_cutoff_truncates_open_zone(reference):
     res = find_above_barrier(reference, 9.6)
     assert [r.energy for r in res] == pytest.approx(

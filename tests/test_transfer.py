@@ -18,6 +18,7 @@ from dirac_double_barrier import (
     SearchSettings,
     Zone,
     classify,
+    core,
     factor_matrices,
     full_matrix,
     resonance,
@@ -338,6 +339,24 @@ def test_shared_exponentials_match_four_call_steps_on_a_long_array(reference):
     # large temporaries in place, a path short arrays never take
     grid = nudge(np.linspace(1.01, reference.v_plus + 4.0, 20_000), reference)
     _check_against_four_call_steps(grid, reference)
+
+
+@pytest.mark.parametrize("a_plus", [3.0, 400.0])
+def test_the_walk_lets_no_floating_point_warning_escape_next_to_special_energies(a_plus):
+    # the walk's error state covers the walk alone: the media before it and
+    # the amplitudes after it stay finite at admissible energies, even as
+    # close to U +/- m and the range edges as any grid or march comes
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    margin = core.EVAL_MARGIN * cfg.m
+    energies = np.array([e for s in special_energies(cfg) for e in (s - margin, s + margin)
+                         if e > cfg.m])
+    assert (nudge(energies, cfg) == energies).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (energies, *energies.tolist()):
+            scatter(e, cfg)
+            transfer._checked_walk(e, cfg)
+            transfer._finish(transfer._prepare(e, cfg), cfg)
 
 
 def test_scatter_bits_do_not_depend_on_array_length(reference):
