@@ -27,12 +27,10 @@ from .core import (
     PotentialConfig,
     Region,
     Zone,
-    alpha_beta,
     classify,
     kinematics,
     singular_energies,
     special_energies,
-    wave_vector,
     zone_interval,
 )
 from .errors import (
@@ -42,7 +40,6 @@ from .errors import (
     DoubleBarrierError,
     InadmissibleEnergy,
     NumericalOverflow,
-    RefinementFailed,
     SingularEnergy,
     SingularSystem,
 )
@@ -77,8 +74,8 @@ def _lazy_attributes(namespace: dict, owners: dict):
 #: Submodule -> the exports it defines, imported on first access.
 _LAZY = {
     "oracle": ("AmplitudeSet", "SpinorSample", "solve_amplitudes", "wavefunction_profile"),
-    "resonance": ("BOUNDED_ZONES", "Resonance", "SearchSettings", "attach_widths",
-                  "find_above_barrier", "find_resonances"),
+    "resonance": ("Resonance", "SearchSettings", "attach_widths", "find_above_barrier",
+                  "find_resonances"),
     "transfer": ("Matrix2x2", "ScatteringResult", "factor_matrices", "full_matrix",
                  "scatter"),
     "verify": ("CheckResult", "VerificationReport", "run_verification", "sample_energies"),
@@ -99,7 +96,6 @@ def __dir__():
 
 __all__ = [
     "AmplitudeSet",
-    "BOUNDED_ZONES",
     "BoundaryEnergy",
     "CheckResult",
     "ConfigError",
@@ -112,7 +108,6 @@ __all__ = [
     "MatrixRange",
     "NumericalOverflow",
     "PotentialConfig",
-    "RefinementFailed",
     "Region",
     "Resonance",
     "ScatteringResult",
@@ -124,7 +119,6 @@ __all__ = [
     "VerificationReport",
     "ZONE_ORDER",
     "Zone",
-    "alpha_beta",
     "attach_widths",
     "classify",
     "factor_matrices",
@@ -137,7 +131,6 @@ __all__ = [
     "singular_energies",
     "special_energies",
     "solve_amplitudes",
-    "wave_vector",
     "wavefunction_profile",
     "zone_interval",
     "run_verification",

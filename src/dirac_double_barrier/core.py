@@ -72,6 +72,13 @@ class PotentialConfig:
     v_minus > 2 m and v_plus > v_minus + 2 m, and every parameter must be
     finite; construction enforces this, so every instance in circulation
     is valid.
+
+    Scaling the heights by m and the widths by 1/m gives the m = 1
+    results at energies times m.  For the reference potential that holds
+    in double precision from m = 1e-150 to 1e150.  Far above it the wave
+    vectors overflow and the engine raises NumericalOverflow; below it
+    they lose digits to subnormal squares, silently, until they underflow
+    and it raises NumericalOverflow too.
     """
 
     v_plus: float
@@ -228,39 +235,24 @@ def _reject_singular(e: "float | np.ndarray", levels, cfg: PotentialConfig) -> N
         )
 
 
-def wave_vector(e: float, region: Region, cfg: PotentialConfig) -> complex:
-    """Complex wave vector of the region, principal sqrt of m^2 - (E-U)^2.
-
-    Real and positive where |E - U| < m (evanescent solutions), pure
-    imaginary with positive imaginary part where |E - U| > m
-    (oscillatory solutions).
-    """
-    u = cfg.potential(region)
-    _reject_singular(e, (u,), cfg)
-    d = e - u
-    # factored form keeps the difference of squares accurate near |d| = m
-    return cmath.sqrt((cfg.m - d) * (cfg.m + d))
-
-
-def alpha_beta(e: float, region: Region, cfg: PotentialConfig) -> tuple[complex, complex]:
-    """Spinor weights (alpha, beta) of the region, principal branch.
-
-    Their product is +1 where the solutions are evanescent and -1 where
-    they are oscillatory; each is the other's reciprocal up to that sign.
-    """
-    u = cfg.potential(region)
-    _reject_singular(e, (u,), cfg)
-    d = e - u
-    alpha = cmath.sqrt((cfg.m - d) / (cfg.m + d))
-    beta = cmath.sqrt((cfg.m + d) / (cfg.m - d))
-    return alpha, beta
-
-
 def kinematics(e: float, region: Region, cfg: PotentialConfig) -> Kinematics:
-    """Bundle wave_vector and alpha_beta for one region."""
-    k = wave_vector(e, region, cfg)
-    alpha, beta = alpha_beta(e, region, cfg)
-    return Kinematics(k=k, alpha=alpha, beta=beta)
+    """Wave vector and spinor weights of the region, principal branches.
+
+    k = sqrt(m^2 - (E-U)^2) is real and positive where |E - U| < m
+    (evanescent solutions), pure imaginary with positive imaginary part
+    where |E - U| > m (oscillatory solutions).  The weights
+    alpha = sqrt((m - d)/(m + d)) and beta = sqrt((m + d)/(m - d)), with
+    d = E - U, have the product +1 where the solutions are evanescent and
+    -1 where they are oscillatory.
+    """
+    u = cfg.potential(region)
+    _reject_singular(e, (u,), cfg)
+    d = e - u
+    m = cfg.m
+    # factored form keeps the difference of squares accurate near |d| = m
+    return Kinematics(k=cmath.sqrt((m - d) * (m + d)),
+                      alpha=cmath.sqrt((m - d) / (m + d)),
+                      beta=cmath.sqrt((m + d) / (m - d)))
 
 
 #: Matrix ranges in order of increasing energy.

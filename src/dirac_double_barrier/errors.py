@@ -41,8 +41,3 @@ class DegenerateMatrix(DoubleBarrierError):
 class SingularSystem(DoubleBarrierError):
     """The boundary-matching linear system could not be solved to the
     required residual."""
-
-
-class RefinementFailed(DoubleBarrierError):
-    """A bracketed resonance candidate did not refine below the residual
-    threshold."""

@@ -96,10 +96,10 @@ class SpinorSample:
 def _waves(e, cfg: PotentialConfig) -> list:
     """(kappa, slope) of the outside, barrier and floor regions, in that order.
 
-    kappa is the principal sqrt of m^2 - (E - U)^2, as core.wave_vector
+    kappa is the principal sqrt of m^2 - (E - U)^2, as core.kinematics
     takes it, and the slope kappa / (m + E - U) is the lower component
     of u(kappa).  Raises SingularEnergy at the first energy that lies at
-    U +/- m of one of the three levels, as core.wave_vector does.
+    U +/- m of one of the three levels, as core.kinematics does.
     """
     m = cfg.m
     levels = [cfg.potential(region) for region in _LEVELS]

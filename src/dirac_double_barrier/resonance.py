@@ -38,21 +38,13 @@ import numpy as np
 
 from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, screen, zone_interval
 from .defaults import GRID_POINTS_PER_ZONE
-from .errors import NumericalOverflow, RefinementFailed
+from .errors import NumericalOverflow
 from .transfer import Energy, _amplitudes, _checked_walk
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
 # names resonance.full_matrix and resonance.scatter, so they stay bound
 from .transfer import full_matrix, scatter  # noqa: F401
 
 log = logging.getLogger(__name__)
-
-#: Zones with finite extent, in order of increasing energy.
-BOUNDED_ZONES = (
-    Zone.LOWER_KLEIN,
-    Zone.GAP_LOWER,
-    Zone.HIGHER_KLEIN,
-    Zone.CONVENTIONAL,
-)
 
 #: Default bounded zones searched when the caller does not choose.
 DEFAULT_ZONES = (Zone.LOWER_KLEIN, Zone.HIGHER_KLEIN, Zone.CONVENTIONAL)
@@ -185,8 +177,12 @@ class Resonance:
     fwhm: float | None = None
 
 
-def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, float, int]:
+def _refine_bracket(cfg: PotentialConfig, lo: float,
+                    hi: float) -> "tuple[float, float, int] | None":
     """Root of M21 inside (lo, hi) as (energy, residual, evaluations).
+
+    None where Im M21 keeps its sign over (lo, hi), so the bracket holds
+    no root.
 
     M21 = b/tau comes off the checked walk, since M21 = R/T and the
     walk's a and phase cancel from that ratio; it raises
@@ -210,9 +206,7 @@ def _refine_bracket(cfg: PotentialConfig, lo: float, hi: float) -> tuple[float, 
     try:
         root = brentq(im_m21, lo, hi, xtol=_REFINE_TOLERANCE * cfg.m)
     except ValueError:
-        raise RefinementFailed(
-            f"Im M21 keeps its sign over ({lo:.9g}, {hi:.9g})"
-        ) from None
+        return None
     return root, abs(seen[root]), len(seen)
 
 
@@ -233,13 +227,15 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     hits: list[tuple[float, float]] = []
     rejected = dropped = merged = evaluations = 0
     for i in minima:
-        try:
-            root, residual, n = _refine_bracket(cfg, float(grid[i - 1]), float(grid[i + 1]))
-        except RefinementFailed as exc:
-            log.debug("bracket near E = %.9g rejected: %s", grid[i], exc)
+        left, right = float(grid[i - 1]), float(grid[i + 1])
+        refined = _refine_bracket(cfg, left, right)
+        if refined is None:
+            log.debug("bracket near E = %.9g rejected: Im M21 keeps its sign over "
+                      "(%.9g, %.9g)", grid[i], left, right)
             rejected += 1
             evaluations += 2  # brentq compares the signs at both ends first
             continue
+        root, residual, n = refined
         evaluations += n
         if residual < _RESIDUAL_ACCEPT:
             hits.append((root, residual))

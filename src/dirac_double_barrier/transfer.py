@@ -13,15 +13,17 @@ and the structure has four of them, at x = -a, -a_minus, a_minus and a.
 The same factors are contracted in two ways.
 
 The product M = P1 P2 P3 P4 (full_matrix, factor_matrices) is the
-transfer matrix itself, for verify, the paper tables and library
-callers.  Each det P = s_R / s_L, which telescopes to det M = 1, and with
-M11 = conj(M22) and M12 = conj(M21) this gives |T|^2 + |R|^2 = 1 for
-T = 1/M11 and R = M21/M11.  The structure is mirror-symmetric, so P4 is
-P1 and P3 is P2 seen from the other side: the exponents at +x are those
-at -x, with the e^{+-v} pair swapped, to the bit.  Each mirrored pair
-therefore shares its four exponentials, 8 complex exp per energy
-instead of 16.  Its entries grow like e^{2 kappa a_plus} under the
-barriers, so it overflows once a_plus passes a few hundred.
+transfer matrix itself, for verify and library callers; the paper
+tables on the test side (tests/paper_tables.py) build their own factors
+and are checked against it.  Each det P = s_R / s_L, which telescopes
+to det M = 1, and with M11 = conj(M22) and M12 = conj(M21) this gives
+|T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.  The structure is
+mirror-symmetric, so P4 is P1 and P3 is P2 seen from the other side:
+the exponents at +x are those at -x, with the e^{+-v} pair swapped, to
+the bit.  Each mirrored pair therefore shares its four exponentials,
+8 complex exp per energy instead of 16.  Its entries grow like
+e^{2 kappa a_plus} under the barriers, so it overflows once a_plus
+passes a few hundred.
 
 The bounded walk (scatter) gets T and R from the same waves without
 forming M, the scattering-matrix idea (Ko & Inkson, Phys. Rev. B 38,
@@ -210,9 +212,12 @@ class ScatteringResult(NamedTuple):
 
 
 def _quiet(e: Energy):
-    """The error state the walk runs in.  On an array, overflow and invalid
-    results are left to its finiteness checks; a float needs no context."""
-    return np.errstate(over="ignore", invalid="ignore") if isinstance(e, np.ndarray) else _SCALAR
+    """The error state _media and the walk run in.  On an array, overflow,
+    invalid results and division by zero are left to the walk's finiteness
+    checks; a float needs no context."""
+    if isinstance(e, np.ndarray):
+        return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    return _SCALAR
 
 
 def _media(e: Energy, cfg: PotentialConfig) -> tuple:
@@ -221,11 +226,18 @@ def _media(e: Energy, cfg: PotentialConfig) -> tuple:
     k of the outside, barrier and floor regions, and rho = s_R / s_L at
     the four interfaces from x = +a inward, depend on the energies and
     the heights alone, so a sweep over widths computes them once per grid.
-    It needs no error state: admissible energies lie off every U +/- m,
-    where m + E - U or some s would vanish.
+    It runs in _quiet(e): admissible energies lie off every U +/- m, but
+    at a scale m far from 1 the squares in k overflow or underflow, and
+    _walk's finiteness check reports what that leaves on an array.  On a
+    float, an s that underflowed to 0 raises NumericalOverflow here.
     """
-    (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, np if isinstance(e, np.ndarray) else cmath)
-    return e, k0, kp, km, (s0 / sp, sp / sm, sm / sp, sp / s0)
+    xp = np if isinstance(e, np.ndarray) else cmath
+    try:
+        with _quiet(e):
+            (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, xp)
+            return e, k0, kp, km, (s0 / sp, sp / sm, sm / sp, sp / s0)
+    except ZeroDivisionError:
+        raise NumericalOverflow(f"wave vector underflowed at E = {e!r}") from None
 
 
 def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
@@ -240,8 +252,9 @@ def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
     tau = g_+^2 g_-.  phase = e^{-2 k0 a} has modulus 1, since the
     outside wave propagates.
 
-    Raises NumericalOverflow where a wave exponent passed double range and
-    DegenerateMatrix where the incident amplitude a vanished.
+    Raises NumericalOverflow where a wave exponent passed double range, or
+    where _media's k or rho is not finite, and DegenerateMatrix where the
+    incident amplitude a vanished.
     """
     e, k0, kp, km, (rho0, rho1, rho2, rho3) = media
     array = isinstance(e, np.ndarray)
@@ -273,7 +286,8 @@ def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
     except ValueError:  # cmath's exp of an infinite imaginary part
         at = e
     if at is not None:
-        # only an exponent past double range gets here: k a_plus or k0 a
+        # an exponent past double range gets here, k a_plus or k0 a, and
+        # a k or rho that _media could not form at a scale m far from 1
         raise NumericalOverflow(f"wave exponent overflowed at E = {at!r}")
     at = _first_failure(abs(a) >= 1e-300, e)
     if at is not None:

@@ -6,12 +6,14 @@ checklist.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from dirac_double_barrier import (
     MatrixRange,
+    NumericalOverflow,
     PotentialConfig,
     Zone,
     attach_widths,
@@ -23,6 +25,8 @@ from dirac_double_barrier import (
     scatter,
     solve_amplitudes,
 )
+from dirac_double_barrier.cli import main
+from dirac_double_barrier.emit import admissible_grid
 from frozen_values import (
     ABOVE_BARRIER_ENERGIES,
     CONVENTIONAL_ENERGIES,
@@ -164,4 +168,50 @@ def test_peaks_sharpen_as_barriers_thicken():
         ok,
         "width scaling: every conventional level narrows from a_plus=1 to "
         f"a_plus=3 (ratios {', '.join(f'{x:.0f}x' for x in ratios)})",
+    )
+
+
+def _scaled(m):
+    """The reference potential at mass m: heights times m, widths over m."""
+    return PotentialConfig(v_plus=8.0 * m, v_minus=4.0 * m, a_plus=3.0 / m,
+                           a_minus=2.5 / m, m=m)
+
+
+@pytest.mark.parametrize("valid, beyond", [(1e-150, 1e-200), (1e150, 1e200)],
+                         ids=["small", "large"])
+def test_results_are_scale_free_over_the_stated_range(valid, beyond, reference_resonances,
+                                                      tmp_path, capsys):
+    # README states that m from 1e-150 to 1e150 gives the m = 1 results;
+    # past that range the commands exit 1, and no RuntimeWarning escapes
+    cfg = _scaled(valid)
+    energies = admissible_grid(REFERENCE, 1.01, 12.0, 2_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, other = scatter(energies, REFERENCE), scatter(energies * valid, cfg)
+        found = find_resonances(cfg) + find_above_barrier(cfg, 11.0 * valid)
+        verified = run_verification(cfg, samples=2_000, seed=1).passed
+    worst = max(np.abs(other.t2 - base.t2).max(), np.abs(other.t - base.t).max())
+    roots_ok = len(found) == len(reference_resonances) == 23 and all(
+        abs(r.energy / valid - want.energy) < 2e-15
+        for r, want in zip(found, reference_resonances))
+
+    flags = [f"--{key}={value!r}" for key, value in (
+        ("v-plus", 8.0 * beyond), ("v-minus", 4.0 * beyond), ("a-plus", 3.0 / beyond),
+        ("a-minus", 2.5 / beyond), ("mass", beyond))]
+    refused = []
+    for argv in (["transmission", *flags, "--out", str(tmp_path / "curve.csv")],
+                 ["resonances", *flags, "--out", str(tmp_path / "report.json")],
+                 ["verify", *flags, "--samples", "500", "--seed", "1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err
+        refused.append(code == 1 and err.startswith("computation failed: "))
+    with pytest.raises(NumericalOverflow):  # one energy, as the search refines it
+        scatter(2.0 * beyond, _scaled(beyond))
+    _verdict(
+        worst < 2.5e-13 and roots_ok and verified and all(refused),
+        f"scale: at m = {valid:g}, |T|^2 and T within {worst:.1e} (< 2.5e-13) of "
+        f"m = 1 over 2000 energies, 23 resonances within 2e-15 m, verify passes; "
+        f"at m = {beyond:g} transmission, resonances and verify exit 1",
     )

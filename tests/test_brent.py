@@ -12,12 +12,12 @@ import pytest
 
 import dirac_double_barrier
 from dirac_double_barrier import (
+    ZONE_ORDER,
     attach_widths,
     find_above_barrier,
     find_resonances,
     resonance,
 )
-from dirac_double_barrier.resonance import BOUNDED_ZONES
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def test_brentq_is_a_module_attribute():
 
 def test_scan_brackets_match_scipy(reference, monkeypatch, scipy_brentq):
     calls = _brentq_calls(monkeypatch, lambda: (
-        find_resonances(reference, BOUNDED_ZONES),
+        find_resonances(reference, ZONE_ORDER[:-1]),
         find_above_barrier(reference, 11.0),
     ))
     assert len(calls) >= 23

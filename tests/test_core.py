@@ -13,13 +13,11 @@ from dirac_double_barrier import (
     Region,
     SingularEnergy,
     Zone,
-    alpha_beta,
     classify,
     core,
     kinematics,
     singular_energies,
     special_energies,
-    wave_vector,
     zone_interval,
 )
 
@@ -139,23 +137,23 @@ def test_classify_rejects_boundaries(reference, e):
 
 
 def test_wave_vector_oscillatory_branch(reference):
-    k = wave_vector(2.0, Region.ZERO, reference)
+    k = kinematics(2.0, Region.ZERO, reference).k
     assert abs(k - 1j * math.sqrt(3.0)) < 1e-14
-    k = wave_vector(2.0, Region.PLUS, reference)
+    k = kinematics(2.0, Region.PLUS, reference).k
     assert abs(k - 1j * math.sqrt(35.0)) < 1e-14
 
 
 def test_wave_vector_evanescent_branch(reference):
-    k = wave_vector(7.5, Region.PLUS, reference)
+    k = kinematics(7.5, Region.PLUS, reference).k
     assert abs(k - math.sqrt(0.75)) < 1e-14
-    k = wave_vector(4.2, Region.MINUS, reference)
+    k = kinematics(4.2, Region.MINUS, reference).k
     assert abs(k - math.sqrt(0.96)) < 1e-14
 
 
 @pytest.mark.parametrize("e,region", [(2.0, Region.ZERO), (7.5, Region.PLUS), (4.2, Region.MINUS)])
 def test_dispersion_identity(reference, e, region):
     # k^2 + (E - U)^2 = m^2 on both branches
-    k = wave_vector(e, region, reference)
+    k = kinematics(e, region, reference).k
     d = e - reference.potential(region)
     assert abs(k * k + d * d - reference.m**2) < 1e-12
 
@@ -169,9 +167,7 @@ def test_dispersion_identity(reference, e, region):
 ])
 def test_singular_energies_are_rejected(reference, e, region):
     with pytest.raises(SingularEnergy):
-        wave_vector(e, region, reference)
-    with pytest.raises(SingularEnergy):
-        alpha_beta(e, region, reference)
+        kinematics(e, region, reference)
 
 
 @pytest.mark.parametrize("e,region,sign", [
@@ -182,12 +178,5 @@ def test_singular_energies_are_rejected(reference, e, region):
     (9.5, Region.PLUS, -1.0),
 ])
 def test_weight_product_sign(reference, e, region, sign):
-    alpha, beta = alpha_beta(e, region, reference)
-    assert abs(alpha * beta - sign) < 1e-12
-
-
-def test_kinematics_bundles_the_pieces(reference):
-    kin = kinematics(6.0, Region.MINUS, reference)
-    assert kin.k == wave_vector(6.0, Region.MINUS, reference)
-    alpha, beta = alpha_beta(6.0, Region.MINUS, reference)
-    assert kin.alpha == alpha and kin.beta == beta
+    kin = kinematics(e, region, reference)
+    assert abs(kin.alpha * kin.beta - sign) < 1e-12

@@ -11,9 +11,9 @@ from dirac_double_barrier import (
     ZONE_ORDER,
     PotentialConfig,
     Region,
-    alpha_beta,
     classify,
     full_matrix,
+    kinematics,
     scatter,
     solve_amplitudes,
     zone_interval,
@@ -146,9 +146,9 @@ def test_weight_product_is_a_sign(case, region):
     cfg, e = case
     u = cfg.potential(region)
     assume(abs(abs(e - u) - cfg.m) > 1e-5)
-    alpha, beta = alpha_beta(e, region, cfg)
+    kin = kinematics(e, region, cfg)
     sign = 1.0 if abs(e - u) < cfg.m else -1.0
-    assert abs(alpha * beta - sign) < 1e-10
+    assert abs(kin.alpha * kin.beta - sign) < 1e-10
 
 
 @settings(max_examples=120, deadline=None)

@@ -8,9 +8,9 @@ import pytest
 
 import scalar_march
 from dirac_double_barrier import (
+    ZONE_ORDER,
     NumericalOverflow,
     PotentialConfig,
-    RefinementFailed,
     SearchSettings,
     Zone,
     attach_widths,
@@ -113,7 +113,11 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
 
     def checked(cfg, lo, hi):
         energies.clear()
-        root, residual, evaluations = refine(cfg, lo, hi)
+        refined = refine(cfg, lo, hi)
+        if refined is None:  # Im M21 keeps its sign; brentq read both ends
+            assert len(energies) == 2
+            return None
+        root, residual, evaluations = refined
         assert all(type(e) is float for e in energies)
         assert len(set(energies)) == len(energies) == evaluations
         assert residual.hex() == abs(_walk_m21(root, cfg)).hex()
@@ -122,7 +126,7 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
 
     monkeypatch.setattr(resonance, "_checked_walk", counted)
     monkeypatch.setattr(resonance, "_refine_bracket", checked)
-    found = find_resonances(cfg, resonance.BOUNDED_ZONES)
+    found = find_resonances(cfg, ZONE_ORDER[:-1])
     found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
     assert found and {r.energy for r in found} <= set(roots)
 
@@ -144,7 +148,7 @@ def _product_refinement(cfg, lo, hi):
     try:
         root = resonance.brentq(im_m21, lo, hi, xtol=resonance._REFINE_TOLERANCE * cfg.m)
     except ValueError:
-        raise RefinementFailed("Im M21 keeps its sign") from None
+        return None
     return root, abs(seen[root]), len(seen)
 
 
@@ -168,7 +172,7 @@ def test_walk_roots_match_the_product_roots(cfg, monkeypatch):
     # the product finds, to within their tolerance, and each is a root of
     # the product by the same gate
     def search():
-        found = find_resonances(cfg, resonance.BOUNDED_ZONES)
+        found = find_resonances(cfg, ZONE_ORDER[:-1])
         return found + find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
 
     walk = search()
@@ -208,17 +212,23 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
 
     monkeypatch.setattr(resonance, "_checked_walk", counted)
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
-    found = find_resonances(reference, resonance.BOUNDED_ZONES)
+    found = find_resonances(reference, ZONE_ORDER[:-1])
     found += find_above_barrier(reference, 11.0)
     counts = _scan_counts(caplog)
-    assert len(counts) == len(resonance.BOUNDED_ZONES) + 1
+    assert len(counts) == len(ZONE_ORDER)
     for points, minima, accepted, rejected, dropped, merged, _ in counts:
         assert points == SearchSettings().grid_points_per_zone
         assert minima == accepted + rejected + dropped + merged
-    assert [c[2] for c in counts] == [
-        sum(r.zone is z for r in found) for z in (*resonance.BOUNDED_ZONES, Zone.ABOVE_BARRIER)]
-    # three minima where Im M21 keeps its sign; no root dropped or merged
+    assert [c[2] for c in counts] == [sum(r.zone is z for r in found) for z in ZONE_ORDER]
+    # three minima where Im M21 keeps its sign, one in the gap and two in
+    # the higher Klein zone, each logged with its bracket; no root dropped
+    # or merged
     assert [sum(c[j] for c in counts) for j in (3, 4, 5)] == [3, 0, 0]
+    assert [m for m in _records(caplog, logging.DEBUG) if m.startswith("bracket")] == [
+        f"bracket near E = {e} rejected: Im M21 keeps its sign over ({lo}, {hi})"
+        for e, lo, hi in (("3.90672677", "3.90622665", "3.9072269"),
+                          ("5.70717709", "5.70667696", "5.70767721"),
+                          ("6.52688119", "6.52638107", "6.52738132"))]
     assert sum(c[6] for c in counts) == len(evaluated)
 
     # at a_plus = 9 the gate drops all four conventional roots
@@ -250,7 +260,7 @@ def test_scan_brackets_match_the_product(monkeypatch):
 
     def record(cfg, lo, hi):
         seen.append((lo, hi))
-        raise RefinementFailed("recorded, not refined")
+        return None  # recorded, not refined
 
     monkeypatch.setattr(resonance, "_checked_walk", scan_with_reference)
     monkeypatch.setattr(resonance, "_refine_bracket", record)
@@ -260,7 +270,7 @@ def test_scan_brackets_match_the_product(monkeypatch):
                 cfg = PotentialConfig(v_plus=v_plus, v_minus=v_minus,
                                       a_plus=a_plus, a_minus=a_minus)
                 before = len(seen)
-                assert find_resonances(cfg, resonance.BOUNDED_ZONES) == []
+                assert find_resonances(cfg, ZONE_ORDER[:-1]) == []
                 assert find_above_barrier(cfg, cfg.v_plus + 4.0 * cfg.m) == []
                 assert seen[before:] == expected[before:], cfg
     assert len(seen) > 2000
@@ -330,7 +340,7 @@ def test_roots_dropped_by_the_residual_gate_are_warned(reference, caplog):
     # minima where Im M21 keeps its sign are no roots and stay at DEBUG
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger=resonance.__name__):
-        find_resonances(reference, resonance.BOUNDED_ZONES)
+        find_resonances(reference, ZONE_ORDER[:-1])
         find_above_barrier(reference, 11.0)
     assert _records(caplog, logging.WARNING) == []
     rejected = [m for m in _records(caplog, logging.DEBUG) if m.startswith("bracket")]
@@ -358,7 +368,7 @@ def test_every_sign_change_is_a_root_or_a_warned_drop(cfg, caplog):
     # sign changes on a dense grid is a resonance the search must report
     # or say it dropped
     margin = core.EVAL_MARGIN * cfg.m
-    for zone in resonance.BOUNDED_ZONES:
+    for zone in ZONE_ORDER[:-1]:
         lo, hi = zone_interval(zone, cfg)
         grid = core.nudge(np.linspace(lo + margin, hi - margin, 64_000), cfg)
         _, b, tau, _ = transfer._checked_walk(grid, cfg)
@@ -458,7 +468,7 @@ def test_density_grows_with_floor_width():
 def test_chunked_march_matches_scalar_march(v_plus, a_minus, e_max, resolved):
     cfg = PotentialConfig(v_plus=v_plus, v_minus=4.0, a_plus=3.0, a_minus=a_minus)
     settings = SearchSettings()
-    found = (find_resonances(cfg, resonance.BOUNDED_ZONES)
+    found = (find_resonances(cfg, ZONE_ORDER[:-1])
              + find_above_barrier(cfg, e_max))
     lockstep = [r.fwhm for r in attach_widths(found, cfg, settings)]
     assert lockstep == scalar_march.widths(found, cfg, settings)

@@ -26,7 +26,6 @@ SOURCES = sorted(PERFBENCH.glob("*.py"))
 #: The package's exports, pinned: removing one is a deliberate API change.
 EXPORTS = [
     "AmplitudeSet",
-    "BOUNDED_ZONES",
     "BoundaryEnergy",
     "CheckResult",
     "ConfigError",
@@ -39,7 +38,6 @@ EXPORTS = [
     "MatrixRange",
     "NumericalOverflow",
     "PotentialConfig",
-    "RefinementFailed",
     "Region",
     "Resonance",
     "ScatteringResult",
@@ -51,7 +49,6 @@ EXPORTS = [
     "VerificationReport",
     "ZONE_ORDER",
     "Zone",
-    "alpha_beta",
     "attach_widths",
     "classify",
     "factor_matrices",
@@ -64,7 +61,6 @@ EXPORTS = [
     "singular_energies",
     "special_energies",
     "solve_amplitudes",
-    "wave_vector",
     "wavefunction_profile",
     "zone_interval",
     "run_verification",
