@@ -174,18 +174,21 @@ def _reject_residual(e: float, residual: float) -> None:
 
 def _solve_stack(e: np.ndarray, cfg: PotentialConfig) -> tuple[np.ndarray, np.ndarray]:
     """Solution vectors (n, 8) and relative residuals (n,) at n energies."""
-    mat, rhs = _system(e, cfg, np)
-    try:
-        v = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # the stack fails as a whole; energy by energy names the first bad one
-        for x in e.tolist():
-            solve_amplitudes(x, cfg)
-        raise SingularSystem(
-            f"boundary matching failed for E in [{float(e.min())!r}, {float(e.max())!r}]"
-        ) from None
-    residual = (np.linalg.norm((mat @ v[..., None])[..., 0] - rhs, axis=-1)
-                / np.linalg.norm(rhs, axis=-1))
+    # at a scale m far from 1 the entries overflow; the residual and
+    # LinAlgError checks decide, so numpy's warnings stay off
+    with np.errstate(all="ignore"):
+        mat, rhs = _system(e, cfg, np)
+        try:
+            v = np.linalg.solve(mat, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # the stack fails as a whole; energy by energy names the first bad one
+            for x in e.tolist():
+                solve_amplitudes(x, cfg)
+            raise SingularSystem(
+                f"boundary matching failed for E in [{float(e.min())!r}, {float(e.max())!r}]"
+            ) from None
+        residual = (np.linalg.norm((mat @ v[..., None])[..., 0] - rhs, axis=-1)
+                    / np.linalg.norm(rhs, axis=-1))
     miss = ~(residual < RESIDUAL_LIMIT)
     if miss.any():
         j = int(miss.argmax())

@@ -10,13 +10,16 @@ onto the left ones through one interface matrix,
     P = W_L(x)^-1 W_R(x),   W = [[e^{kx}, e^{-kx}], [s e^{kx}, -s e^{-kx}]],
 
 and the structure has four of them, at x = -a, -a_minus, a_minus and a.
-The same factors are contracted in two ways.
+The same factors are contracted in two ways, and both read one
+width-free half (_media): the k of the outside, barrier and floor
+regions and the ratios rho = s_R / s_L at the four interfaces, which
+depend on the energies and the heights alone.
 
 The product M = P1 P2 P3 P4 (full_matrix, factor_matrices) is the
-transfer matrix itself, for verify and library callers; the paper
-tables on the test side (tests/paper_tables.py) build their own factors
-and are checked against it.  Each det P = s_R / s_L, which telescopes
-to det M = 1, and with M11 = conj(M22) and M12 = conj(M21) this gives
+transfer matrix itself, for library callers; no command reads it.  The
+paper tables (tests/paper_tables.py) build their own factors and are
+checked against it.  Each det P = s_R / s_L, which telescopes to
+det M = 1, and with M11 = conj(M22) and M12 = conj(M21) this gives
 |T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.  The structure is
 mirror-symmetric, so P4 is P1 and P3 is P2 seen from the other side:
 the exponents at +x are those at -x, with the e^{+-v} pair swapped, to
@@ -25,9 +28,10 @@ the bit.  Each mirrored pair therefore shares its four exponentials,
 e^{2 kappa a_plus} under the barriers, so it overflows once a_plus
 passes a few hundred.
 
-The bounded walk (scatter) gets T and R from the same waves without
-forming M, the scattering-matrix idea (Ko & Inkson, Phys. Rev. B 38,
-9945 (1988); L. Li, J. Opt. Soc. Am. A 13, 1024 (1996)).  Referenced
+The bounded walk (scatter) gets T and R, which every command prints and
+verify checks, from the same waves without forming M, the
+scattering-matrix idea (Ko & Inkson, Phys. Rev. B 38, 9945 (1988);
+L. Li, J. Opt. Soc. Am. A 13, 1024 (1996)).  Referenced
 to the interface itself, P is [[c, f], [f, c]] with c = (1 + rho)/2,
 f = (1 - rho)/2 and rho = s_R / s_L.  Walking inward from the
 transmitted side, each interface maps the wave pair (a, b) by it, and
@@ -37,11 +41,10 @@ R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
 overflows at any barrier width, and an energy costs 3 complex exp.
 The resonance search reads the checked walk (_checked_walk) as well:
 M21 = R/T = b/tau, since a and the phase cancel from that ratio, so it
-needs no product.  The walk comes in two halves: the wave vectors and
-the ratios rho (_media) depend on the energies and the heights alone,
-the decays, the phase and the recurrence (_walk) on the widths.  scatter
-runs both; a sweep over widths runs the first once per grid (_prepare,
-which also classifies the energies) and the second per frame (_finish).
+needs no product.  Its width half (_walk) holds the decays, the phase
+and the recurrence.  scatter runs _media, then _walk; a sweep over
+widths runs _media once per grid (_prepare, which also classifies the
+energies) and _walk per frame (_finish).
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -103,23 +106,6 @@ def _first_failure(ok, e: Energy):
     return None if ok else e
 
 
-def _waves(e: Energy, cfg: PotentialConfig, xp) -> list:
-    """(k, s) of the outside, barrier and floor regions, in that order."""
-    m = cfg.m
-    out = []
-    for u in (0.0, cfg.v_plus, cfg.v_minus):
-        d = e - u
-        # factored form keeps the difference of squares accurate near |d| = m
-        k = xp.sqrt((m - d) * (m + d) + 0j)
-        out.append((k, k / (m + d)))
-    return out
-
-
-def _exp_pm(z, xp) -> tuple:
-    """e^z and e^-z."""
-    return xp.exp(z), xp.exp(-z)
-
-
 def _interface(rho, eu, emu, up, down) -> Matrix2x2:
     """[[c e^u, f up], [f down, c e^-u]] with c = (1 + rho)/2, f = (1 - rho)/2."""
     same = 0.5 * (1.0 + rho)
@@ -131,27 +117,20 @@ def _interface(rho, eu, emu, up, down) -> Matrix2x2:
     return Matrix2x2(same * +eu, flip * +up, flip * +down, same * +emu)
 
 
-def _step_pair(x: float, outer: tuple, inner: tuple, xp) -> tuple[Matrix2x2, Matrix2x2]:
+def _step_pair(x: float, ko, ki, rho_in, rho_out, xp) -> tuple[Matrix2x2, Matrix2x2]:
     """Interface matrices W_L(x)^-1 W_R(x) at -x (outer to inner) and at +x (back out).
 
     With u = (k_in - k_out)(-x) and v = (k_in + k_out)(-x) the matrix at
     -x is [[c e^u, f e^-v], [f e^v, c e^-u]], where c = (1 + rho)/2,
-    f = (1 - rho)/2 and rho = s_R / s_L.  The mirrored matrix at +x has
-    the arguments (k_out - k_in)x = u and (k_out + k_in)x = -v exactly,
-    since negation is exact and addition commutes, so it reuses the
-    four exponentials with e^v and e^-v trading places, and its own rho.
+    f = (1 - rho)/2 and rho = s_R / s_L, rho_in going in and rho_out
+    coming back.  The mirrored matrix at +x has the arguments
+    (k_out - k_in)x = u and (k_out + k_in)x = -v exactly, since negation
+    is exact and addition commutes, so it reuses the four exponentials
+    with e^v and e^-v trading places.
     """
-    (ko, so), (ki, si) = outer, inner
-    eu, emu = _exp_pm((ki - ko) * -x, xp)
-    ev, emv = _exp_pm((ki + ko) * -x, xp)
-    return _interface(si / so, eu, emu, emv, ev), _interface(so / si, eu, emu, ev, emv)
-
-
-def _steps(e: Energy, cfg: PotentialConfig, xp) -> tuple[Matrix2x2, ...]:
-    zero, plus, minus = _waves(e, cfg, xp)
-    p1, p4 = _step_pair(cfg.a, zero, plus, xp)
-    p2, p3 = _step_pair(cfg.a_minus, plus, minus, xp)
-    return p1, p2, p3, p4
+    u, v = (ki - ko) * -x, (ki + ko) * -x
+    eu, emu, ev, emv = xp.exp(u), xp.exp(-u), xp.exp(v), xp.exp(-v)
+    return _interface(rho_in, eu, emu, emv, ev), _interface(rho_out, eu, emu, ev, emv)
 
 
 def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x2, ...]:
@@ -160,19 +139,20 @@ def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x
     cmath raises OverflowError where numpy returns inf, so both the
     exception and non-finite entries count.
     """
-    array = isinstance(e, np.ndarray)
-    xp = np if array else cmath
+    media = _media(e, cfg)
+    _, k0, kp, km, (rho0, rho1, rho2, rho3) = media  # from x = +a inward
+    xp = np if isinstance(e, np.ndarray) else cmath
     try:
         with _quiet(e):
-            mats = _steps(e, cfg, xp)
-            if multiply:
-                mats = (mats[0] @ mats[1] @ mats[2] @ mats[3],)
+            p1, p4 = _step_pair(cfg.a, k0, kp, rho3, rho0, xp)
+            p2, p3 = _step_pair(cfg.a_minus, kp, km, rho2, rho1, xp)
+            mats = (p1 @ p2 @ p3 @ p4,) if multiply else (p1, p2, p3, p4)
             for mat in mats:
                 # inf and nan survive summation, so a finite sum means
                 # finite entries; inf - inf is why this stays in errstate
                 at = _first_failure(xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22), e)
                 if at is not None:
-                    raise NumericalOverflow(f"transfer-matrix entry overflowed at E = {at!r}")
+                    raise _out_of_range(media, at, "transfer-matrix entry overflowed")
     except OverflowError:
         raise NumericalOverflow(
             f"boundary exponential overflowed for a = {cfg.a:g}"
@@ -212,32 +192,52 @@ class ScatteringResult(NamedTuple):
 
 
 def _quiet(e: Energy):
-    """The error state _media and the walk run in.  On an array, overflow,
-    invalid results and division by zero are left to the walk's finiteness
-    checks; a float needs no context."""
+    """The error state _media, the walk and the product run in.  On an
+    array, overflow, invalid results and division by zero are left to
+    their finiteness checks; a float needs no context."""
     if isinstance(e, np.ndarray):
         return np.errstate(over="ignore", invalid="ignore", divide="ignore")
     return _SCALAR
 
 
 def _media(e: Energy, cfg: PotentialConfig) -> tuple:
-    """The walk's width-free half: (e, k0, kp, km, rhos).
+    """The width-free half of both contractions: (e, k0, kp, km, rhos).
 
     k of the outside, barrier and floor regions, and rho = s_R / s_L at
     the four interfaces from x = +a inward, depend on the energies and
     the heights alone, so a sweep over widths computes them once per grid.
     It runs in _quiet(e): admissible energies lie off every U +/- m, but
     at a scale m far from 1 the squares in k overflow or underflow, and
-    _walk's finiteness check reports what that leaves on an array.  On a
-    float, an s that underflowed to 0 raises NumericalOverflow here.
+    an array carries what that leaves to the finiteness check of the walk
+    or the product (see _out_of_range).  On a float, an s that underflowed
+    to 0 raises NumericalOverflow here.
     """
+    m = cfg.m
     xp = np if isinstance(e, np.ndarray) else cmath
+    ks, ss = [], []
     try:
         with _quiet(e):
-            (k0, s0), (kp, sp), (km, sm) = _waves(e, cfg, xp)
-            return e, k0, kp, km, (s0 / sp, sp / sm, sm / sp, sp / s0)
+            for u in (0.0, cfg.v_plus, cfg.v_minus):
+                d = e - u
+                # factored form keeps the difference of squares accurate near |d| = m
+                k = xp.sqrt((m - d) * (m + d) + 0j)
+                ks.append(k)
+                ss.append(k / (m + d))
+            s0, sp, sm = ss
+            return (e, *ks, (s0 / sp, sp / sm, sm / sp, sp / s0))
     except ZeroDivisionError:
-        raise NumericalOverflow(f"wave vector underflowed at E = {e!r}") from None
+        raise NumericalOverflow(f"wave vector out of double range at E = {e!r}") from None
+
+
+def _out_of_range(media: tuple, at, what: str) -> NumericalOverflow:
+    """The error of a walk or product on media that failed first at E = at:
+    a k or rho that is not finite (at a scale m far from 1), at the first
+    energy it holds, else what happened at at.  Only a failure builds it."""
+    e, *waves, rhos = media
+    bad = _first_failure(np.isfinite([*waves, *rhos]).all(axis=0), e)
+    if bad is None:
+        return NumericalOverflow(f"{what} at E = {at!r}")
+    return NumericalOverflow(f"wave vector out of double range at E = {bad!r}")
 
 
 def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
@@ -252,9 +252,9 @@ def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
     tau = g_+^2 g_-.  phase = e^{-2 k0 a} has modulus 1, since the
     outside wave propagates.
 
-    Raises NumericalOverflow where a wave exponent passed double range, or
-    where _media's k or rho is not finite, and DegenerateMatrix where the
-    incident amplitude a vanished.
+    Raises NumericalOverflow where a wave exponent or _media's k or rho
+    left double range, and DegenerateMatrix where the incident amplitude
+    a vanished.
     """
     e, k0, kp, km, (rho0, rho1, rho2, rho3) = media
     array = isinstance(e, np.ndarray)
@@ -286,9 +286,7 @@ def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
     except ValueError:  # cmath's exp of an infinite imaginary part
         at = e
     if at is not None:
-        # an exponent past double range gets here, k a_plus or k0 a, and
-        # a k or rho that _media could not form at a scale m far from 1
-        raise NumericalOverflow(f"wave exponent overflowed at E = {at!r}")
+        raise _out_of_range(media, at, "wave exponent overflowed")
     at = _first_failure(abs(a) >= 1e-300, e)
     if at is not None:
         raise DegenerateMatrix(f"incident amplitude vanished at E = {at!r}")

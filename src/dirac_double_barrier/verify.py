@@ -2,9 +2,9 @@
 
 Draws energies uniformly from a seeded generator, moved off the special
 energies by core.nudge as the grids are, and tracks the worst deviation
-of each conserved quantity: flux, the transfer-matrix determinant, its
-two conjugation symmetries, and agreement between the transfer-matrix
-and boundary-matching transmission and reflection amplitudes.
+of three invariants of the amplitudes every command prints, the bounded
+walk's (transfer.scatter): flux, the structure's mirror symmetry, and
+agreement with the independent boundary-matching solve (the oracle).
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ import numpy as np
 from .core import PotentialConfig, check_window, nudge
 from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, window
 from .oracle import solve_amplitudes
-from .transfer import full_matrix
+from .transfer import scatter
+# unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
+# name verify.full_matrix, so it stays bound
+from .transfer import full_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,17 +103,16 @@ def run_verification(cfg: PotentialConfig,
                      tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Evaluate every invariant at seeded random energies.
 
-    Checks, each against the same tolerance on the worst deviation:
+    Checks, each against the same tolerance on the worst deviation, of
+    scatter's T and R:
 
-    * flux conservation |T|^2 + |R|^2 = 1
-    * unit determinant of the full transfer matrix, relative to the
-      size of its two products: |det M - 1| / (|M11 M22| + |M12 M21|),
-      since det M = 1 is the difference of two products that grow like
-      e^{2 kappa a} under the barriers and the roundoff of that
-      difference grows with them
-    * M11 = conj(M22) and M12 = conj(M21)
-    * transfer-matrix T and R against the boundary-matching amplitudes,
-      the worse of the two
+    * flux conservation, |t2 + r2 - 1| on the printed |T|^2 and |R|^2
+    * mirror symmetry: M21 = R/T is imaginary for a structure symmetric
+      about x = 0, so |Re(R conj T)| = |Re M21| |T|^2 vanishes, with no
+      division by T.  Where the barriers' decay underflows, T is exactly
+      0 and this holds trivially, while flux then reduces to |R|^2 = 1
+    * the walk against the boundary-matching amplitudes, the larger of
+      |T - T_oracle| and |R - R_oracle|
 
     Raises ValueError unless 0 < tolerance < inf, since no other bound
     can tell a holding invariant from a failing one.
@@ -121,22 +123,16 @@ def run_verification(cfg: PotentialConfig,
     energies = sample_energies(cfg, samples, seed, e_min, e_max)
     names = (
         "flux |T|^2 + |R|^2 = 1",
-        "det M = 1",
-        "M11 = conj(M22)",
-        "M12 = conj(M21)",
-        "transfer vs boundary matching",
+        "mirror Re(R conj T) = 0",
+        "walk vs boundary matching",
     )
     e = np.array(energies)
-    mat = full_matrix(e, cfg)
-    t = 1.0 / mat.m11
-    r = mat.m21 / mat.m11
+    walk = scatter(e, cfg)
     oracle = solve_amplitudes(e, cfg)
     devs = (
-        np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0),
-        np.abs(mat.det() - 1.0) / (np.abs(mat.m11 * mat.m22) + np.abs(mat.m12 * mat.m21)),
-        np.abs(mat.m11 - mat.m22.conjugate()),
-        np.abs(mat.m12 - mat.m21.conjugate()),
-        np.maximum(np.abs(t - oracle.t), np.abs(r - oracle.r)),
+        np.abs(walk.t2 + walk.r2 - 1.0),
+        np.abs((walk.r * walk.t.conjugate()).real),
+        np.maximum(np.abs(walk.t - oracle.t), np.abs(walk.r - oracle.r)),
     )
     checks = tuple(
         CheckResult(name=name, worst=float(d.max()),

@@ -15,13 +15,14 @@ import cmath
 import numpy as np
 
 from dirac_double_barrier import Matrix2x2, PotentialConfig
-from dirac_double_barrier.transfer import _waves
+from dirac_double_barrier.transfer import _media
 
 
-def _step(x: float, left: tuple, right: tuple, xp) -> Matrix2x2:
-    """Interface matrix W_L(x)^-1 W_R(x) between two regions meeting at x."""
-    (kl, sl), (kr, sr) = left, right
-    rho = sr / sl
+def _step(x: float, kl, kr, rho, xp) -> Matrix2x2:
+    """Interface matrix W_L(x)^-1 W_R(x) between two regions meeting at x.
+
+    rho = s_R / s_L, as production's _media divides it.
+    """
     same = 0.5 * (1.0 + rho)
     flip = 0.5 * (1.0 - rho)
     u = (kr - kl) * x
@@ -33,12 +34,12 @@ def _step(x: float, left: tuple, right: tuple, xp) -> Matrix2x2:
 def factor_matrices(e, cfg: PotentialConfig) -> tuple[Matrix2x2, ...]:
     """P1..P4 at a float or an array of energies, no range checks."""
     xp = np if isinstance(e, np.ndarray) else cmath
-    zero, plus, minus = _waves(e, cfg, xp)
+    _, k0, kp, km, (rho0, rho1, rho2, rho3) = _media(e, cfg)
     return (
-        _step(-cfg.a, zero, plus, xp),
-        _step(-cfg.a_minus, plus, minus, xp),
-        _step(cfg.a_minus, minus, plus, xp),
-        _step(cfg.a, plus, zero, xp),
+        _step(-cfg.a, k0, kp, rho3, xp),
+        _step(-cfg.a_minus, kp, km, rho2, xp),
+        _step(cfg.a_minus, km, kp, rho1, xp),
+        _step(cfg.a, kp, k0, rho0, xp),
     )
 
 
@@ -53,6 +54,5 @@ def factor_determinants(e, cfg: PotentialConfig) -> tuple:
     Each is the ratio of the lower-component weights of the two regions
     meeting at the step, so telescoping kills everything in the product.
     """
-    xp = np if isinstance(e, np.ndarray) else cmath
-    (_, s0), (_, sp), (_, sm) = _waves(e, cfg, xp)
-    return (sp / s0, sm / sp, sp / sm, s0 / sp)
+    rho0, rho1, rho2, rho3 = _media(e, cfg)[4]
+    return rho3, rho2, rho1, rho0

@@ -18,7 +18,9 @@ from dirac_double_barrier import (
     Zone,
     attach_widths,
     classify,
+    factor_matrices,
     find_above_barrier,
+    full_matrix,
     find_resonances,
     run_verification,
     sample_energies,
@@ -88,12 +90,11 @@ def test_full_peaks_and_suppressed_gap():
 
 def test_invariants_hold_over_seeded_energies():
     report = run_verification(REFERENCE, samples=10_000, seed=0)
-    matrix_checks = report.checks[:4]
-    worst = max(c.worst for c in matrix_checks)
+    worst = max(c.worst for c in report.checks)
     _verdict(
-        all(c.passed for c in matrix_checks),
-        f"invariants: flux, determinant and conjugation symmetries hold "
-        f"to {worst:.1e} (< 1e-10) over 10^4 seeded energies",
+        report.passed and len(report.checks) == 3,
+        f"invariants: flux, mirror symmetry and boundary matching of the "
+        f"printed amplitudes hold to {worst:.1e} (< 1e-10) over 10^4 seeded energies",
     )
 
 
@@ -207,8 +208,10 @@ def test_results_are_scale_free_over_the_stated_range(valid, beyond, reference_r
             code = main(argv)
         err = capsys.readouterr().err
         refused.append(code == 1 and err.startswith("computation failed: "))
-    with pytest.raises(NumericalOverflow):  # one energy, as the search refines it
-        scatter(2.0 * beyond, _scaled(beyond))
+    for evaluate in (scatter, full_matrix, factor_matrices):
+        # one energy, as the search refines it, and the product on one
+        with pytest.raises(NumericalOverflow):
+            evaluate(2.0 * beyond, _scaled(beyond))
     _verdict(
         worst < 2.5e-13 and roots_ok and verified and all(refused),
         f"scale: at m = {valid:g}, |T|^2 and T within {worst:.1e} (< 2.5e-13) of "

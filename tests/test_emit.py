@@ -254,7 +254,7 @@ def test_a_sweep_at_20k_points_matches_short_curves(reference, tmp_path):
 
 
 def test_a_sweep_computes_its_width_free_half_once(reference, tmp_path, monkeypatch):
-    calls = {"_waves": 0, "classify": 0}
+    calls = {"_media": 0, "classify": 0}
     for name in calls:
         def spy(*args, _name=name, _real=getattr(transfer, name)):
             calls[_name] += 1
@@ -262,7 +262,7 @@ def test_a_sweep_computes_its_width_free_half_once(reference, tmp_path, monkeypa
 
         monkeypatch.setattr(transfer, name, spy)
     run_sweep(reference, "a-minus", 1.0, 3.0, 5, tmp_path, 1.01, 12.0, 300)
-    assert calls == {"_waves": 1, "classify": 1}
+    assert calls == {"_media": 1, "classify": 1}
 
 
 def _bits(row):

@@ -86,6 +86,18 @@ def test_wide_barriers_stay_finite_and_agree_with_transfer(a_plus):
     assert np.isfinite([(p.psi_plus, p.psi_minus) for p in profile]).all()
 
 
+def test_an_overflowed_stack_is_refused_without_a_warning():
+    # the reference potential scaled by m = 1e200, past the stated range:
+    # the squares in kappa overflow, and the array path must raise as the
+    # float path does, under the suite's warnings-as-errors filter
+    m = 1e200
+    cfg = PotentialConfig(v_plus=8.0 * m, v_minus=4.0 * m, a_plus=3.0 / m,
+                          a_minus=2.5 / m, m=m)
+    for e in (6.3e200, np.array([6.3e200, 6.4e200])):
+        with pytest.raises(SingularSystem, match="E = 6.3e[+]200"):
+            solve_amplitudes(e, cfg)
+
+
 @pytest.mark.parametrize("v_plus, e_max", [(8.0, 11.0), (10.0, 13.0)])
 def test_agreement_at_found_resonances(v_plus, e_max):
     # random samples almost never land on a sharp peak, so check every

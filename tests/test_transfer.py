@@ -236,6 +236,26 @@ def test_scatter_refuses_an_exponent_past_double_range():
                 scatter(e, cfg)
 
 
+@pytest.mark.parametrize("m", [1e-200, 1e200])
+def test_a_wave_vector_past_double_range_is_named_on_floats_and_arrays(m):
+    # the reference potential scaled by m, past the stated range: k
+    # underflows to 0 at 1e-200, where rho = s_R / s_L is 0/0, and leaves
+    # double range upward at 1e200; the walk and the product say so alike
+    cfg = PotentialConfig(v_plus=8.0 * m, v_minus=4.0 * m, a_plus=3.0 / m,
+                          a_minus=2.5 / m, m=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (scatter, full_matrix, factor_matrices):
+            for e in (2.0 * m, np.array([2.0 * m, 6.3 * m])):
+                with pytest.raises(NumericalOverflow) as info:
+                    evaluate(e, cfg)
+                assert str(info.value) == f"wave vector out of double range at E = {2.0 * m!r}"
+    # a finite k with an exponent past double range keeps its own message
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=1e308, a_minus=2.5)
+    with pytest.raises(NumericalOverflow, match="^wave exponent overflowed at E = 7.5$"):
+        scatter(7.5, cfg)
+
+
 def test_array_path_matches_scalar_path(reference):
     energies = np.array(SAMPLE_ENERGIES)
     batch = scatter(energies, reference)

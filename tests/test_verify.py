@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,13 +9,18 @@ from dirac_double_barrier import (
     oracle,
     run_verification,
     sample_energies,
+    scatter,
     singular_energies,
     solve_amplitudes,
     special_energies,
 )
+from dirac_double_barrier import transfer
 from dirac_double_barrier import verify as verify_mod
 from dirac_double_barrier.core import EVAL_MARGIN, nudge
-from dirac_double_barrier.transfer import Matrix2x2, full_matrix
+
+FLUX = "flux |T|^2 + |R|^2 = 1"
+MIRROR = "mirror Re(R conj T) = 0"
+ORACLE = "walk vs boundary matching"
 
 
 @pytest.mark.parametrize("a_plus, a_minus, samples, seed", [
@@ -23,15 +29,16 @@ from dirac_double_barrier.transfer import Matrix2x2, full_matrix
     # these seeds draw energies about 1e-6 above v_minus - m, where the
     # oracle's slope once lost digits to (m + E) - U
     (3.0, 2.5, 10_000, 2077), (3.0, 2.5, 10_000, 9527),
+    # past the double range of the transfer-matrix product, whose entries
+    # grow like e^{2 kappa a_plus}; the walk stays bounded
+    (400.0, 2.5, 2000, 1), (2000.0, 2.5, 2000, 1),
 ])
 def test_reference_invariants_hold(a_plus, a_minus, samples, seed):
-    # the reference potential, then wider barriers and floors, where the
-    # entries of M grow like e^{2 kappa a} and det M - 1 is the roundoff
-    # of a difference of two such products
+    # the reference potential, then wider barriers and floors
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=a_minus)
     report = run_verification(cfg, samples=samples, seed=seed)
     assert report.passed, report.render()
-    assert len(report.checks) == 5
+    assert [c.name for c in report.checks] == [FLUX, MIRROR, ORACLE]
     for check in report.checks:
         assert check.worst < 1e-10, check.name
 
@@ -161,9 +168,11 @@ def test_invariants_hold_at_the_band_edges(a_plus, a_minus):
 def test_report_names_every_check(reference):
     report = run_verification(reference, samples=50, seed=2)
     text = report.render()
-    assert text.count("PASS") == 5
+    assert text.count("PASS") == 3
     assert "all invariants hold" in text
-    assert "flux" in text and "det M" in text and "boundary matching" in text
+    for name in (FLUX, MIRROR, ORACLE):
+        assert f"PASS  {name}" in text
+    assert "det M" not in text and "M11" not in text
 
 
 def test_failures_are_named(reference):
@@ -186,29 +195,42 @@ def test_tolerance_must_be_positive_and_finite(reference, tolerance):
 
 def test_injected_corruption_is_pinned_to_its_invariant(reference, monkeypatch):
     def failures_with(corrupt):
-        monkeypatch.setattr(verify_mod, "full_matrix",
-                            lambda e, cfg: corrupt(full_matrix(e, cfg)))
+        monkeypatch.setattr(verify_mod, "scatter", lambda e, cfg: corrupt(scatter(e, cfg)))
         report = verify_mod.run_verification(reference, samples=50, seed=2)
         assert "FAILED:" in report.render()
         return {c.name for c in report.failures}
 
-    failed = failures_with(lambda m: Matrix2x2(m.m11, m.m12 + 1e-6, m.m21, m.m22))
-    assert "M12 = conj(M21)" in failed
-    # flux and the oracle only see m11 and m21, so they must stay clean
-    assert "flux |T|^2 + |R|^2 = 1" not in failed
-    assert "transfer vs boundary matching" not in failed
+    # the printed |T|^2 feeds the flux line alone
+    assert failures_with(lambda s: s._replace(t2=s.t2 + 1e-6)) == {FLUX}
+    # a real scale of T leaves the printed |T|^2 alone and moves
+    # Re(R conj T) only by its own roundoff, so the oracle alone sees it
+    assert failures_with(lambda s: s._replace(t=s.t * (1.0 + 1e-6))) == {ORACLE}
+    # a phase on R moves Re(R conj T) off 0 by up to |R T| sin(1e-6)
+    failed = failures_with(lambda s: s._replace(r=s.r * cmath.exp(1e-6j)))
+    assert MIRROR in failed
+    assert FLUX not in failed
 
-    # T = 1/M11 does not see M21, so the oracle check must catch it through R
-    failed = failures_with(lambda m: Matrix2x2(m.m11, m.m12, m.m21 + 1e-6, m.m22))
-    assert "transfer vs boundary matching" in failed
-    assert "M11 = conj(M22)" not in failed
 
-    # a real scale keeps both conjugation symmetries but moves det M by
-    # 2e-9 of the size of its products, which the scaled check must see
-    failed = failures_with(lambda m: Matrix2x2(*(x * (1.0 + 1e-9) for x in m)))
-    assert "det M = 1" in failed
-    assert "M11 = conj(M22)" not in failed
-    assert "M12 = conj(M21)" not in failed
+def test_verification_never_forms_the_transfer_matrix_product(reference, monkeypatch):
+    def refuse(e, cfg):
+        raise AssertionError("verify formed the transfer-matrix product")
+
+    for module, name in ((verify_mod, "full_matrix"), (transfer, "full_matrix"),
+                         (transfer, "factor_matrices")):
+        monkeypatch.setattr(module, name, refuse)
+    assert verify_mod.run_verification(reference, samples=200, seed=1).passed
+
+
+@pytest.mark.parametrize("a_plus, vanished", [(3.0, 0), (400.0, 655), (2000.0, 1809)])
+def test_the_mirror_line_holds_trivially_where_the_barrier_decay_underflows(a_plus, vanished):
+    # README's count: T is exactly 0 at these draws (10,000 samples, seed
+    # 1), so Re(R conj T) reads 0 there and flux reduces to |R|^2 = 1
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
+    walk = scatter(np.array(sample_energies(cfg, 10_000, seed=1)), cfg)
+    zero = walk.t == 0
+    assert zero.sum() == vanished
+    assert (walk.t2[zero] == 0).all()
+    assert np.abs(walk.r2[zero] - 1.0).max(initial=0.0) < 1e-15
 
 
 def test_oracle_is_called_once_per_chunk_at_most(reference, monkeypatch):
