@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import sys
@@ -342,4 +343,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Exit the process with main's code, freezing the collector first so
+    that the collections of interpreter shutdown traverse nothing."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

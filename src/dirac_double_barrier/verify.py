@@ -115,10 +115,12 @@ def run_verification(cfg: PotentialConfig,
       |T - T_oracle| and |R - R_oracle|
 
     Raises ValueError unless 0 < tolerance < inf, since no other bound
-    can tell a holding invariant from a failing one.
+    can tell a holding invariant from a failing one, and for samples < 1.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
     energies = sample_energies(cfg, samples, seed, e_min, e_max)
     names = (

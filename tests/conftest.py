@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from dirac_double_barrier import (
@@ -6,6 +8,17 @@ from dirac_double_barrier import (
     find_above_barrier,
     find_resonances,
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_never_frozen():
+    """Only cli.run freezes the collector, as its process ends; no library
+    function and no in-process cli.main call may."""
+    yield
+    frozen = gc.get_freeze_count()
+    if frozen:
+        gc.unfreeze()
+        pytest.fail(f"the test left {frozen} objects frozen out of the collector")
 
 
 @pytest.fixture(scope="session")

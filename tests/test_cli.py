@@ -1,9 +1,13 @@
+import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from dirac_double_barrier import cli
 from dirac_double_barrier.cli import main
 from frozen_values import CONVENTIONAL_ENERGIES
 
@@ -408,3 +412,66 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "transmission" in proc.stdout
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_run_freezes_the_collector_once_main_has_returned(code, monkeypatch):
+    events = []
+
+    def fake_main():
+        events.append("main")
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert events == ["main", "freeze"]
+
+
+_SCALED_BY_1E200 = ["--mass", "1e200", "--v-plus", "8e200", "--v-minus", "4e200",
+                    "--a-plus", "3e-200", "--a-minus", "2.5e-200"]
+
+
+def _files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 600 rows cross the CSV writer's 512-row block edge
+    (["transmission", *REF_FLAGS, "--points", "600", "--svg", "curve.svg"], 0),
+    (["resonances", *REF_FLAGS, "--zone", "all"], 0),
+    (["sweep", *REF_FLAGS, "--param", "a-minus", "--from", "1", "--to", "2",
+      "--frames", "2", "--points", "600", "--with-resonances"], 0),
+    (["verify", *REF_FLAGS, "--samples", "500", "--seed", "1"], 0),
+    (["transmission", *_SCALED_BY_1E200], 1),
+    (["transmission", *REF_FLAGS, "--e-min", "7.9999996", "--e-max", "8.0000004",
+      "--points", "5"], 2),
+    (["transmission", *REF_FLAGS, "--v-plus", "5"], 3),
+], ids=["transmission-svg", "resonances-all", "sweep-with-resonances", "verify",
+        "mass-1e200-exits-1", "band-window-exits-2", "v-plus-5-exits-3"])
+def test_a_process_exits_and_writes_as_main_does(argv, code, tmp_path, monkeypatch, capsys):
+    # a process ends through run, which freezes the collector: every output
+    # must be complete and closed by then, and -X dev reports a file left
+    # open as a ResourceWarning.  Outputs take their default, relative
+    # paths, so stdout names the same paths in both directories.
+    in_process, child = tmp_path / "main", tmp_path / "process"
+    in_process.mkdir()
+    child.mkdir()
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    monkeypatch.chdir(in_process)
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "dirac_double_barrier", *argv],
+        cwd=child, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == stdout
+    assert "ResourceWarning" not in proc.stderr
+    assert _files(child) == _files(in_process)

@@ -193,6 +193,13 @@ def test_tolerance_must_be_positive_and_finite(reference, tolerance):
         run_verification(reference, samples=50, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samples_must_be_at_least_one(reference, samples):
+    # the message names the caller's parameter, not sample_energies' n
+    with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+        run_verification(reference, samples=samples)
+
+
 def test_injected_corruption_is_pinned_to_its_invariant(reference, monkeypatch):
     def failures_with(corrupt):
         monkeypatch.setattr(verify_mod, "scatter", lambda e, cfg: corrupt(scatter(e, cfg)))
