@@ -14,6 +14,8 @@ comes, so the text is never held whole.
 run_sweep scans widths only, so the grid's zones, waves and interface
 ratios are the same in every frame: it runs scatter's width-free half
 (transfer._prepare) once and its width half (transfer._finish) per frame.
+Every frame's energy column is that grid, so its CSV cells are formatted
+once per sweep (_printf.column_words) and copied into every frame.
 
 transmission_rows splits the same batch into one ScatteringResult per
 energy; no emission path needs that view, but library callers that walk
@@ -24,7 +26,6 @@ Python.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -83,6 +84,26 @@ def transmission_rows(cfg: PotentialConfig, e_min: float, e_max: float,
     return list(map(row, zip(*(c.tolist() for c in batch))))
 
 
+def _csv_columns(curve: ScatteringResult) -> tuple[np.ndarray, ...]:
+    return (curve.e, curve.t2, curve.r2, curve.t.real, curve.t.imag,
+            curve.r.real, curve.r.imag)
+
+
+def _write_lines(path: "str | Path", blocks) -> Path:
+    """Write the CSV header and then each block of lines to path, and
+    remove the file again if that fails."""
+    path = Path(path)
+    out = path.open("wb")
+    try:
+        with out:
+            out.write(CSV_HEADER.encode() + b"\n")
+            out.writelines(blocks)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_curve_csv(path: "str | Path", curve: ScatteringResult) -> Path:
     """Write the CSV of a batch from transmission_curve to path, one row
     per energy, streamed a block of rows at a time.
@@ -94,17 +115,7 @@ def write_curve_csv(path: "str | Path", curve: ScatteringResult) -> Path:
     # tables would add to the peak memory of every command, curve or not
     from ._printf import csv_blocks
 
-    path = Path(path)
-    out = path.open("wb")
-    try:
-        with out:
-            out.write(CSV_HEADER.encode() + b"\n")
-            out.writelines(csv_blocks((curve.e, curve.t2, curve.r2, curve.t.real,
-                                       curve.t.imag, curve.r.real, curve.r.imag)))
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    return path
+    return _write_lines(path, csv_blocks(_csv_columns(curve)))
 
 
 def _config_dict(cfg: PotentialConfig) -> dict:
@@ -166,6 +177,9 @@ def zone_report(cfg: PotentialConfig, zones: "list[Zone] | tuple[Zone, ...]",
 
 
 def write_json(path: "str | Path", doc: dict) -> Path:
+    # imported on first use: a curve process writes no JSON
+    import json
+
     path = Path(path)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
@@ -211,6 +225,10 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
     # grid and its width-free half serve every frame; building it first
     # refuses a bad window before anything is written
     prepared = _prepare(admissible_grid(cfg, e_min, e_max, points), cfg)
+    from ._printf import column_words, csv_blocks
+
+    # every frame's energy column is the grid: its cells are formatted once
+    energies = column_words(prepared[2][0])
     created = _created()
     field = param.replace("-", "_")
     values = np.linspace(start, stop, frames)
@@ -223,7 +241,8 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
         manifest_frames = []
         for i, (frame_cfg, value) in enumerate(zip(configs, values)):
             name = f"frame_{i:04d}.csv"
-            written.append(write_curve_csv(outdir / name, _finish(prepared, frame_cfg)))
+            columns = _csv_columns(_finish(prepared, frame_cfg))
+            written.append(_write_lines(outdir / name, csv_blocks(columns, energies)))
             entry = {"value": _sig12(float(value)), "file": name}
             if with_resonances:
                 rname = f"frame_{i:04d}_resonances.json"

@@ -64,6 +64,24 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, loaded):
     assert set(modules) == loaded
 
 
+#: Runs cli.main on the command line's argv, then prints its exit code and
+#: whether json was ever loaded; unlike LOADED, it imports no json itself.
+JSON_LOADED = f"""\
+import sys
+from {PACKAGE}.cli import main
+print(main(sys.argv[1:]), "json" in sys.modules)
+"""
+
+
+def test_a_curve_process_never_loads_json(tmp_path):
+    argv = ["transmission", *REF, "--points", "50", "--svg", "curve.svg"]
+    assert _python(JSON_LOADED, *argv, cwd=tmp_path) == "0 False"
+    # a sweep writes its manifest, so it does load json
+    argv = ["sweep", *REF, "--param", "a-minus", "--from", "1", "--to", "2",
+            "--frames", "2", "--points", "50"]
+    assert _python(JSON_LOADED, *argv, cwd=tmp_path) == "0 True"
+
+
 def test_importtime_lists_the_lazily_loaded_layers(tmp_path):
     # -X importtime reports only imports made through __import__
     env = dict(os.environ)

@@ -153,6 +153,15 @@ def test_formatter_tables():
     for v in (0, 7, 1200, 9999):
         assert int(_printf.DIGITS[v]).to_bytes(8, "little") == b"%04d\0\0\0\0" % v
         assert _printf.TRAILING0[v] == len(b"%04d" % v) - len((b"%04d" % v).rstrip(b"0"))
+        # the trailing zeros of a cell's sixteen digits when the group at
+        # bytes 4-7, 8-11, 12-15 or 16-19 is the last nonzero one
+        for place in range(4):
+            sixteen = b"%04d" % v + b"0" * 4 * (3 - place)
+            assert _printf._LAST_ZEROS[v] + _printf._AFTER[place, 0] == (
+                len(sixteen) - len(sixteen.rstrip(b"0")) if v else 16 + 4 * (3 - place))
+    # the scaling's powers: 10**k for k < 0 correctly rounded too
+    for row, k in ((_printf._ROW0 + 300, -289), (_printf._ROW0, 11), (_printf._ROW0 - 297, 308)):
+        assert _printf._MUL[row] == float(Decimal(10) ** k)
 
 
 def test_formatter_counts_its_per_cell_cells(reference):
@@ -251,6 +260,36 @@ def test_a_sweep_at_20k_points_matches_short_curves(reference, tmp_path):
         parts = [transfer.scatter(grid[i:i + 1000], cfg) for i in range(0, grid.size, 1000)]
         curve = ScatteringResult(*(np.concatenate(c) for c in zip(*parts)))
         assert (tmp_path / frame["file"]).read_bytes() == _written_csv(curve).encode()
+
+
+@pytest.mark.parametrize("frames", [2, 5])
+def test_a_sweep_formats_its_energy_column_once(reference, tmp_path, monkeypatch, frames):
+    points = 600
+    grid = admissible_grid(reference, 1.01, 12.0, points)
+    formatted = []
+
+    def spy(x, words, _real=_printf._g12_words):
+        formatted.append(x.copy())
+        return _real(x, words)
+
+    monkeypatch.setattr(_printf, "_g12_words", spy)
+    run_sweep(reference, "a-minus", 1.0, 3.0, frames, tmp_path, 1.01, 12.0, points)
+    # one call formats the grid; every frame formats its other six columns
+    assert sum(np.array_equal(x, grid) for x in formatted) == 1
+    assert sum(x.size for x in formatted) == points * (1 + 6 * frames)
+
+
+def test_sweep_frames_from_a_tie_energy_match_their_curves(reference, tmp_path):
+    # 2.000000000005 is a 13th-digit tie that '%.12g' itself formats, and
+    # 2,000 rows cross three 512-row block edges
+    e_min = 2.000000000005
+    assert _slow_cells(admissible_grid(reference, e_min, 12.0, 2000)[:1]) == 1
+    manifest = run_sweep(reference, "a-minus", 1.0, 2.0, 3, tmp_path, e_min, 12.0, 2000)
+    for frame, a_minus in zip(manifest["frames"], (1.0, 1.5, 2.0), strict=True):
+        curve = transmission_curve(replace(reference, a_minus=a_minus), e_min, 12.0, 2000)
+        text = (tmp_path / frame["file"]).read_bytes().decode("ascii")
+        assert text == _written_csv(curve) == format_rows_csv(_split(curve))
+        assert text.split("\n")[1].startswith("2.00000000001,")
 
 
 def test_a_sweep_computes_its_width_free_half_once(reference, tmp_path, monkeypatch):
