@@ -21,7 +21,7 @@ from .errors import BoundaryEnergy, ConfigError, SingularEnergy
 #: a fraction of the mass.
 SINGULAR_TOL = 1e-9
 
-#: Distance at which grids, marches and samples keep off the special
+#: Distance at which grids and samples keep off the special
 #: energies, as a fraction of the mass.
 EVAL_MARGIN = 1e-6
 

@@ -42,7 +42,8 @@ from .defaults import SWEEP_PARAMS
 from .transfer import ScatteringResult, _finish, _prepare, scatter
 
 # the search loads on first use, by zone_report; curves and sweeps
-# without resonances never compile it
+# without resonances never compile it.  attach_widths is unused here, but
+# the benchmark tracer (perfbench/tracing.py) wraps emit.attach_widths
 __getattr__ = _lazy_attributes(globals(), {
     "resonance": ("SearchSettings", "attach_widths", "find_above_barrier",
                   "find_resonances"),
@@ -137,7 +138,8 @@ def zone_report(cfg: PotentialConfig, zones: "list[Zone] | tuple[Zone, ...]",
     """JSON-ready resonance report for the requested zones.
 
     Bounded zones are searched over their full interval; the open top
-    zone, when asked for, is searched up to e_max.
+    zone, when asked for, is searched up to e_max.  The search fills
+    each fwhm from its own scan.
     """
     if settings is None:
         settings = _module.SearchSettings()
@@ -148,7 +150,6 @@ def zone_report(cfg: PotentialConfig, zones: "list[Zone] | tuple[Zone, ...]",
     resonances = _module.find_resonances(cfg, bounded, settings) if bounded else []
     if Zone.ABOVE_BARRIER in wanted:
         resonances += _module.find_above_barrier(cfg, e_max, settings)
-    resonances = _module.attach_widths(resonances, cfg, settings)
 
     zone_entries = []
     for zone in wanted:

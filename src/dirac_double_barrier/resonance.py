@@ -1,4 +1,4 @@
-"""Transmission-resonance search: real roots of M21(E).
+"""Transmission-resonance search: real roots of M21(E), and their widths.
 
 Full transmission |T|^2 = 1 happens exactly where the off-diagonal
 element of the full transfer matrix vanishes.  On the real energy axis
@@ -6,24 +6,21 @@ M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
 |M11|), so the resonances are the roots of f = Im M21.  Every value the
 search reads comes off one checked bounded walk (transfer._checked_walk,
 no matrix product), which raises where the walk overflows or
-degenerates: M21 = b/tau and |M21|^2 = |b|^2/|tau|^2 for the roots, and
-|T|^2 (_t2) for the widths.  The search scans |M21|^2 on a uniform grid
-over a zone in one array call, takes interior local minima as brackets,
-and refines each bracket on Im M21 one energy at a time with Brent's
-method, carried here as a port of scipy's brentq.  Each zone's scan logs
-one DEBUG record of what it did: grid points, local minima, brackets
-refined, roots accepted, rejected, dropped and merged, and Brent's
-evaluations.
+degenerates: M21 = b/tau and |M21|^2 = |b|^2/|tau|^2.  The search scans
+|M21|^2 on a uniform grid over a zone in one array call, takes interior
+local minima as brackets, and refines each bracket on Im M21 one energy
+at a time with Brent's method, carried here as a port of scipy's brentq.
 
-Widths come from half-maximum marches: from each peak, step outward at
-the zone's scan spacing until |T|^2 dips to 1/2, then refine that
-crossing with brentq on |T|^2 at one energy.  The marches of all
-resonances run in lockstep: each round gives every running march its
-next chunk (32 energies, doubling up to 1024) and evaluates all chunks
-in shared array calls of at most grid_points_per_zone energies, so a
-spectrum's widths cost a handful of array calls rather than one or more
-per march.  Each march still picks the bracket that a
-one-energy-at-a-time march would.
+The widths are read off the same scan.  |T|^2 = 1/(1 + |M21|^2), so a
+peak's half-maximum crossings are where |M21|^2 crosses 1: on each side
+of a root the nearest grid energy with |M21|^2 >= 1 brackets one, and
+brentq refines it on log|M21| = log|b| - log|tau|, one energy at a time.
+Only the last root of the open top zone can need energies past the
+scan's end.  Each zone logs two DEBUG records: one of its scan (grid
+points, local minima, brackets refined, roots accepted, rejected,
+dropped and merged, and Brent's evaluations) and one of its widths
+(widths resolved, crossings refined, scalar walks, and energies
+evaluated past the scan).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, screen, zone_interval
 from .defaults import GRID_POINTS_PER_ZONE
 from .errors import NumericalOverflow
-from .transfer import Energy, _amplitudes, _checked_walk
+from .transfer import _checked_walk
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
 # names resonance.full_matrix and resonance.scatter, so they stay bound
 from .transfer import full_matrix, scatter  # noqa: F401
@@ -49,22 +46,18 @@ log = logging.getLogger(__name__)
 #: Default bounded zones searched when the caller does not choose.
 DEFAULT_ZONES = (Zone.LOWER_KLEIN, Zone.HIGHER_KLEIN, Zone.CONVENTIONAL)
 
-#: March cap above the top zone edge when estimating widths there, in
-#: units of the mass.
+#: Span above the last resonance of the open top zone that its right
+#: half-maximum crossing is looked for in, in units of the mass.
 _OPEN_ZONE_SPAN = 4.0
 
-#: Energies in the width march's first array chunk; each later chunk
-#: doubles, up to _MARCH_CHUNK_MAX.
-_MARCH_CHUNK = 32
-_MARCH_CHUNK_MAX = 1024
-
-#: March energies whose array |T|^2 lies this close to 1/2 are decided
-#: by _t2 on that one energy, as the crossing is refined.  numpy's array
-#: kernels and cmath's scalar ones round differently, the more so the
-#: sharper the peak: within two widths of each peak they differ in |T|^2
-#: by at most 1.0e-13 on the reference potential, 5.3e-12 at a_plus = 5
-#: and 2.0e-10 at a_plus = 7.
-_HALF_BAND = 1e-9
+#: Scan energies whose array |M21|^2 lies this close to 1 (|T|^2 within
+#: 1e-9 of 1/2) are decided by the scalar walk, which refines the
+#: crossing.  numpy's array kernels and cmath's scalar ones round
+#: differently, the more so the sharper the peak: within two widths of
+#: each peak, where |M21|^2 is within 1/2 of 1, they differ by at most
+#: 1.6e-13 on the reference potential, 8.4e-12 at a_plus = 5 and 3.9e-10
+#: at a_plus = 7.
+_HALF_BAND = 4e-9
 
 #: Brent's xtol for resonance roots and half-maximum crossings, as a
 #: fraction of the mass.
@@ -150,10 +143,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
 class SearchSettings:
     """The one search knob: scan points per zone.
 
-    It sets the grid scan (|M21|^2 on the bounded walk), the width
-    march's step (the zone's scan spacing) and the most energies the
-    march evaluates in one array call.  Brackets are refined on M21 of
-    the bounded walk, with Brent's tolerance and the |M21| gate fixed,
+    It sets the grid scan (|M21|^2 on the bounded walk), which brackets
+    both the roots and the half-maximum crossings of the widths, and the
+    open top zone's step past e_max (the scan spacing) and most energies
+    per array call there.  Roots and crossings are refined on the scalar
+    walk, with Brent's tolerance and the |M21| gate fixed,
     _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
     """
 
@@ -210,11 +204,9 @@ def _refine_bracket(cfg: PotentialConfig, lo: float,
     return root, abs(seen[root]), len(seen)
 
 
-def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
-                   settings: SearchSettings) -> list[tuple[float, float]]:
-    """(energy, residual) pairs for the roots of M21 in (lo, hi)."""
-    if not hi > lo:
-        return []
+def _scan_record(cfg: PotentialConfig, lo: float, hi: float,
+                 settings: SearchSettings) -> "tuple[np.ndarray, np.ndarray]":
+    """A zone's scan: its grid over [lo, hi] and |M21|^2 at each grid energy."""
     grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
     screen(grid, cfg)
     _, b, tau, _ = _checked_walk(grid, cfg)
@@ -223,6 +215,19 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
     bad = ~np.isfinite(g)
     if bad.any():
         raise NumericalOverflow(f"|M21|^2 overflowed at E = {float(grid[bad.argmax()])!r}")
+    return grid, g
+
+
+def _scan_interval(cfg: PotentialConfig, lo: float, hi: float, settings: SearchSettings,
+                   open_zone: bool = False) -> "list[tuple[float, float, float | None]]":
+    """(energy, residual, fwhm) for the roots of M21 in (lo, hi).
+
+    The widths are read off the same scan (_widths); open_zone says that
+    (lo, hi) is the open top zone cut at e_max.
+    """
+    if not hi > lo:
+        return []
+    grid, g = _scan_record(cfg, lo, hi, settings)
     minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
     hits: list[tuple[float, float]] = []
     rejected = dropped = merged = evaluations = 0
@@ -259,7 +264,91 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float,
               "%d dropped by the residual gate, %d merged as duplicates, "
               "%d Brent evaluations", lo, hi, grid.size, minima.size, len(deduped),
               rejected, dropped, merged, evaluations)
-    return deduped
+    widths = _widths(cfg, grid, g, [e for e, _ in deduped], settings, open_zone)
+    return [(e, res, w) for (e, res), w in zip(deduped, widths)]
+
+
+def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[float]",
+            settings: SearchSettings, open_zone: bool) -> "list[float | None]":
+    """fwhm of each root, sorted ascending, read off its zone's scan (grid, g).
+
+    |T|^2 = 1/(1 + |M21|^2), so the half-maximum crossings are where
+    |M21|^2 crosses 1.  On each side of a root the nearest grid energy
+    with |M21|^2 >= 1 brackets the crossing with the grid energy next to
+    it toward the root, or with the root itself, and brentq refines it on
+    log|b| - log|tau| of the scalar walk.  Grid energies whose |M21|^2
+    lies within _HALF_BAND of 1 are decided by that scalar walk.  A side
+    is fenced by the neighboring root, else by the grid's end, one margin
+    inside the zone edge.  In the open top zone the last root is fenced
+    _OPEN_ZONE_SPAN m above it, one margin in; where its right side finds
+    no crossing on the grid, it goes on past the grid's end at the scan
+    spacing, in array calls of 32 energies doubling up to
+    grid_points_per_zone, and the last of them is the fence itself.
+    fwhm is None where a side finds no crossing before its fence; the
+    right side is then not read.  Raises ValueError where |M21| at a root
+    is not below 1, since no peak lies there.
+    """
+    if open_zone and roots:
+        end = roots[-1] + _OPEN_ZONE_SPAN * cfg.m - EVAL_MARGIN * cfg.m
+    else:
+        end = float(grid[-1])
+    seen: dict[float, float] = {}
+    refined = past = 0
+
+    def log_m21(e: float) -> float:
+        """log |M21| at E, which crosses 0 where |T|^2 crosses 1/2."""
+        if e not in seen:
+            _, b, tau, _ = _checked_walk(e, cfg)
+            seen[e] = math.log(abs(b)) - math.log(abs(tau))
+        return seen[e]
+
+    def crossing(e: np.ndarray, g: np.ndarray, inner: float) -> "float | None":
+        """Crossing before the first of the energies e, running outward
+        from inner, where |M21|^2 >= 1, or None where none is."""
+        nonlocal refined
+        for i in np.flatnonzero(g >= 1.0 - _HALF_BAND):
+            outer = float(e[i])
+            if abs(g[i] - 1.0) < _HALF_BAND and log_m21(outer) < 0.0:
+                continue
+            near = float(e[i - 1]) if i else inner
+            if near == inner and not log_m21(inner) < 0.0:
+                raise ValueError(f"|M21| = {math.exp(log_m21(inner)):.6g} at E = {inner!r} "
+                                 f"is not below 1, so no peak lies there")
+            refined += 1
+            return brentq(log_m21, min(near, outer), max(near, outer),
+                          xtol=_REFINE_TOLERANCE * cfg.m)
+        return None
+
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    out: list[float | None] = []
+    for j, root in enumerate(roots):
+        below = slice(np.searchsorted(grid, roots[j - 1]) if j else 0,
+                      np.searchsorted(grid, root))
+        left = crossing(grid[below][::-1], g[below][::-1], root)
+        if left is None:
+            out.append(None)
+            continue
+        fence = roots[j + 1] if j + 1 < len(roots) else end
+        above = slice(np.searchsorted(grid, root, side="right"),
+                      np.searchsorted(grid, fence, side="right"))
+        right = crossing(grid[above], g[above], root)
+        inner, n = float(grid[-1]), 32
+        while right is None and inner < fence:
+            e = inner + step * np.arange(1, n + 1)
+            over = np.searchsorted(e, fence)
+            if over < e.size:
+                e = e[:over + 1]
+                e[over] = fence
+            _, b, tau, _ = _checked_walk(e, cfg)
+            past += e.size
+            right = crossing(e, np.abs(b) ** 2 / np.abs(tau) ** 2, inner)
+            inner, n = float(e[-1]), min(2 * n, settings.grid_points_per_zone)
+        out.append(None if right is None else right - left)
+    log.debug("widths of (%.9g, %.9g): %d of %d resolved, %d crossings refined, "
+              "%d scalar walk evaluations, %d energies evaluated past the scan",
+              grid[0], grid[-1], sum(w is not None for w in out), len(out),
+              refined, len(seen), past)
+    return out
 
 
 def find_resonances(cfg: PotentialConfig,
@@ -289,8 +378,8 @@ def find_resonances(cfg: PotentialConfig,
         lo, hi = zone_interval(zone, cfg)
         hits = _scan_interval(cfg, lo + margin, hi - margin, settings)
         found.extend(
-            Resonance(energy=e, zone=zone, residual=res, level=lvl)
-            for lvl, (e, res) in enumerate(hits)
+            Resonance(energy=e, zone=zone, residual=res, level=lvl, fwhm=w)
+            for lvl, (e, res, w) in enumerate(hits)
         )
     return sorted(found, key=lambda r: r.energy)
 
@@ -307,131 +396,11 @@ def find_above_barrier(cfg: PotentialConfig, e_max: float,
         raise ValueError(
             f"e_max must exceed v_plus + m = {lo:g}, got {e_max}"
         )
-    hits = _scan_interval(cfg, lo + EVAL_MARGIN * cfg.m, e_max, settings)
+    hits = _scan_interval(cfg, lo + EVAL_MARGIN * cfg.m, e_max, settings, open_zone=True)
     return [
-        Resonance(energy=e, zone=Zone.ABOVE_BARRIER, residual=res, level=lvl)
-        for lvl, (e, res) in enumerate(hits)
+        Resonance(energy=e, zone=Zone.ABOVE_BARRIER, residual=res, level=lvl, fwhm=w)
+        for lvl, (e, res, w) in enumerate(hits)
     ]
-
-
-def _t2(e: Energy, cfg: PotentialConfig) -> "float | np.ndarray":
-    """scatter(e, cfg).t2 to the bit, without classifying E or building the result.
-
-    Takes one energy or an array of them, as scatter does.  Every energy
-    it sees lies inside one zone's march, nudged off or bracketed between
-    nudged energies, so classify's screen has nothing to reject.
-    """
-    t, _ = _amplitudes(_checked_walk(e, cfg))
-    return abs(t) ** 2
-
-
-#: A half-maximum march: (start, limit, step), the step's sign its direction.
-March = tuple[float, float, float]
-
-
-def _dips(e: np.ndarray, cfg: PotentialConfig, cap: int) -> np.ndarray:
-    """|T|^2 <= 1/2 at each energy, in array calls of at most cap energies.
-
-    Energies whose array |T|^2 lies within _HALF_BAND of 1/2 are decided
-    by _t2 on that one energy, as the crossing is refined.
-    """
-    t2 = np.concatenate([_t2(e[i:i + cap], cfg) for i in range(0, e.size, cap)])
-    below = t2 <= 0.5
-    for j in np.flatnonzero(np.abs(t2 - 0.5) < _HALF_BAND):
-        below[j] = _t2(float(e[j]), cfg) <= 0.5
-    return below
-
-
-def _march_brackets(cfg: PotentialConfig, marches: "list[March]",
-                    settings: SearchSettings) -> "tuple[list[tuple[float, float] | None], int, int]":
-    """First-dip bracket (near, far) of every march, None where it reaches its limit.
-
-    A march visits start + i*step for i = 1, 2, ..., in chunks of 32
-    doubling up to _MARCH_CHUNK_MAX, and ends a chunk that reaches its
-    limit with the limit itself.  Round r takes chunk r of every running
-    march, nudges all of them at once (on in the march direction, the
-    limit back toward start, so it stays inside the window) and hands
-    them to one _dips call, which splits them into array calls of at
-    most grid_points_per_zone energies.  A march stops at its first
-    energy with |T|^2 <= 1/2, bracketed with the energy before, as a
-    one-energy-at-a-time march would.  A right side (odd index) stops
-    once its left side has ended without a bracket.
-    Also returns the number of rounds and of energies evaluated.
-    """
-    starts, limits, steps = np.array(marches, dtype=float).reshape(-1, 3).T
-    ways = np.where(steps > 0, 1.0, -1.0)
-    brackets: list[tuple[float, float] | None] = [None] * len(marches)
-    alive = (limits - starts) * ways > 0
-    found = np.zeros_like(alive)
-    prev = starts.copy()
-    rounds = evaluated = 0
-    i, n = 1, _MARCH_CHUNK
-    while True:
-        alive[1::2] &= alive[0::2] | found[0::2]
-        running = np.flatnonzero(alive)
-        if not running.size:
-            return brackets, rounds, evaluated
-        lim, way = limits[running, None], ways[running, None]
-        e = starts[running, None] + np.arange(i, i + n) * steps[running, None]
-        at_limit = (e - lim) * way >= 0.0
-        ends = at_limit.any(axis=1)
-        stop = np.where(ends, at_limit.argmax(axis=1), n)
-        ended = np.flatnonzero(ends)
-        way = np.repeat(way, n, axis=1)
-        e[ended, stop[ended]] = lim[ended, 0]
-        way[ended, stop[ended]] *= -1.0
-        kept = np.arange(n) < (stop + ends)[:, None]
-        e[kept] = nudge(e[kept], cfg, way[kept])
-        below = np.zeros_like(kept)
-        below[kept] = _dips(e[kept], cfg, settings.grid_points_per_zone)
-        evaluated += int(kept.sum())
-        hit = below.any(axis=1)
-        first = below.argmax(axis=1)
-        for row in np.flatnonzero(hit):
-            j = first[row]
-            near = e[row, j - 1] if j else prev[running[row]]
-            brackets[running[row]] = (float(near), float(e[row, j]))
-        found[running] = hit
-        alive[running] = ~(hit | ends)
-        prev[running] = e[:, -1]
-        rounds += 1
-        i += n
-        n = min(2 * n, _MARCH_CHUNK_MAX)
-
-
-def _half_crossings(cfg: PotentialConfig, marches: "list[March]",
-                    settings: SearchSettings) -> "list[float | None]":
-    """Half-maximum crossing of every march, None where it reaches its limit.
-
-    The brackets come from shared array rounds (_march_brackets); each is
-    then refined on the scalar kernel with brentq, in list order.
-    Marches 2j and 2j+1 are the left and right sides of one peak (a lone
-    march is a left side): a right side whose left side returned None is
-    not refined and returns None, since that peak has no width anyway.
-    Raises ValueError when a march's first energy dips and |T|^2 at its
-    start is not above 1/2, since then start is no peak.
-    """
-    brackets, rounds, evaluated = _march_brackets(cfg, marches, settings)
-    out: list[float | None] = []
-    for k, ((start, _, step), bracket) in enumerate(zip(marches, brackets)):
-        if bracket is None or (k % 2 and out[-1] is None):
-            out.append(None)
-            continue
-        near, far = bracket
-        if near == start:
-            t2 = _t2(start, cfg)
-            if not t2 > 0.5:
-                raise ValueError(
-                    f"|T|^2 = {t2:.6g} at the march start E = {start!r} is not "
-                    f"above 1/2, so no peak starts there"
-                )
-        a, b = (near, far) if step > 0 else (far, near)
-        out.append(float(brentq(lambda x: _t2(x, cfg) - 0.5, a, b,
-                                xtol=_REFINE_TOLERANCE * cfg.m)))
-    log.debug("width march: %d marches in %d rounds, %d energies evaluated, "
-              "%d crossings refined", len(marches), rounds, evaluated,
-              sum(x is not None for x in out))
-    return out
 
 
 def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
@@ -439,15 +408,15 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
                   settings: SearchSettings | None = None) -> list[Resonance]:
     """Copy of the resonances with fwhm filled in, sorted by energy.
 
-    fwhm is the full width at half maximum of the |T|^2 peak, found by
-    marching outward from it for the two |T|^2 = 1/2 crossings at the
-    zone's scan spacing.  Within each zone a march is fenced by the
-    neighboring resonance's energy, so that an overlapping neighbor's
-    shoulder is not mistaken for a crossing, and otherwise by the zone
-    interval one margin in, capped above the top zone edge.  fwhm is
-    None when either side never dips below 1/2 before its fence, which
-    is how strongly overlapping broad peaks present themselves.  The
-    marches of all resonances share their array evaluations.
+    find_resonances and find_above_barrier fill fwhm from their own
+    scans already.  This reads it for any list of resonances: it scans
+    each of their zones as the search does, the open top zone up to
+    _OPEN_ZONE_SPAN m above its last resonance, and reads every fwhm off
+    that scan (_widths), each side fenced by the neighboring resonance of
+    the list, so that an overlapping neighbor's shoulder is not mistaken
+    for a crossing.  fwhm is None where a side never reaches
+    |T|^2 = 1/2 before its fence, which is how strongly overlapping
+    broad peaks present themselves.
     """
     if settings is None:
         settings = SearchSettings()
@@ -455,19 +424,14 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
     by_zone: dict[Zone, list[Resonance]] = {}
     for r in resonances:
         by_zone.setdefault(r.zone, []).append(r)
-    ordered: list[Resonance] = []
-    marches: list[March] = []
+    out: list[Resonance] = []
     for zone, group in by_zone.items():
         group.sort(key=lambda r: r.energy)
-        zlo, zhi = zone_interval(zone, cfg)
-        for i, r in enumerate(group):
-            top = zhi if math.isfinite(zhi) else max(r.energy, zlo) + _OPEN_ZONE_SPAN * cfg.m
-            lo = group[i - 1].energy if i > 0 else zlo + margin
-            hi = group[i + 1].energy if i + 1 < len(group) else top - margin
-            step = (top - zlo) / settings.grid_points_per_zone
-            ordered.append(r)
-            marches += [(r.energy, lo, -step), (r.energy, hi, step)]
-    crossings = _half_crossings(cfg, marches, settings)
-    out = [replace(r, fwhm=None if left is None or right is None else right - left)
-           for r, left, right in zip(ordered, crossings[::2], crossings[1::2])]
+        lo, hi = zone_interval(zone, cfg)
+        open_zone = not math.isfinite(hi)
+        if open_zone:
+            hi = group[-1].energy + _OPEN_ZONE_SPAN * cfg.m
+        grid, g = _scan_record(cfg, lo + margin, hi - margin, settings)
+        widths = _widths(cfg, grid, g, [r.energy for r in group], settings, open_zone)
+        out += [replace(r, fwhm=w) for r, w in zip(group, widths)]
     return sorted(out, key=lambda r: r.energy)

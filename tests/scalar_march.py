@@ -1,10 +1,12 @@
 """The one-energy-at-a-time width march, kept as a test-side reference.
 
-Production runs the marches of all resonances in lockstep array rounds;
-this is the plain loop it replaced, which runs one march at a time,
-visits its energies one by one and stops at the first |T|^2 <= 1/2.
-The lockstep march must pick the same brackets, so the widths built on
-either come out float-equal.
+Production reads each width off the search's own grid scan of |M21|^2
+and refines the crossings on log|M21|; this is the plain loop it
+replaced, which runs one march at a time on scatter's |T|^2, visits its
+energies one by one, a zone's width over grid_points_per_zone apart, and
+stops at the first |T|^2 <= 1/2.  Both refine the same crossings with
+Brent to 1e-12 m, on different functions from different brackets, so
+their widths agree to within Brent's stopping rule, not to the bit.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,7 +230,8 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
         for e, lo, hi in (("3.90672677", "3.90622665", "3.9072269"),
                           ("5.70717709", "5.70667696", "5.70767721"),
                           ("6.52688119", "6.52638107", "6.52738132"))]
-    assert sum(c[6] for c in counts) == len(evaluated)
+    # the widths read the rest of the scalar walks
+    assert sum(c[6] for c in counts) + sum(w[3] for w in _width_records(caplog)) == len(evaluated)
 
     # at a_plus = 9 the gate drops all four conventional roots
     caplog.clear()
@@ -239,8 +241,9 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
 
     # brackets converging to one root are merged into it
     caplog.clear()
-    monkeypatch.setattr(resonance, "_refine_bracket", lambda cfg, lo, hi: (7.5, 1e-12, 3))
-    assert [r.energy for r in find_resonances(reference, [Zone.CONVENTIONAL])] == [7.5]
+    root = CONVENTIONAL_ENERGIES[1]  # a peak, so that its width can be read
+    monkeypatch.setattr(resonance, "_refine_bracket", lambda cfg, lo, hi: (root, 1e-12, 3))
+    assert [r.energy for r in find_resonances(reference, [Zone.CONVENTIONAL])] == [root]
     assert [c[1:] for c in _scan_counts(caplog)] == [[4, 1, 0, 0, 3, 12]]
 
 
@@ -462,165 +465,177 @@ def test_density_grows_with_floor_width():
     assert n_narrow < n_wide
 
 
-@pytest.mark.parametrize("v_plus, a_minus, e_max, resolved", [
-    (8.0, 2.5, 11.0, 10), (10.0, 2.5, 13.0, 10), (8.0, 1.0, 11.0, 5),
-], ids=["reference", "tall", "narrow-floor"])
-def test_chunked_march_matches_scalar_march(v_plus, a_minus, e_max, resolved):
-    cfg = PotentialConfig(v_plus=v_plus, v_minus=4.0, a_plus=3.0, a_minus=a_minus)
+def _fwhm_bound(cfg, upper) -> float:
+    """How far two fwhm of one peak may lie apart: Brent stops each
+    crossing within xtol + 4 eps E of it, for E up to the upper crossing,
+    and a fwhm is the difference of two crossings."""
+    return 4.0 * (resonance._REFINE_TOLERANCE * cfg.m + 4.0 * np.finfo(float).eps * upper)
+
+
+#: (config, e_max, widths resolved at least): the two benchmark spectrum
+#: jobs, a narrow floor and 50 seeded potentials.
+_WIDTH_CASES = {
+    "reference": (PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=2.5), 11.0, 10),
+    "tall": (PotentialConfig(v_plus=10.0, v_minus=4.0, a_plus=3.0, a_minus=2.5), 13.0, 10),
+    "narrow-floor": (PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=1.0), 11.0, 5),
+    **{f"seeded-{i}": (cfg, cfg.v_plus + 3.0 * cfg.m, 0)
+       for i, cfg in enumerate(_random_potentials(50, seed=27))},
+}
+
+
+@pytest.mark.parametrize("cfg, e_max, resolved", list(_WIDTH_CASES.values()),
+                         ids=list(_WIDTH_CASES))
+def test_widths_match_the_scalar_march(cfg, e_max, resolved):
+    # the widths the search reads off its scan, and those attach_widths
+    # reads off its own, against one march at a time on scatter's |T|^2
     settings = SearchSettings()
-    found = (find_resonances(cfg, ZONE_ORDER[:-1])
-             + find_above_barrier(cfg, e_max))
-    lockstep = [r.fwhm for r in attach_widths(found, cfg, settings)]
-    assert lockstep == scalar_march.widths(found, cfg, settings)
-    # overlapping peaks fenced by their neighbors never dip to 1/2
-    assert None in lockstep
-    assert sum(w is not None for w in lockstep) >= resolved
+    found = find_resonances(cfg, ZONE_ORDER[:-1]) + find_above_barrier(cfg, e_max)
+    want = scalar_march.widths(found, cfg, settings)
+    again = attach_widths(found, cfg, settings)
+    assert [replace(r, fwhm=None) for r in again] == [replace(r, fwhm=None) for r in found]
+    assert [w is None for w in want] == [r.fwhm is None for r in found] == [
+        r.fwhm is None for r in again]
+    for r, a, w in zip(found, again, want):
+        if w is not None:
+            bound = _fwhm_bound(cfg, r.energy + w)
+            assert abs(r.fwhm - w) <= bound and abs(a.fwhm - w) <= bound, r
+    assert sum(w is not None for w in want) >= resolved
 
 
-def _half_crossing(cfg, start, limit, step, settings):
-    """The crossing of the one march (start, limit, step)."""
-    return resonance._half_crossings(cfg, [(start, limit, step)], settings)[0]
+def _width_records(caplog) -> list:
+    """Per widths record: resolved, resonances, crossings refined, scalar
+    walk evaluations and energies evaluated past the scan."""
+    return [[int(n) for n in re.findall(r"\b\d+\b", m.split("): ", 1)[1])]
+            for m in _records(caplog, logging.DEBUG) if m.startswith("widths of")]
 
 
-def _array_t2_sizes(monkeypatch) -> list:
-    sizes = []
-    t2 = resonance._t2
+def test_widths_log_what_they_did(reference, caplog, monkeypatch):
+    evaluated, refined = [], []
+    walk, port = resonance._checked_walk, resonance.brentq
 
     def counted(e, cfg):
-        if isinstance(e, np.ndarray):
-            sizes.append(e.size)
-        return t2(e, cfg)
+        if not isinstance(e, np.ndarray):
+            evaluated.append(e)
+        return walk(e, cfg)
 
-    monkeypatch.setattr(resonance, "_t2", counted)
-    return sizes
+    def recorded(f, a, b, **kwargs):
+        refined.append((a, b))
+        return port(f, a, b, **kwargs)
 
-
-def test_widths_take_a_few_shared_array_calls(reference, reference_resonances, monkeypatch):
-    sizes = _array_t2_sizes(monkeypatch)
-    settings = SearchSettings()
-    attach_widths(reference_resonances, reference, settings)
-    # one march at a time took 93 array calls here
-    assert 0 < len(sizes) <= 8
-    assert max(sizes) <= settings.grid_points_per_zone
-
-
-def _march_counts(caplog) -> list:
-    """marches, rounds, energies and refinements from the width march's record."""
-    (record,) = [r for r in caplog.records if r.getMessage().startswith("width march")]
-    assert record.levelno == logging.DEBUG
-    return [int(n) for n in re.findall(r"\d+", record.getMessage())]
-
-
-def test_oversized_rounds_are_split_without_moving_the_widths(reference, reference_resonances,
-                                                              monkeypatch, caplog):
+    monkeypatch.setattr(resonance, "_checked_walk", counted)
+    monkeypatch.setattr(resonance, "brentq", recorded)
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
-    sizes = _array_t2_sizes(monkeypatch)
-    settings = SearchSettings(grid_points_per_zone=16)
-    got = [r.fwhm for r in attach_widths(reference_resonances, reference, settings)]
-    _, rounds, energies, _ = _march_counts(caplog)
-    assert max(sizes) <= 16 and sum(sizes) == energies
-    assert len(sizes) > rounds  # so rounds were split
-    monkeypatch.undo()
-    assert got == scalar_march.widths(reference_resonances, reference, settings)
+    found = find_resonances(reference, ZONE_ORDER[:-1]) + find_above_barrier(reference, 11.0)
+    scans, widths = _scan_counts(caplog), _width_records(caplog)
+    # one record per zone, after the scan of that zone
+    assert len(widths) == len(scans) == len(ZONE_ORDER)
+    assert [w[:2] for w in widths] == [
+        [sum(r.fwhm is not None for r in found if r.zone is z), sum(r.zone is z for r in found)]
+        for z in ZONE_ORDER]
+    # the scan refines a bracket per local minimum and the widths the
+    # rest; the widths make the scalar walks the scan did not, and at
+    # these cutoffs none reads past its scan
+    assert sum(w[2] for w in widths) == len(refined) - sum(c[1] for c in scans)
+    assert sum(w[3] for w in widths) == len(evaluated) - sum(c[6] for c in scans)
+    assert [w[4] for w in widths] == [0] * len(ZONE_ORDER)
+    # the crossings one march at a time refines: the right side of a root
+    # whose left side found none is not read
+    refined.clear()
+    scalar_march.widths(found, reference, SearchSettings())
+    assert sum(w[2] for w in widths) == len(refined) > 2 * sum(w[0] for w in widths)
 
 
-def test_a_chunk_longer_than_the_cap_is_split(reference, monkeypatch):
-    e = core.nudge(np.linspace(6.0, 9.5, 100), reference)
-    want = resonance._dips(e, reference, 100)
-    sizes = _array_t2_sizes(monkeypatch)
-    assert resonance._dips(e, reference, 16).tolist() == want.tolist()
-    assert sizes == [16] * 6 + [4]
-    assert want.any() and not want.all()
+def _last_open_crossings(cfg, found, e_max, settings):
+    """Left and right crossing of the last open-zone root by the scalar
+    march, stepping at the scan spacing, and its right fence."""
+    margin = core.EVAL_MARGIN * cfg.m
+    lo, _ = zone_interval(Zone.ABOVE_BARRIER, cfg)
+    step = (e_max - (lo + margin)) / (settings.grid_points_per_zone - 1)
+    last = found[-1].energy
+    fence = found[-2].energy if len(found) > 1 else lo + margin
+    cap = last + 4.0 * cfg.m - margin
+    left = scalar_march.half_crossing(cfg, last, fence, -step, settings)
+    return left, scalar_march.half_crossing(cfg, last, cap, step, settings), cap, step
 
 
-def test_widths_log_what_the_march_did(reference, reference_resonances, caplog, monkeypatch):
-    refinements = []
+@pytest.mark.parametrize("e_max, resolved", [(9.13, True), (9.42, False)],
+                         ids=["crossing-past-e-max", "none-up-to-the-cap"])
+def test_open_zone_reads_its_last_width_past_e_max(reference, caplog, monkeypatch,
+                                                   e_max, resolved):
+    # the last open-zone root has a left crossing on the scan and none on
+    # it to the right: its right side goes on past e_max at the scan
+    # spacing, up to 4 m above the root, one margin in, and no further
+    settings = SearchSettings()
+    past = []
+    walk = resonance._checked_walk
 
-    def counted(*args, **kwargs):
-        refinements.append(args[1:3])
-        return brentq(*args, **kwargs)
+    def recorded(e, cfg):
+        if isinstance(e, np.ndarray) and e[0] > e_max:
+            past.extend(e.tolist())
+        return walk(e, cfg)
 
-    brentq = resonance.brentq
-    monkeypatch.setattr(resonance, "brentq", counted)
+    monkeypatch.setattr(resonance, "_checked_walk", recorded)
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
-    attach_widths(reference_resonances, reference)
-    assert len(caplog.records) == 1
-    marches, rounds, energies, refined = _march_counts(caplog)
-    assert marches == 2 * len(reference_resonances)
-    assert 0 < rounds <= 8 and energies > 0
-    assert refined == len(refinements)
-    # the same crossings as one march at a time: a right side whose left
-    # side found no crossing is never refined
-    lockstep = sorted(refinements)
-    refinements.clear()
-    scalar_march.widths(reference_resonances, reference, SearchSettings())
-    assert lockstep == sorted(refinements)
+    found = find_above_barrier(reference, e_max)
+    ((*_, logged),) = _width_records(caplog)
+    left, right, cap, step = _last_open_crossings(reference, found, e_max, settings)
+    assert left is not None and logged == len(past) > 0
+    assert past == pytest.approx([e_max + (i + 1) * step for i in range(len(past) - 1)]
+                                 + [past[-1]], rel=0, abs=1e-12)
+    if resolved:
+        assert right > e_max
+        want = scalar_march.widths(found, reference, settings)[-1]
+        assert abs(found[-1].fwhm - want) <= _fwhm_bound(reference, right)
+        assert past[-1] < cap
+    else:
+        assert right is None and found[-1].fwhm is None
+        assert past[-1] == cap and past[-2] < cap
 
 
-def test_march_to_the_threshold_matches_scalar_march():
-    # the first lower-Klein peak sits at E = 1.0275, so its left march
-    # dips in the same chunk that reaches the limit m + margin, which
-    # lies within the margin of the threshold and gets nudged
-    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=1.0)
+def test_a_zone_edge_grid_energy_is_a_candidate(reference, reference_resonances):
+    # the scan's first energy, one margin inside the zone edge, brackets
+    # a crossing as any other grid energy: left of the first lower-Klein
+    # peak only that energy is kept
     settings = SearchSettings()
-    first = find_resonances(cfg, [Zone.LOWER_KLEIN])[0]
-    lo, hi = zone_interval(Zone.LOWER_KLEIN, cfg)
-    step = (hi - lo) / settings.grid_points_per_zone
-    limit = lo + core.EVAL_MARGIN * cfg.m
-    args = (cfg, first.energy, limit, -step, settings)
-    got = _half_crossing(*args)
-    assert got is not None
-    assert got == scalar_march.half_crossing(*args)
-    # crossing and limit both fall in the second chunk, steps 33 to 96
-    chunk = resonance._MARCH_CHUNK
-    assert chunk < (first.energy - got) / step < (first.energy - limit) / step <= 3 * chunk
+    lo, hi = zone_interval(Zone.LOWER_KLEIN, reference)
+    margin = core.EVAL_MARGIN * reference.m
+    grid, g = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    first = reference_resonances[0]
+    k = np.searchsorted(grid, first.energy)
+    keep = np.r_[0, k - 1:grid.size]
+    assert g[0] > 1.0 and g[k - 1] < 1.0
+    (fwhm,) = resonance._widths(reference, grid[keep], g[keep], [first.energy],
+                                settings, False)
+    want = scalar_march.widths([first], reference, settings)[0]
+    assert abs(fwhm - want) <= _fwhm_bound(reference, first.energy + want)
+    assert resonance._widths(reference, grid[keep[1:]], g[keep[1:]], [first.energy],
+                             settings, False) == [None]
 
 
-def test_dip_at_the_start_of_a_later_chunk_is_bracketed_by_the_chunk_before(reference):
-    # steps sized so that the right half-maximum crossing of the sharpest
-    # peak falls between march energies 32 and 33: the dip is the first
-    # energy of the second chunk, and its bracket must reach back to the
-    # last energy of the first chunk
+def test_flat_transmission_has_no_width(reference, caplog):
+    # against a flat |T|^2 = 0.9 no side reaches 1/2 before its fence,
+    # and nothing is refined or evaluated
     settings = SearchSettings()
-    peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
-    lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
-    limit = hi - core.EVAL_MARGIN * reference.m
-    step = (hi - lo) / settings.grid_points_per_zone
-    crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
-    step = (crossing - peak.energy) / (resonance._MARCH_CHUNK + 0.5)
-    args = (reference, peak.energy, limit, step, settings)
-    assert _half_crossing(*args) == scalar_march.half_crossing(*args)
-    brackets, rounds, _ = resonance._march_brackets(reference, [args[1:4]], settings)
-    assert rounds == 2
-    assert brackets[0][0] == peak.energy + resonance._MARCH_CHUNK * step
+    caplog.set_level(logging.DEBUG, logger=resonance.__name__)
+    for zone in ZONE_ORDER[:-1]:
+        lo, hi = zone_interval(zone, reference)
+        grid = np.linspace(lo, hi, 100)[1:-1]
+        flat = np.full(grid.size, 1.0 / 0.9 - 1.0)  # |M21|^2 = 1/|T|^2 - 1
+        roots = grid[[30, 60]].tolist()
+        assert resonance._widths(reference, grid, flat, roots, settings, False) == [None] * 2
+    assert [w[2:] for w in _width_records(caplog)] == [[0, 0, 0]] * (len(ZONE_ORDER) - 1)
 
 
-def test_march_lets_the_scalar_kernel_decide_at_one_half(reference, monkeypatch):
-    # a march step that lands on the right half-maximum crossing of the
-    # sharpest peak, against an array kernel whose |T|^2 errs by 5e-10
-    # to the wrong side of 1/2 there; the scalar kernel, which refines
-    # the crossing, must decide the bracket
-    settings = SearchSettings()
-    peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
-    lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
-    limit = hi - core.EVAL_MARGIN * reference.m
-    step = (hi - lo) / settings.grid_points_per_zone
-    crossing = scalar_march.half_crossing(reference, peak.energy, limit, step, settings)
-    args = (reference, peak.energy, limit, (crossing - peak.energy) / 40, settings)
-    want = scalar_march.half_crossing(*args)
-    t2 = resonance._t2
-
-    def skewed(e, cfg):
-        out = t2(e, cfg)
-        if isinstance(e, np.ndarray):
-            out = out + np.where(out > 0.5, -5e-10, 5e-10)
-        return out
-
-    monkeypatch.setattr(resonance, "_t2", skewed)
-    assert _half_crossing(*args) == want
+def _scan_side(cfg, start, limit, step, settings):
+    """fwhm attach_widths gives a resonance at start: its zone's scan
+    ends at the limit, one margin inside the zone edge."""
+    (zone,) = [z for z in ZONE_ORDER if zone_interval(z, cfg)[0] < start < zone_interval(z, cfg)[1]]
+    peak = resonance.Resonance(energy=start, zone=zone, residual=0.0, level=0)
+    (found,) = attach_widths([peak], cfg, settings)
+    return found.fwhm
 
 
-@pytest.mark.parametrize("march", [_half_crossing, scalar_march.half_crossing],
+@pytest.mark.parametrize("march", [_scan_side, scalar_march.half_crossing],
                          ids=["chunked", "scalar"])
 @pytest.mark.parametrize("zone, start, step", [
     (Zone.LOWER_KLEIN, 1.002, -5e-4),
@@ -630,55 +645,101 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     # against a flat |T|^2 = 0.9 the march runs to its limit, one margin
     # inside the zone edge and so within the margin of a singular energy;
     # nudged on past the edge it would leave the window (below threshold,
-    # m - margin raises BoundaryEnergy)
+    # m - margin raises BoundaryEnergy).  The scan the widths are read
+    # off ends at that same limit, in one array call over the zone.
     settings = SearchSettings()
     margin = core.EVAL_MARGIN * reference.m
     lo, hi = zone_interval(zone, reference)
     limit = lo + margin if step < 0 else hi - margin
     seen = []
 
-    def flat(e, cfg):
+    def screened(e, cfg):
         scatter(e, cfg)  # screens E, so an energy out of the window raises
         seen.extend(np.atleast_1d(e).tolist())
-        return np.full_like(e, 0.9) if isinstance(e, np.ndarray) else 0.9
 
-    monkeypatch.setattr(resonance, "_t2", flat)
-    monkeypatch.setattr(scalar_march, "_t2", flat)
+    def flat_t2(e, cfg):
+        screened(e, cfg)
+        return 0.9
+
+    def flat_walk(e, cfg):
+        screened(e, cfg)
+        one = np.ones_like(e) if isinstance(e, np.ndarray) else 1.0
+        return one, one * math.sqrt(1.0 / 0.9 - 1.0), one, one  # |M21|^2 = 1/|T|^2 - 1
+
+    monkeypatch.setattr(resonance, "_checked_walk", flat_walk)
+    monkeypatch.setattr(scalar_march, "_t2", flat_t2)
     assert march(reference, start, limit, step, settings) is None
-    assert len(seen) == 4
-    assert all(min(start, limit) <= e <= max(start, limit) for e in seen)
-    assert start not in seen
+    if march is _scan_side:
+        window, count = (lo + margin, hi - margin), settings.grid_points_per_zone
+    else:
+        window, count = (min(start, limit), max(start, limit)), 4
+    assert len(seen) == count and limit in seen and start not in seen
+    assert all(window[0] <= e <= window[1] for e in seen)
 
 
-@pytest.mark.parametrize("a_plus", [3.0, 16.0])
-def test_scalar_t2_is_that_of_scatter(reference, reference_resonances, monkeypatch, a_plus):
-    # the march's decisions at 1/2 and its crossing refinement read |T|^2
-    # off the walk without classify; the bits must be those of scatter
-    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
-    energies = core.nudge(np.random.default_rng(7).uniform(1.0, 12.0, 1000), cfg).tolist()
-    if a_plus == reference.a_plus:
-        t2 = resonance._t2
+def test_a_right_side_is_skipped_after_a_left_side_without_crossing(reference, monkeypatch):
+    settings = SearchSettings()
+    lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
+    margin = core.EVAL_MARGIN * reference.m
+    grid, g = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
+    refined = []
+    port = resonance.brentq
 
-        def recorded(e, cfg):
-            if not isinstance(e, np.ndarray):  # arrays are the march's rounds
-                energies.append(e)
-            return t2(e, cfg)
+    def recorded(f, a, b, **kwargs):
+        refined.append((a, b))
+        return port(f, a, b, **kwargs)
 
-        monkeypatch.setattr(resonance, "_t2", recorded)
-        attach_widths(reference_resonances, reference)
-        monkeypatch.undo()
-        assert len(energies) > 1100
-    for e in energies:
-        assert resonance._t2(e, cfg).hex() == scatter(e, cfg).t2.hex()
-    # and an array, as the march's rounds evaluate
-    grid = np.array(energies)
-    assert resonance._t2(grid, cfg).tobytes() == scatter(grid, cfg).t2.tobytes()
+    monkeypatch.setattr(resonance, "brentq", recorded)
+    assert resonance._widths(reference, grid, g, [peak.energy], settings, False) == [peak.fwhm]
+    assert len(refined) == 2
+    refined.clear()
+    # no left crossing: |T|^2 = 0.9 below the peak
+    left_flat = np.where(grid < peak.energy, 1.0 / 0.9 - 1.0, g)
+    assert resonance._widths(reference, grid, left_flat, [peak.energy], settings,
+                             False) == [None]
+    assert refined == []
 
 
-def test_march_from_a_non_peak_names_the_start(reference):
-    # |T|^2 = 0.037 at E = 1.01, so the first march point already dips
-    with pytest.raises(ValueError, match=r"\|T\|\^2 = 0\.0371871 at the march start E = 1\.01 "):
-        _half_crossing(reference, 1.01, 1.0 + 1e-6, -5e-4, SearchSettings())
+def test_the_scalar_walk_decides_scan_energies_near_one(reference):
+    # two scan energies 1e-9 m to either side of the right half-maximum
+    # crossing of the sharpest peak, whose array |M21|^2 errs by 2e-9 to
+    # the wrong side of 1: the scalar walk, which refines the crossing,
+    # must decide both, for they then bracket the crossing as they would
+    # were the array right
+    settings = SearchSettings()
+    lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
+    margin = core.EVAL_MARGIN * reference.m
+    grid, g = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    conv = find_resonances(reference, [Zone.CONVENTIONAL])
+    peak = conv[SHARPEST_CONV_LEVEL]
+    roots = [r.energy for r in conv]
+
+    def log_m21(e):
+        _, b, tau, _ = transfer._checked_walk(e, reference)
+        return math.log(abs(b)) - math.log(abs(tau))
+
+    i = np.searchsorted(grid, peak.energy)
+    i += np.flatnonzero(g[i:] >= 1.0)[0]
+    crossing = resonance.brentq(log_m21, float(grid[i - 1]), float(grid[i]),
+                                xtol=resonance._REFINE_TOLERANCE * reference.m)
+    inside, outside = crossing - 1e-9 * reference.m, crossing + 1e-9 * reference.m
+    assert log_m21(inside) < 0.0 < log_m21(outside)
+    grid = np.insert(grid, [i, i], [inside, outside])
+
+    def fwhm(error):
+        record = np.insert(g, [i, i], [1.0 + error, 1.0 - error])
+        return resonance._widths(reference, grid, record, roots, settings,
+                                 False)[SHARPEST_CONV_LEVEL]
+
+    assert fwhm(2e-9) == fwhm(-1e-3) == pytest.approx(peak.fwhm)
+    # outside the band the array decides, and Brent gets no sign change
+    with pytest.raises(ValueError, match="different signs"):
+        fwhm(1e-8)
+
+
+def test_widths_of_a_non_peak_name_it(reference):
+    # |T|^2 = 0.037 at E = 1.01, so the scan energy next to it already dips
     not_a_peak = resonance.Resonance(energy=1.01, zone=Zone.LOWER_KLEIN, residual=0.0, level=0)
-    with pytest.raises(ValueError, match="march start E = 1.01 "):
+    with pytest.raises(ValueError, match=r"\|M21\| = 5\.08832 at E = 1\.01 is not below 1"):
         attach_widths([not_a_peak], reference)
