@@ -6,10 +6,11 @@ NUL where a byte is unused, and the cells are joined by deleting the
 NULs; csv_blocks builds every block of a curve in one bytearray, so one
 translate drops a block's NULs.
 Digits come four at a time from a table of the 10,000 four-digit groups.
-A value's digits are rint of the value scaled by a power of ten.  A cell
-that this cannot be shown to round as C does (nan, inf, a magnitude the
-scaling cannot reach, or a value within TIE_GUARD of a rounding tie)
-holds the printf template itself, and bytes formatting fills it in.
+A value's digits are rint of the value scaled by a power of ten.  A slow
+cell, one that this cannot be shown to round as C does (nan, inf, a
+magnitude the scaling cannot reach, or a value within TIE_GUARD of a
+rounding tie), is written as its own '%.12g' text, NUL-padded into its
+three words.
 
 A '%.12g' cell takes three words, 24 bytes; the longest cell,
 "-1.23456789012e-100,", takes 20.  Bytes 4 to 19 hold the sixteen digits,
@@ -51,10 +52,10 @@ POW10 = np.array([f"1e{k}" for k in range(309)]).astype(float)
 LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], _U64)
 
 # Each cell's decimal exponent d picks a row of the tables below, at
-# _ROW0 + d; _ZERO and _SLOW are the rows of zeros and of the cells that
-# bytes formatting writes.
-_ROW0, _ZERO, _SLOW = 330, 659, 660
-_D = np.arange(_SLOW + 1) - _ROW0
+# _ROW0 + d; _ZERO is the row of zeros and of the slow cells, whose
+# words _g12_words then overwrites.
+_ROW0, _ZERO = 330, 659
+_D = np.arange(_ZERO + 1) - _ROW0
 #: x * _MUL[row], the correctly rounded 10**(11 - d), brings x's twelve
 #: digits before the point.
 _MUL = np.array([f"1e{k}" for k in np.clip(11 - _D, -298, 308)]).astype(float)
@@ -65,14 +66,13 @@ _FIXED = (_D >= -4) & (_D < 12)
 #: digits' integer n * scale + floor(n / q) * spread, that spreads in the
 #: point's zero and moves exponent notation two places left; and the
 #: row's first key into _XOR, 34 times its notation: d + 4 in fixed
-#: notation, 16 in exponent notation, 17 for a slow cell.
-_ROWS = np.zeros(_SLOW + 1, [("q", float), ("scale", float), ("spread", float),
+#: notation, 16 in exponent notation.
+_ROWS = np.zeros(_ZERO + 1, [("q", float), ("scale", float), ("spread", float),
                              ("key", np.intp)])
 _ROWS["q"] = POW10[12 - np.where(_FIXED, np.maximum(_D + 1, 0), 1)]
 _ROWS["scale"] = np.where(_FIXED, 1.0, 100.0)
 _ROWS["key"] = 34 * np.where(_FIXED, _D + 4, 16)
 _ROWS[_ZERO] = (1.0, 0.0, 0.0, 34 * 4)
-_ROWS[_SLOW] = (1.0, 0.0, 0.0, 34 * 17)
 _ROWS["spread"] = 9 * _ROWS["q"] * _ROWS["scale"]
 #: _EXP[row]: "e-05", "e+100" and the like at bytes 18 to 22 of a cell.
 _A = np.abs(_D)
@@ -81,7 +81,7 @@ _EXP = np.where(_FIXED, _U64(0),
                  | np.where(_D < 0, _U64(ord("-")), _U64(ord("+"))) << _U64(8)
                  | DIGITS[np.minimum(_A, 9999)]
                  >> np.where(_A < 100, _U64(16), _U64(8)) << _U64(16)) << _U64(16))
-_EXP[_ZERO:] = 0
+_EXP[_ZERO] = 0
 #: The digits' integer divided into four groups, at bytes 4-7, 8-11,
 #: 12-15 and 16-19 of a cell.  _LAST_ZEROS[group] + _AFTER is the count
 #: of trailing zero digits if that group is the last nonzero one: the
@@ -90,7 +90,6 @@ _SPLIT = np.array([[1e12], [1e8], [1e4], [1.0]])
 _LAST_ZEROS = TRAILING0.copy()
 _LAST_ZEROS[0] = 16
 _AFTER = np.array([[12], [8], [4], [0]], np.int8)
-_TEMPLATE = b"%.12g"
 
 
 def _xor_table() -> np.ndarray:
@@ -101,11 +100,10 @@ def _xor_table() -> np.ndarray:
     row keeps the digits the cell prints, turns the point's zero into
     ".", writes the sign (and "0." for |x| < 1) just before the first
     digit printed, clears every other digit, and ends the cell with a
-    comma.  A slow cell's digits are all zero, and its rows write the
-    template.
+    comma.
     """
     small = np.int16
-    notation = np.arange(18, dtype=small)[:, None, None, None]
+    notation = np.arange(17, dtype=small)[:, None, None, None]
     negative = np.arange(2, dtype=small)[:, None, None]
     last = 15 - np.arange(17, dtype=small)[:, None]   # the last nonzero digit
     byte = np.arange(24, dtype=small)
@@ -123,7 +121,6 @@ def _xor_table() -> np.ndarray:
     held = ((byte >= 4) & (byte < 20)) * small(ord("0"))
     # a digit shown stays, but the point's zero becomes "."
     xor = np.where(shown, (char == point) * small(ord(".") ^ ord("0")), want ^ held)
-    xor[17] = np.frombuffer(_TEMPLATE.ljust(23, b"\0") + b",", np.uint8) ^ held
     return xor.astype(np.uint8).reshape(-1, 24).view(_U64)
 
 
@@ -135,15 +132,6 @@ F2_SEPARATORS = np.array([ord(".") << 32 | ord(",") << 56,
                           ord(".") << 32 | ord(" ") << 56], _U64)
 
 
-def _join(raw: "bytes | bytearray", template: bytes, values: np.ndarray,
-          slow: np.ndarray) -> bytes:
-    """The words' bytes `raw` without their NULs.  A slow cell's words hold
-    `template`, which bytes formatting fills with its value."""
-    # bytes.translate is faster than bytearray.translate, even with the copy
-    text = bytes(raw).translate(None, b"\0")
-    return text % tuple(values[slow].tolist()) if slow.any() else text
-
-
 #: Rows formatted together.  A block's words take 86 kB, in one buffer
 #: per curve; streaming the 20k-row reference curve peaks near 0.6 MB.
 _BLOCK_ROWS = 512
@@ -151,21 +139,19 @@ _BLOCK_ROWS = 512
 _NEWLINE = _U64((ord(",") ^ ord("\n")) << 56)
 
 
-def column_words(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The words of the '%.12g' cells of one column, and which are slow,
-    for csv_blocks to take as the first column of every block.  The
-    cells are formatted as many at a time as a block holds."""
+def column_words(column: np.ndarray) -> np.ndarray:
+    """The words of the '%.12g' cells of one column, for csv_blocks to
+    take as the first column of every block.  The cells are formatted as
+    many at a time as a block holds."""
     words = np.empty((len(column), 3), _U64)
-    slow = np.empty(len(column), bool)
     for start in range(0, len(column), 7 * _BLOCK_ROWS):
         part = slice(start, start + 7 * _BLOCK_ROWS)
-        slow[part] = _g12_words(column[part], words[part])
-    return words, slow
+        _g12_words(column[part], words[part])
+    return words
 
 
 def csv_blocks(columns: tuple[np.ndarray, ...],
-               first: "tuple[np.ndarray, np.ndarray] | None" = None
-               ) -> Iterator[bytes]:
+               first: "np.ndarray | None" = None) -> Iterator[bytes]:
     """'%.12g' CSV lines of seven equally long float columns, a block of
     _BLOCK_ROWS rows at a time, each yielded before the next is formatted.
     Every block's values and words go into one array and one buffer,
@@ -180,14 +166,13 @@ def csv_blocks(columns: tuple[np.ndarray, ...],
         part = slice(start, min(start + _BLOCK_ROWS, rows))
         values = np.stack([c[part] for c in columns[given:]], axis=1,
                           out=block[:part.stop - start])
-        yield g12_rows(values, buffer,
-                       None if first is None else (columns[0][part], *(a[part] for a in first)))
+        yield g12_rows(values, buffer, None if first is None else first[part])
 
 
 def g12_rows(block: np.ndarray, buffer: bytearray,
-             first: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None) -> bytes:
+             first: "np.ndarray | None" = None) -> bytes:
     """'%.12g' CSV lines of a (rows, 7) float block, or of a (rows, 6)
-    block after a first column given as its values, words and slow cells.
+    block after a first column given as its words.
 
     The cells' words are written into `buffer`, 7 * 24 bytes a row, and
     its bytes past the block's words are zeroed, so that deleting the
@@ -199,23 +184,20 @@ def g12_rows(block: np.ndarray, buffer: bytearray,
     words[rows:] = 0
     words = words[:rows]
     if first is None:
-        slow = _g12_words(block.ravel(), words.reshape(-1, 3)).reshape(block.shape)
+        _g12_words(block.ravel(), words.reshape(-1, 3))
     else:
-        values, first_words, first_slow = first
         rest = np.empty((rows, 6, 3), _U64)
-        slow = _g12_words(block.ravel(), rest.reshape(-1, 3)).reshape(block.shape)
-        np.concatenate((first_words[:, None], rest), axis=1, out=words)
-        # the template's values go in row order, first column included
-        if first_slow.any():
-            block, slow = np.column_stack((values, block)), np.column_stack((first_slow, slow))
+        _g12_words(block.ravel(), rest.reshape(-1, 3))
+        np.concatenate((first[:, None], rest), axis=1, out=words)
     words[:, 6, 2] ^= _NEWLINE
-    return _join(buffer, _TEMPLATE, block, slow)
+    # bytes.translate is faster than bytearray.translate, even with the copy
+    return bytes(buffer).translate(None, b"\0")
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, n, slow): each cell's row of the tables (_ROW0 plus its
-    decimal exponent, _ZERO or _SLOW), its twelve digits as an integer,
-    and whether '%.12g' must write it.
+    decimal exponent, or _ZERO for a zero or slow cell), its twelve
+    digits as an integer, and whether '%.12g' must write it.
 
     A finite cell with 1e-296 <= |x| <= 1e308 takes its exponent d from
     log10, corrected against x * 10**(11 - d): the correctly rounded
@@ -237,12 +219,13 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row += carry
     n[carry] = 1e11
     special = (np.abs(s - n) > 0.5 - TIE_GUARD) | (near != a)
-    return np.where(special, _SLOW - zero, row), n, special ^ zero
+    return np.where(special, _ZERO, row), n, special ^ zero
 
 
-def _g12_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _g12_words(x: np.ndarray, words: np.ndarray) -> None:
     """Write the three words of each '%.12g' cell of the 1-d x into the
-    rows of `words`, of shape (x.size, 3), and return which are slow."""
+    rows of `words`, of shape (x.size, 3).  A slow cell's words hold its
+    own '%.12g' text, at most 19 bytes, NULs, and the comma at byte 23."""
     with np.errstate(all="ignore"):
         row, n, slow = _decimal(x)
     rows = _ROWS.take(row)
@@ -263,7 +246,9 @@ def _g12_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     np.bitwise_xor(quarters[1], xor[:, 1], out=words[:, 1])
     quarters[3] ^= xor[:, 2]
     np.bitwise_or(quarters[3], _EXP.take(row), out=words[:, 2])
-    return slow
+    if slow.any():
+        text = b"".join((b"%.12g" % v).ljust(23, b"\0") + b"," for v in x[slow].tolist())
+        words[slow] = np.frombuffer(text, _U64).reshape(-1, 3)
 
 
 def f2_points(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -288,4 +273,7 @@ def f2_points(xs: np.ndarray, ys: np.ndarray) -> str:
              | DIGITS.take(cents) >> _U64(16) << _U64(40))
     words.reshape(-1, 2)[:] |= F2_SEPARATORS
     words[slow] = int.from_bytes(b"%.2f", "little") | (words[slow] & _U64(0xFF << 56))
-    return _join(words.tobytes(), b"%.2f", v, slow)[:-1].decode("ascii")
+    text = words.tobytes().translate(None, b"\0")
+    if slow.any():
+        text %= tuple(v[slow].tolist())
+    return text[:-1].decode("ascii")

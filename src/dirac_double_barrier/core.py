@@ -150,23 +150,19 @@ def singular_energies(cfg: PotentialConfig) -> list[float]:
     return [s[0], s[1], s[3], s[4], s[6]]
 
 
-def nudge(e: "float | np.ndarray", cfg: PotentialConfig,
-          way: "float | np.ndarray | None" = None) -> "float | np.ndarray":
+def nudge(e: "float | np.ndarray", cfg: PotentialConfig) -> "float | np.ndarray":
     """Copy of E moved off the special energies.
 
     An energy closer than EVAL_MARGIN * m to a special energy goes to
-    exactly that distance from it: to the side it lies on (up when it
-    sits on it), or to the side way = +1 or -1 says.  way may also be an
-    array with one such direction per energy.  A float stays a float.
+    exactly that distance from it, to the side it lies on (up when it
+    sits on it).  A float stays a float.
     """
     margin = EVAL_MARGIN * cfg.m
     out = np.array(e, dtype=float)
-    up_way = None if way is None else np.broadcast_to(np.asarray(way) > 0, out.shape)
     for s in special_energies(cfg):
         near = np.abs(out - s) < margin
         if near.any():
-            up = out[near] >= s if up_way is None else up_way[near]
-            out[near] = np.where(up, s + margin, s - margin)
+            out[near] = np.where(out[near] >= s, s + margin, s - margin)
     return out if isinstance(e, np.ndarray) else float(out)
 
 

@@ -281,9 +281,11 @@ def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[
     is fenced by the neighboring root, else by the grid's end, one margin
     inside the zone edge.  In the open top zone the last root is fenced
     _OPEN_ZONE_SPAN m above it, one margin in; where its right side finds
-    no crossing on the grid, it goes on past the grid's end at the scan
-    spacing, in array calls of 32 energies doubling up to
-    grid_points_per_zone, and the last of them is the fence itself.
+    no crossing on the grid, it goes on past the grid's end at the zone's
+    spacing, that of a scan from the grid's start to the fence, in array
+    calls of 32 energies doubling up to grid_points_per_zone, and the
+    last of them is the fence itself, so it evaluates fewer than
+    grid_points_per_zone energies past the scan.
     fwhm is None where a side finds no crossing before its fence; the
     right side is then not read.  Raises ValueError where |M21| at a root
     is not below 1, since no peak lies there.
@@ -319,7 +321,7 @@ def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[
                           xtol=_REFINE_TOLERANCE * cfg.m)
         return None
 
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    step = (max(end, grid[-1]) - grid[0]) / (grid.size - 1)
     out: list[float | None] = []
     for j, root in enumerate(roots):
         below = slice(np.searchsorted(grid, roots[j - 1]) if j else 0,

@@ -1,10 +1,10 @@
 """The row-at-a-time curve formatters, kept as test-side references.
 
-Production formats a curve from its array columns, one template per CSV
-row and one numpy expression for the SVG polyline.  These are the loops
-they replaced, which visit one row or point at a time and format every
-cell with its own f-string.  The columnar output must match them byte for
-byte.
+Production formats a curve from its array columns in numpy, the CSV a
+block of rows at a time and the SVG polyline in one expression.  These
+are the loops they replaced, which visit one row or point at a time and
+format every cell with its own f-string.  The columnar output must match
+them byte for byte.
 """
 
 from __future__ import annotations

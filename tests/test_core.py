@@ -64,36 +64,23 @@ def test_special_energies_of_reference(reference):
     assert special_energies(cfg) == (2.0, 6.0, 8.0, 10.0, 14.0, 16.0, 18.0)
 
 
-def test_nudge_keeps_the_side_or_takes_the_given_one(reference):
+def test_nudge_keeps_the_side(reference):
     margin = EVAL_MARGIN * reference.m
     e = np.array([3.0, 3.0 - 4e-7, 3.0 + 4e-7, 4.0 - margin, 6.5, 9.0 + 2e-6])
     assert core.nudge(e, reference).tolist() == [
         3.0 + margin, 3.0 - margin, 3.0 + margin, 4.0 - margin, 6.5, 9.0 + 2e-6,
     ]
-    assert core.nudge(e, reference, -1.0)[:3].tolist() == [3.0 - margin] * 3
-    assert core.nudge(e, reference, 1.0)[:3].tolist() == [3.0 + margin] * 3
     assert e[0] == 3.0  # the input is left alone
+    # each energy is nudged as it would be alone
+    assert core.nudge(e, reference).tolist() == [core.nudge(x, reference) for x in e.tolist()]
 
 
 def test_nudge_of_a_float_is_a_float(reference):
-    got = core.nudge(1.0, reference, 1.0)
+    got = core.nudge(1.0, reference)
     assert type(got) is float
     assert got == 1.0 + EVAL_MARGIN * reference.m
+    assert core.nudge(1.0 - 1e-7, reference) == 1.0 - EVAL_MARGIN * reference.m
     assert core.nudge(2.0, reference) == 2.0
-
-
-def test_nudge_takes_one_way_per_energy(reference):
-    margin = EVAL_MARGIN * reference.m
-    e = np.array([3.0, 3.0, 3.0 - 4e-7, 3.0 + 4e-7, 4.0 - margin, 6.5, 9.0, 1.0])
-    way = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
-    kept_e, kept_way = e.copy(), way.copy()
-    got = core.nudge(e, reference, way)
-    want = [core.nudge(x, reference, w) for x, w in zip(e.tolist(), way.tolist())]
-    assert got.tolist() == want
-    assert want[:4] == [3.0 + margin, 3.0 - margin, 3.0 + margin, 3.0 - margin]
-    assert e.tolist() == kept_e.tolist() and way.tolist() == kept_way.tolist()
-    # a float way still sends every energy the same way
-    assert core.nudge(e, reference, -1.0).tolist() == core.nudge(e, reference, -np.ones(8)).tolist()
 
 
 def test_nudged_points_stay_put_under_a_second_nudge(reference):

@@ -118,6 +118,10 @@ _float64 = st.one_of(
 def test_csv_cells_match_printf_on_any_floats(rows):
     cells = np.array(rows)
     assert _written_csv(_columns_batch(cells)) == _printf_csv(cells)
+    # the same cells with the first column preformatted, as a sweep's energies
+    columns = tuple(cells.T.copy())
+    text = b"".join(_printf.csv_blocks(columns, _printf.column_words(columns[0])))
+    assert CSV_HEADER + "\n" + text.decode("ascii") == _printf_csv(cells)
 
 
 def test_csv_cells_match_printf_at_every_exponent():

@@ -547,13 +547,15 @@ def test_widths_log_what_they_did(reference, caplog, monkeypatch):
 
 def _last_open_crossings(cfg, found, e_max, settings):
     """Left and right crossing of the last open-zone root by the scalar
-    march, stepping at the scan spacing, and its right fence."""
+    march, stepping at the zone's spacing (that of a scan from the zone's
+    start to the right fence, or to e_max if that is higher), and its
+    right fence."""
     margin = core.EVAL_MARGIN * cfg.m
     lo, _ = zone_interval(Zone.ABOVE_BARRIER, cfg)
-    step = (e_max - (lo + margin)) / (settings.grid_points_per_zone - 1)
     last = found[-1].energy
     fence = found[-2].energy if len(found) > 1 else lo + margin
     cap = last + 4.0 * cfg.m - margin
+    step = (max(cap, e_max) - (lo + margin)) / (settings.grid_points_per_zone - 1)
     left = scalar_march.half_crossing(cfg, last, fence, -step, settings)
     return left, scalar_march.half_crossing(cfg, last, cap, step, settings), cap, step
 
@@ -563,7 +565,7 @@ def _last_open_crossings(cfg, found, e_max, settings):
 def test_open_zone_reads_its_last_width_past_e_max(reference, caplog, monkeypatch,
                                                    e_max, resolved):
     # the last open-zone root has a left crossing on the scan and none on
-    # it to the right: its right side goes on past e_max at the scan
+    # it to the right: its right side goes on past e_max at the zone's
     # spacing, up to 4 m above the root, one margin in, and no further
     settings = SearchSettings()
     past = []
@@ -580,6 +582,7 @@ def test_open_zone_reads_its_last_width_past_e_max(reference, caplog, monkeypatc
     ((*_, logged),) = _width_records(caplog)
     left, right, cap, step = _last_open_crossings(reference, found, e_max, settings)
     assert left is not None and logged == len(past) > 0
+    assert len(past) < settings.grid_points_per_zone
     assert past == pytest.approx([e_max + (i + 1) * step for i in range(len(past) - 1)]
                                  + [past[-1]], rel=0, abs=1e-12)
     if resolved:
@@ -590,6 +593,21 @@ def test_open_zone_reads_its_last_width_past_e_max(reference, caplog, monkeypatc
     else:
         assert right is None and found[-1].fwhm is None
         assert past[-1] == cap and past[-2] < cap
+
+
+@pytest.mark.parametrize("name", ["reference", "tall"])
+def test_no_search_reads_more_than_a_scan_past_e_max(caplog, name):
+    # wherever e_max falls above the barrier, the last open-zone width
+    # reads fewer energies past the scan than the scan has grid points
+    cfg = _WIDTH_CASES[name][0]
+    settings = SearchSettings()
+    caplog.set_level(logging.DEBUG, logger=resonance.__name__)
+    lo = cfg.v_plus + cfg.m
+    for e_max in np.linspace(lo + 0.02 * cfg.m, lo + 3.0 * cfg.m, 25).tolist():
+        find_above_barrier(cfg, e_max, settings)
+    past = [w[4] for w in _width_records(caplog)]
+    assert len(past) == 25 and max(past) > 0
+    assert max(past) < settings.grid_points_per_zone
 
 
 def test_a_zone_edge_grid_energy_is_a_candidate(reference, reference_resonances):
