@@ -5,7 +5,7 @@ element of the full transfer matrix vanishes.  On the real energy axis
 M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
 |M11|), so the resonances are the roots of f = Im M21.  Every value the
 search reads comes off one checked bounded walk (transfer._checked_walk,
-no matrix product), which raises where the walk overflows or
+no product, no outside phase), which raises where the walk overflows or
 degenerates: M21 = b/tau and |M21|^2 = |b|^2/|tau|^2.  The search scans
 |M21|^2 on a uniform grid over a zone in one array call, takes interior
 local minima as brackets, and refines each bracket on Im M21 one energy
@@ -179,7 +179,7 @@ def _refine_bracket(cfg: PotentialConfig, lo: float,
     no root.
 
     M21 = b/tau comes off the checked walk, since M21 = R/T and the
-    walk's a and phase cancel from that ratio; it raises
+    walk's a and the outside phase cancel from that ratio; it raises
     NumericalOverflow where b/tau is not finite, as once tau underflows
     on wide barriers.  brentq returns an energy it has evaluated, so the
     residual |M21| is read from the values it saw rather than computed
@@ -190,7 +190,7 @@ def _refine_bracket(cfg: PotentialConfig, lo: float,
     seen: dict[float, complex] = {}
 
     def im_m21(e: float) -> float:
-        _, b, tau, _ = _checked_walk(e, cfg)
+        _, b, tau = _checked_walk(e, cfg)
         value = b / tau if tau else math.inf
         if not cmath.isfinite(value):
             raise NumericalOverflow(f"M21 overflowed at E = {e!r}")
@@ -209,7 +209,7 @@ def _scan_record(cfg: PotentialConfig, lo: float, hi: float,
     """A zone's scan: its grid over [lo, hi] and |M21|^2 at each grid energy."""
     grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
     screen(grid, cfg)
-    _, b, tau, _ = _checked_walk(grid, cfg)
+    _, b, tau = _checked_walk(grid, cfg)
     with np.errstate(all="ignore"):
         g = np.abs(b) ** 2 / np.abs(tau) ** 2  # |M21|^2 = |R|^2/|T|^2
     bad = ~np.isfinite(g)
@@ -300,7 +300,7 @@ def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[
     def log_m21(e: float) -> float:
         """log |M21| at E, which crosses 0 where |T|^2 crosses 1/2."""
         if e not in seen:
-            _, b, tau, _ = _checked_walk(e, cfg)
+            _, b, tau = _checked_walk(e, cfg)
             seen[e] = math.log(abs(b)) - math.log(abs(tau))
         return seen[e]
 
@@ -341,7 +341,7 @@ def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[
             if over < e.size:
                 e = e[:over + 1]
                 e[over] = fence
-            _, b, tau, _ = _checked_walk(e, cfg)
+            _, b, tau = _checked_walk(e, cfg)
             past += e.size
             right = crossing(e, np.abs(b) ** 2 / np.abs(tau) ** 2, inner)
             inner, n = float(e[-1]), min(2 * n, settings.grid_points_per_zone)

@@ -38,13 +38,13 @@ transmitted side, each interface maps the wave pair (a, b) by it, and
 crossing a region of width w multiplies a by e^{-2kw} while a separate
 factor tau collects e^{-kw}.  Then T = tau/a e^{-2 k0 a} and
 R = b/a e^{-2 k0 a}.  Every factor has modulus at most 1, so nothing
-overflows at any barrier width, and an energy costs 3 complex exp.
-The resonance search reads the checked walk (_checked_walk) as well:
-M21 = R/T = b/tau, since a and the phase cancel from that ratio, so it
-needs no product.  Its width half (_walk) holds the decays, the phase
-and the recurrence.  scatter runs _media, then _walk; a sweep over
-widths runs _media once per grid (_prepare, which also classifies the
-energies) and _walk per frame (_finish).
+overflows at any barrier width.  The walk's width half (_walk) holds
+the decays and the recurrence, 2 complex exp per energy; scatter adds
+the phase, a third (_amplitudes).  The resonance search reads only the
+checked walk (_checked_walk): M21 = R/T = b/tau, as a and the phase
+cancel.  scatter runs _media, then _amplitudes; a sweep over widths
+runs _media once per grid (_prepare, which also classifies the
+energies) and _amplitudes per frame (_finish).
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -58,7 +58,6 @@ as the independent reference both contractions are checked against.
 from __future__ import annotations
 
 import cmath
-from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +68,9 @@ from .errors import DegenerateMatrix, NumericalOverflow
 #: One energy, or a 1-D array of them.
 Energy = float | np.ndarray
 
-#: The context a float runs in: numpy's error state concerns arrays alone.
-_SCALAR = nullcontext()
+#: numpy's error state, which each half enters once on an array, run with
+#: xp = np; a float runs with xp = cmath and enters none.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class Matrix2x2(NamedTuple):
@@ -133,26 +133,27 @@ def _step_pair(x: float, ko, ki, rho_in, rho_out, xp) -> tuple[Matrix2x2, Matrix
     return _interface(rho_in, eu, emu, emv, ev), _interface(rho_out, eu, emu, ev, emv)
 
 
-def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool) -> tuple[Matrix2x2, ...]:
+def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool, xp=cmath) -> tuple[Matrix2x2, ...]:
     """P1..P4, or their product alone, with overflow raised as NumericalOverflow.
 
     cmath raises OverflowError where numpy returns inf, so both the
     exception and non-finite entries count.
     """
-    media = _media(e, cfg)
+    if isinstance(e, np.ndarray) and xp is cmath:
+        with np.errstate(**_QUIET):
+            return _evaluate(e, cfg, multiply, np)
+    media = _media(e, cfg, xp)
     _, k0, kp, km, (rho0, rho1, rho2, rho3) = media  # from x = +a inward
-    xp = np if isinstance(e, np.ndarray) else cmath
     try:
-        with _quiet(e):
-            p1, p4 = _step_pair(cfg.a, k0, kp, rho3, rho0, xp)
-            p2, p3 = _step_pair(cfg.a_minus, kp, km, rho2, rho1, xp)
-            mats = (p1 @ p2 @ p3 @ p4,) if multiply else (p1, p2, p3, p4)
-            for mat in mats:
-                # inf and nan survive summation, so a finite sum means
-                # finite entries; inf - inf is why this stays in errstate
-                at = _first_failure(xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22), e)
-                if at is not None:
-                    raise _out_of_range(media, at, "transfer-matrix entry overflowed")
+        p1, p4 = _step_pair(cfg.a, k0, kp, rho3, rho0, xp)
+        p2, p3 = _step_pair(cfg.a_minus, kp, km, rho2, rho1, xp)
+        mats = (p1 @ p2 @ p3 @ p4,) if multiply else (p1, p2, p3, p4)
+        for mat in mats:
+            # inf and nan survive summation, so a finite sum means
+            # finite entries; inf - inf is why this stays in errstate
+            ok = xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22)
+            if _first_failure(ok, e) is not None:
+                raise _out_of_range(media, ok, "transfer-matrix entry overflowed")
     except OverflowError:
         raise NumericalOverflow(
             f"boundary exponential overflowed for a = {cfg.a:g}"
@@ -191,116 +192,107 @@ class ScatteringResult(NamedTuple):
     zone: Zone | np.ndarray
 
 
-def _quiet(e: Energy):
-    """The error state _media, the walk and the product run in.  On an
-    array, overflow, invalid results and division by zero are left to
-    their finiteness checks; a float needs no context."""
-    if isinstance(e, np.ndarray):
-        return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    return _SCALAR
+def _media(e: Energy, cfg: PotentialConfig, xp) -> tuple:
+    """The width-free half of both contractions: (e, k0, kp, km, rhos),
+    rhos from x = +a inward; a width sweep computes it once per grid.
 
-
-def _media(e: Energy, cfg: PotentialConfig) -> tuple:
-    """The width-free half of both contractions: (e, k0, kp, km, rhos).
-
-    k of the outside, barrier and floor regions, and rho = s_R / s_L at
-    the four interfaces from x = +a inward, depend on the energies and
-    the heights alone, so a sweep over widths computes them once per grid.
-    It runs in _quiet(e): admissible energies lie off every U +/- m, but
-    at a scale m far from 1 the squares in k overflow or underflow, and
-    an array carries what that leaves to the finiteness check of the walk
-    or the product (see _out_of_range).  On a float, an s that underflowed
-    to 0 raises NumericalOverflow here.
+    Admissible energies lie off every U +/- m, but at a scale m far from
+    1 the squares in k overflow or underflow: an array carries what that
+    leaves to the finiteness check of the walk or the product (see
+    _out_of_range), and on a float an s that underflowed to 0 raises
+    NumericalOverflow here.
     """
     m = cfg.m
-    xp = np if isinstance(e, np.ndarray) else cmath
     ks, ss = [], []
     try:
-        with _quiet(e):
-            for u in (0.0, cfg.v_plus, cfg.v_minus):
-                d = e - u
-                # factored form keeps the difference of squares accurate near |d| = m
-                k = xp.sqrt((m - d) * (m + d) + 0j)
-                ks.append(k)
-                ss.append(k / (m + d))
-            s0, sp, sm = ss
-            return (e, *ks, (s0 / sp, sp / sm, sm / sp, sp / s0))
+        for u in (0.0, cfg.v_plus, cfg.v_minus):
+            d = e - u
+            # factored form keeps the difference of squares accurate near |d| = m
+            k = xp.sqrt((m - d) * (m + d) + 0j)
+            ks.append(k)
+            ss.append(k / (m + d))
+        s0, sp, sm = ss
+        return (e, *ks, (s0 / sp, sp / sm, sm / sp, sp / s0))
     except ZeroDivisionError:
         raise NumericalOverflow(f"wave vector out of double range at E = {e!r}") from None
 
 
-def _out_of_range(media: tuple, at, what: str) -> NumericalOverflow:
-    """The error of a walk or product on media that failed first at E = at:
-    a k or rho that is not finite (at a scale m far from 1), at the first
-    energy it holds, else what happened at at.  Only a failure builds it."""
+def _out_of_range(media: tuple, ok, what: str) -> NumericalOverflow:
+    """The error of a walk or product on media that failed where ok is
+    false: a k or rho that is not finite (at a scale m far from 1), at the
+    first energy it holds, else what happened at the first failure."""
     e, *waves, rhos = media
     bad = _first_failure(np.isfinite([*waves, *rhos]).all(axis=0), e)
     if bad is None:
-        return NumericalOverflow(f"{what} at E = {at!r}")
+        return NumericalOverflow(f"{what} at E = {_first_failure(ok, e)!r}")
     return NumericalOverflow(f"wave vector out of double range at E = {bad!r}")
 
 
-def _walk(media: tuple, cfg: PotentialConfig) -> tuple:
-    """(a, b, tau, phase) of the bounded walk on _media, in _quiet(e).
+def _walk(media: tuple, cfg: PotentialConfig, xp) -> tuple:
+    """(a, b, tau) of the bounded walk on _media; T = tau/a and R = b/a
+    times the outside phase (_amplitudes).
 
-    T = tau/a phase and R = b/a phase.  The walk starts from (a, b) =
-    (1/16, 0) on the transmitted side and maps the pair at each interface
-    by 2 P(rho) = [[1 + rho, 1 - rho], [1 - rho, 1 + rho]], so that the
-    four doublings restore the scale of (1, 0).  Between two interfaces a
-    takes g^2 = e^{-2kw}; the decays g_+ = e^{-k_+ a_plus} and
-    g_- = e^{-2 k_- a_minus} of the three regions crossed make
-    tau = g_+^2 g_-.  phase = e^{-2 k0 a} has modulus 1, since the
-    outside wave propagates.
+    The walk starts from (a, b) = (1/16, 0) on the transmitted side and
+    maps the pair at each interface by 2 P(rho) = [[1 + rho, 1 - rho],
+    [1 - rho, 1 + rho]], so that the four doublings restore the scale of
+    (1, 0).  Between two interfaces a takes g^2 = e^{-2kw}; the decays
+    g_+ = e^{-k_+ a_plus} and g_- = e^{-2 k_- a_minus} of the three
+    regions crossed make tau = g_+^2 g_-.
 
     Raises NumericalOverflow where a wave exponent or _media's k or rho
     left double range, and DegenerateMatrix where the incident amplitude
     a vanished.
     """
-    e, k0, kp, km, (rho0, rho1, rho2, rho3) = media
-    array = isinstance(e, np.ndarray)
-    xp = np if array else cmath
+    e, _, kp, km, (rho0, rho1, rho2, rho3) = media
     try:
-        with _quiet(e):
-            gp = xp.exp(-kp * cfg.a_plus)
-            gm = xp.exp(-km * (2.0 * cfg.a_minus))
-            gp2 = gp * gp
-            # the first interface meets (1/16, 0); then from x = +a inward
-            # the barrier, the floor and the barrier.  In place on arrays
-            # the walk owns, since every fresh 20k-energy temporary costs
-            # the allocator page faults.
-            delta = rho0 * 0.0625
-            a, b = 0.0625 + delta, 0.0625 - delta
-            for g2, rho in ((gp2, rho1), (gm * gm, rho2), (gp2, rho3)):
-                a *= g2
-                delta = a - b
-                # rho (a - b) into the temporary, not into rho, which the
-                # frames of a sweep share; written as a product, numpy would
-                # reuse a large temporary with the operands swapped (see
-                # _interface)
-                delta = np.multiply(rho, delta, out=delta) if array else rho * delta
-                b += a         # sigma = a + b
-                a = b + delta  # sigma + delta
-                b -= delta     # sigma - delta
-            phase = xp.exp(k0 * (-2.0 * cfg.a))
-            at = _first_failure(xp.isfinite(a + phase), e)
+        gp = xp.exp(-kp * cfg.a_plus)
+        gm = xp.exp(-km * (2.0 * cfg.a_minus))
     except ValueError:  # cmath's exp of an infinite imaginary part
-        at = e
-    if at is not None:
-        raise _out_of_range(media, at, "wave exponent overflowed")
-    at = _first_failure(abs(a) >= 1e-300, e)
-    if at is not None:
-        raise DegenerateMatrix(f"incident amplitude vanished at E = {at!r}")
-    return a, b, gp2 * gm, phase
+        raise _out_of_range(media, False, "wave exponent overflowed") from None
+    gp2 = gp * gp
+    # the first interface meets (1/16, 0); then from x = +a inward the
+    # barrier, the floor and the barrier, in place on arrays the walk
+    # owns: every fresh 20k-energy temporary costs page faults
+    delta = rho0 * 0.0625
+    a, b = 0.0625 + delta, 0.0625 - delta
+    for g2, rho in ((gp2, rho1), (gm * gm, rho2), (gp2, rho3)):
+        a *= g2
+        delta = a - b
+        # rho (a - b) into the temporary, not into rho, which the frames
+        # of a sweep share; written as a product, numpy would reuse a
+        # large temporary with the operands swapped (see _interface)
+        delta = rho * delta if xp is cmath else np.multiply(rho, delta, out=delta)
+        b += a         # sigma = a + b
+        a = b + delta  # sigma + delta
+        b -= delta     # sigma - delta
+    ok = xp.isfinite(a)
+    if not (ok if xp is cmath else ok.all()):
+        raise _out_of_range(media, ok, "wave exponent overflowed")
+    ok = abs(a) >= 1e-300
+    if not (ok if xp is cmath else ok.all()):
+        raise DegenerateMatrix(f"incident amplitude vanished at E = {_first_failure(ok, e)!r}")
+    return a, b, gp2 * gm
 
 
 def _checked_walk(e: Energy, cfg: PotentialConfig) -> tuple:
-    """Both halves of the walk at admissible energies, with no screen of the energies."""
-    return _walk(_media(e, cfg), cfg)
+    """(a, b, tau): both halves of the walk at admissible energies, unscreened."""
+    if isinstance(e, np.ndarray):
+        with np.errstate(**_QUIET):
+            return _walk(_media(e, cfg, np), cfg, np)
+    return _walk(_media(e, cfg, cmath), cfg, cmath)
 
 
-def _amplitudes(walk: tuple) -> tuple:
-    """(T, R) of a checked walk's (a, b, tau, phase), where |a| >= 1e-300."""
-    a, b, tau, phase = walk
+def _amplitudes(media: tuple, cfg: PotentialConfig, xp) -> tuple:
+    """(T, R): _walk's tau/a and b/a times the outside phase e^{-2 k0 a},
+    of modulus 1, as the outside wave propagates."""
+    a, b, tau = _walk(media, cfg, xp)
+    try:
+        phase = xp.exp(media[1] * (-2.0 * cfg.a))
+    except ValueError:  # as in _walk
+        raise _out_of_range(media, False, "wave exponent overflowed") from None
+    ok = xp.isfinite(phase)
+    if not (ok if xp is cmath else ok.all()):
+        raise _out_of_range(media, ok, "wave exponent overflowed")
     q = phase / a
     return tau * q, b * q
 
@@ -308,13 +300,20 @@ def _amplitudes(walk: tuple) -> tuple:
 def _prepare(e: Energy, cfg: PotentialConfig) -> tuple:
     """scatter's width-free half: the matrix ranges and zones of E, and _media."""
     rng, zone = classify(e, cfg)
-    return rng, zone, _media(e, cfg)
+    if isinstance(e, np.ndarray):
+        with np.errstate(**_QUIET):
+            return rng, zone, _media(e, cfg, np)
+    return rng, zone, _media(e, cfg, cmath)
 
 
 def _finish(prepared: tuple, cfg: PotentialConfig) -> ScatteringResult:
     """scatter's width half: the result at cfg's widths on a _prepare of its heights."""
     rng, zone, media = prepared
-    t, r = _amplitudes(_walk(media, cfg))
+    if isinstance(media[0], np.ndarray):
+        with np.errstate(**_QUIET):
+            t, r = _amplitudes(media, cfg, np)
+    else:
+        t, r = _amplitudes(media, cfg, cmath)
     return ScatteringResult(media[0], t, r, abs(t) ** 2, abs(r) ** 2, rng, zone)
 
 

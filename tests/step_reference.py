@@ -34,7 +34,7 @@ def _step(x: float, kl, kr, rho, xp) -> Matrix2x2:
 def factor_matrices(e, cfg: PotentialConfig) -> tuple[Matrix2x2, ...]:
     """P1..P4 at a float or an array of energies, no range checks."""
     xp = np if isinstance(e, np.ndarray) else cmath
-    _, k0, kp, km, (rho0, rho1, rho2, rho3) = _media(e, cfg)
+    _, k0, kp, km, (rho0, rho1, rho2, rho3) = _media(e, cfg, xp)
     return (
         _step(-cfg.a, k0, kp, rho3, xp),
         _step(-cfg.a_minus, kp, km, rho2, xp),
@@ -54,5 +54,5 @@ def factor_determinants(e, cfg: PotentialConfig) -> tuple:
     Each is the ratio of the lower-component weights of the two regions
     meeting at the step, so telescoping kills everything in the product.
     """
-    rho0, rho1, rho2, rho3 = _media(e, cfg)[4]
+    rho0, rho1, rho2, rho3 = _media(e, cfg, np if isinstance(e, np.ndarray) else cmath)[4]
     return rho3, rho2, rho1, rho0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scalar_march
+import walk_m21
 from dirac_double_barrier import (
     ZONE_ORDER,
     NumericalOverflow,
@@ -121,7 +122,7 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
         root, residual, evaluations = refined
         assert all(type(e) is float for e in energies)
         assert len(set(energies)) == len(energies) == evaluations
-        assert residual.hex() == abs(_walk_m21(root, cfg)).hex()
+        assert residual.hex() == abs(walk_m21.m21(root, cfg)).hex()
         roots.append(root)
         return root, residual, evaluations
 
@@ -130,12 +131,6 @@ def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
     found = find_resonances(cfg, ZONE_ORDER[:-1])
     found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
     assert found and {r.energy for r in found} <= set(roots)
-
-
-def _walk_m21(e, cfg):
-    """M21 = b/tau off the checked walk at one energy, as the refinement reads it."""
-    _, b, tau, _ = transfer._checked_walk(e, cfg)
-    return b / tau
 
 
 def _product_refinement(cfg, lo, hi):
@@ -374,8 +369,7 @@ def test_every_sign_change_is_a_root_or_a_warned_drop(cfg, caplog):
     for zone in ZONE_ORDER[:-1]:
         lo, hi = zone_interval(zone, cfg)
         grid = core.nudge(np.linspace(lo + margin, hi - margin, 64_000), cfg)
-        _, b, tau, _ = transfer._checked_walk(grid, cfg)
-        negative = np.signbit((b / tau).imag)
+        negative = np.signbit(walk_m21.m21(grid, cfg).imag)
         changes = np.count_nonzero(negative[1:] != negative[:-1])
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger=resonance.__name__):
@@ -682,7 +676,7 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     def flat_walk(e, cfg):
         screened(e, cfg)
         one = np.ones_like(e) if isinstance(e, np.ndarray) else 1.0
-        return one, one * math.sqrt(1.0 / 0.9 - 1.0), one, one  # |M21|^2 = 1/|T|^2 - 1
+        return walk_m21.walk_of(one * math.sqrt(1.0 / 0.9 - 1.0), one)  # |M21|^2 = 1/|T|^2 - 1
 
     monkeypatch.setattr(resonance, "_checked_walk", flat_walk)
     monkeypatch.setattr(scalar_march, "_t2", flat_t2)
@@ -734,7 +728,7 @@ def test_the_scalar_walk_decides_scan_energies_near_one(reference):
     roots = [r.energy for r in conv]
 
     def log_m21(e):
-        _, b, tau, _ = transfer._checked_walk(e, reference)
+        b, tau = walk_m21.b_tau(e, reference)
         return math.log(abs(b)) - math.log(abs(tau))
 
     i = np.searchsorted(grid, peak.energy)

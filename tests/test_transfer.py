@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import paper_tables
 import step_reference
+import walk_m21
 from dirac_double_barrier import (
     ZONE_ORDER,
     BoundaryEnergy,
@@ -196,12 +197,10 @@ def test_m21_squared_is_the_product_element(a_plus):
     # two contractions of the same factors, each energy to about 1e-12:
     # the walk's |b|^2/|tau|^2, as the resonance scan reads |M21|^2
     want = np.abs(full_matrix(grid, cfg).m21) ** 2
-    _, b, tau, _ = transfer._checked_walk(grid, cfg)
-    assert (np.abs(np.abs(b) ** 2 / np.abs(tau) ** 2 - want) / (1.0 + want)).max() < 2e-12
+    assert (np.abs(walk_m21.m21_squared(grid, cfg) - want) / (1.0 + want)).max() < 2e-12
     # and M21 = b/tau itself, one energy at a time, as the root refinement reads it
     for e in grid[::20].tolist():
-        _, b, tau, _ = transfer._checked_walk(e, cfg)
-        got, want = b / tau, full_matrix(e, cfg).m21
+        got, want = walk_m21.m21(e, cfg), full_matrix(e, cfg).m21
         assert type(got) is complex
         assert abs(got - want) / (1.0 + abs(want)) < 2e-12
 
@@ -212,7 +211,7 @@ def test_m21_squared_overflows_at_the_first_energy_past_double_range():
         warnings.simplefilter("error")
         # the walk stays finite, but tau underflows to 0 where the barrier
         # is evanescent, between 7 and 9, so b/tau has no finite value there
-        _, b, tau, _ = transfer._checked_walk(np.array([6.0, 7.5, 8.5]), cfg)
+        b, tau = walk_m21.b_tau(np.array([6.0, 7.5, 8.5]), cfg)
         assert np.isfinite(b).all() and tau[0] != 0 and not tau[1:].any()
         assert cmath.isfinite(b[0] / tau[0])
         # the resonance scan and refinement say so at the first such energy
@@ -224,6 +223,23 @@ def test_m21_squared_overflows_at_the_first_energy_past_double_range():
         # the refinement screens nothing: the range edge v_plus reaches the walk
         with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 8.0$"):
             resonance._refine_bracket(cfg, 6.0, cfg.v_plus)
+
+
+def test_the_search_walk_makes_two_exponentials_and_scatter_three(reference, monkeypatch):
+    # the walk's two decays; the outside phase e^{-2 k0 a} is scatter's
+    # alone, since a and the phase cancel from M21 = b/tau
+    calls = []
+    for module in (cmath, np):
+        def spy(z, _exp=module.exp, _name=module.__name__):
+            calls.append(_name)
+            return _exp(z)
+
+        monkeypatch.setattr(module, "exp", spy)
+    for e, name in ((7.5, "cmath"), (np.array([6.0, 7.5, 8.5]), "numpy")):
+        for evaluate, count in ((transfer._checked_walk, 2), (scatter, 3)):
+            calls.clear()
+            evaluate(e, reference)
+            assert calls == [name] * count, (evaluate, e)
 
 
 def test_scatter_refuses_an_exponent_past_double_range():

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from dirac_double_barrier import PotentialConfig, resonance, transfer
+from dirac_double_barrier import PotentialConfig, resonance
+from walk_m21 import m21
 from well_reference import barrier_decay, well_energies
 
 #: The isolated-well energies of the reference floor (v_plus 8, v_minus 4,
@@ -57,8 +58,7 @@ def test_widths_vanish_like_the_barrier_decay():
         step = 1e-6 * cfg.m
 
         def im_m21(e):
-            _, b, tau, _ = transfer._checked_walk(e, cfg)
-            return (b / tau).imag
+            return m21(e, cfg).imag
 
         row = []
         for well in well_energies(cfg):
