@@ -3,24 +3,23 @@
 Full transmission |T|^2 = 1 happens exactly where the off-diagonal
 element of the full transfer matrix vanishes.  On the real energy axis
 M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
-|M11|), so the resonances are the roots of f = Im M21.  Every value the
-search reads comes off one checked bounded walk (transfer._checked_walk,
-no product, no outside phase), which raises where the walk overflows or
-degenerates: M21 = b/tau and |M21|^2 = |b|^2/|tau|^2.  The search scans
-|M21|^2 on a uniform grid over a zone in one array call, takes interior
-local minima as brackets, and refines each bracket on Im M21 one energy
-at a time with Brent's method, carried here as a port of scipy's brentq.
+|M11|), so the resonances are the roots of f = Im M21, the one function
+the search scans.  Every value it reads comes off one checked bounded
+walk (transfer._checked_walk, no product, no outside phase): M21 = b/tau.
+The search evaluates f on a uniform grid over a zone in one array call
+and refines each grid cell where f changes sign on the scalar walk with
+Brent's method, carried here as a port of scipy's brentq.  A root is
+kept where |M21| < 1e-8 or |b| < 1e-10, its residual in the walk's own
+scale: under thick barriers |tau| is tiny across the whole peak, so
+|M21| = |b|/|tau| is ill-conditioned there while |b| stays small.
 
-The widths are read off the same scan.  |T|^2 = 1/(1 + |M21|^2), so a
-peak's half-maximum crossings are where |M21|^2 crosses 1: on each side
-of a root the nearest grid energy with |M21|^2 >= 1 brackets one, and
-brentq refines it on log|M21| = log|b| - log|tau|, one energy at a time.
-Only the last root of the open top zone can need energies past the
-scan's end.  Each zone logs two DEBUG records: one of its scan (grid
-points, local minima, brackets refined, roots accepted, rejected,
-dropped and merged, and Brent's evaluations) and one of its widths
-(widths resolved, crossings refined, scalar walks, and energies
-evaluated past the scan).
+The widths are read off the same scan.  |T|^2 = 1/(1 + f^2), so a
+peak's half-maximum crossings are where |f| crosses 1, bracketed on the
+grid and refined with brentq.  A zone's refinement, gate and crossings
+read one memoised scalar evaluation per energy, (M21, |b|) (_Walk).
+Each zone logs a DEBUG record of its scan and one of its widths, and a
+WARNING for every candidate or root it drops and every width it cannot
+resolve.
 """
 
 from __future__ import annotations
@@ -50,21 +49,22 @@ DEFAULT_ZONES = (Zone.LOWER_KLEIN, Zone.HIGHER_KLEIN, Zone.CONVENTIONAL)
 #: half-maximum crossing is looked for in, in units of the mass.
 _OPEN_ZONE_SPAN = 4.0
 
-#: Scan energies whose array |M21|^2 lies this close to 1 (|T|^2 within
+#: Scan energies whose array |Im M21| lies this close to 1 (|T|^2 within
 #: 1e-9 of 1/2) are decided by the scalar walk, which refines the
 #: crossing.  numpy's array kernels and cmath's scalar ones round
 #: differently, the more so the sharper the peak: within two widths of
-#: each peak, where |M21|^2 is within 1/2 of 1, they differ by at most
-#: 1.6e-13 on the reference potential, 8.4e-12 at a_plus = 5 and 3.9e-10
-#: at a_plus = 7.
-_HALF_BAND = 4e-9
+#: each peak their |M21|^2 differ by at most 1.6e-13 on the reference
+#: potential, 8.4e-12 at a_plus = 5 and 3.9e-10 at a_plus = 7.
+_HALF_BAND = 2e-9
 
 #: Brent's xtol for resonance roots and half-maximum crossings, as a
 #: fraction of the mass.
 _REFINE_TOLERANCE = 1e-12
 
-#: A refined root counts as a resonance only where |M21| is below this.
+#: A refined root counts as a resonance where |M21| is below
+#: _RESIDUAL_ACCEPT, or where |b| is below _WALK_ACCEPT.
 _RESIDUAL_ACCEPT = 1e-8
+_WALK_ACCEPT = 1e-10
 
 #: Brent defaults, as in scipy.optimize.brentq.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -143,12 +143,12 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
 class SearchSettings:
     """The one search knob: scan points per zone.
 
-    It sets the grid scan (|M21|^2 on the bounded walk), which brackets
+    It sets the grid scan (Im M21 on the bounded walk), which brackets
     both the roots and the half-maximum crossings of the widths, and the
     open top zone's step past e_max (the scan spacing) and most energies
     per array call there.  Roots and crossings are refined on the scalar
-    walk, with Brent's tolerance and the |M21| gate fixed,
-    _REFINE_TOLERANCE and _RESIDUAL_ACCEPT.
+    walk, with Brent's tolerance and the gate fixed, _REFINE_TOLERANCE,
+    _RESIDUAL_ACCEPT and _WALK_ACCEPT.
     """
 
     grid_points_per_zone: int = GRID_POINTS_PER_ZONE
@@ -171,169 +171,158 @@ class Resonance:
     fwhm: float | None = None
 
 
-def _refine_bracket(cfg: PotentialConfig, lo: float,
-                    hi: float) -> "tuple[float, float, int] | None":
-    """Root of M21 inside (lo, hi) as (energy, residual, evaluations).
+class _Walk(dict):
+    """The scalar walk at cfg, memoised: energy -> (M21, |b|).
 
-    None where Im M21 keeps its sign over (lo, hi), so the bracket holds
-    no root.
-
-    M21 = b/tau comes off the checked walk, since M21 = R/T and the
-    walk's a and the outside phase cancel from that ratio; it raises
-    NumericalOverflow where b/tau is not finite, as once tau underflows
-    on wide barriers.  brentq returns an energy it has evaluated, so the
-    residual |M21| is read from the values it saw rather than computed
-    again; it evaluates no energy twice, so those values also count its
-    evaluations.  Nothing is screened: (lo, hi) lies in one zone's screened
-    grid, so it holds no U +/- m, and the walk is regular at v_minus, v_plus.
+    M21 = b/tau = R/T, as a and the outside phase cancel.  A new energy
+    raises NumericalOverflow where b/tau is not finite, as once tau
+    underflows on wide barriers.  Nothing is screened: every energy lies
+    in one zone's screened grid or between two of its energies, so it is
+    no U +/- m, and the walk is regular at v_minus, v_plus.
     """
-    seen: dict[float, complex] = {}
 
-    def im_m21(e: float) -> float:
-        _, b, tau = _checked_walk(e, cfg)
-        value = b / tau if tau else math.inf
-        if not cmath.isfinite(value):
+    def __init__(self, cfg: PotentialConfig):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, e: float) -> "tuple[complex, float]":
+        _, b, tau = _checked_walk(e, self.cfg)
+        m21 = b / tau if tau else math.inf
+        if not cmath.isfinite(m21):
             raise NumericalOverflow(f"M21 overflowed at E = {e!r}")
-        seen[e] = value
-        return value.imag
+        self[e] = value = (m21, abs(b))
+        return value
 
+
+def _im_m21(e: np.ndarray, cfg: PotentialConfig) -> np.ndarray:
+    """Im M21 = Im(b/tau) of the checked walk at each energy of an array;
+    raises NumericalOverflow at the first energy where it is not finite."""
+    _, b, tau = _checked_walk(e, cfg)
+    with np.errstate(all="ignore"):  # into b's buffer: a new array here faults pages
+        f = np.divide(b, tau, out=b).imag
+    bad = ~np.isfinite(f)
+    if bad.any():
+        raise NumericalOverflow(f"M21 overflowed at E = {float(e[bad.argmax()])!r}")
+    return f
+
+
+def _refine_bracket(walk: _Walk, lo: float, hi: float) -> "float | None":
+    """Root of Im M21 in [lo, hi] on the scalar walk, an energy it has
+    walked, or None where Im M21 has one sign at both ends."""
     try:
-        root = brentq(im_m21, lo, hi, xtol=_REFINE_TOLERANCE * cfg.m)
+        return brentq(lambda e: walk[e][0].imag, lo, hi, xtol=_REFINE_TOLERANCE * walk.cfg.m)
     except ValueError:
         return None
-    return root, abs(seen[root]), len(seen)
 
 
 def _scan_record(cfg: PotentialConfig, lo: float, hi: float,
                  settings: SearchSettings) -> "tuple[np.ndarray, np.ndarray]":
-    """A zone's scan: its grid over [lo, hi] and |M21|^2 at each grid energy."""
+    """A zone's scan: its grid over [lo, hi] and Im M21 at each grid energy."""
     grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
     screen(grid, cfg)
-    _, b, tau = _checked_walk(grid, cfg)
-    with np.errstate(all="ignore"):
-        g = np.abs(b) ** 2 / np.abs(tau) ** 2  # |M21|^2 = |R|^2/|T|^2
-    bad = ~np.isfinite(g)
-    if bad.any():
-        raise NumericalOverflow(f"|M21|^2 overflowed at E = {float(grid[bad.argmax()])!r}")
-    return grid, g
+    return grid, _im_m21(grid, cfg)
 
 
 def _scan_interval(cfg: PotentialConfig, lo: float, hi: float, settings: SearchSettings,
                    open_zone: bool = False) -> "list[tuple[float, float, float | None]]":
     """(energy, residual, fwhm) for the roots of M21 in (lo, hi).
 
-    The widths are read off the same scan (_widths); open_zone says that
-    (lo, hi) is the open top zone cut at e_max.
+    Each grid cell where the scan's Im M21 changes sign is refined and
+    gated; one whose scalar ends keep one sign, as the scalar walk rounds
+    otherwise than the array one, is dropped with a WARNING.  The widths
+    are read off the same scan (_widths); open_zone says that (lo, hi) is
+    the open top zone cut at e_max.
     """
     if not hi > lo:
         return []
-    grid, g = _scan_record(cfg, lo, hi, settings)
-    minima = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
+    grid, f = _scan_record(cfg, lo, hi, settings)
+    cells = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
+    walk = _Walk(cfg)
     hits: list[tuple[float, float]] = []
-    rejected = dropped = merged = evaluations = 0
-    for i in minima:
-        left, right = float(grid[i - 1]), float(grid[i + 1])
-        refined = _refine_bracket(cfg, left, right)
-        if refined is None:
-            log.debug("bracket near E = %.9g rejected: Im M21 keeps its sign over "
-                      "(%.9g, %.9g)", grid[i], left, right)
-            rejected += 1
-            evaluations += 2  # brentq compares the signs at both ends first
+    unsigned = dropped = 0
+    for i in cells.tolist():
+        left, right = float(grid[i]), float(grid[i + 1])
+        root = _refine_bracket(walk, left, right)
+        if root is None:
+            unsigned += 1
+            log.warning("sign change of Im M21 over (%.12g, %.12g) dropped: the scalar "
+                        "walk keeps its sign there", left, right)
             continue
-        root, residual, n = refined
-        evaluations += n
-        if residual < _RESIDUAL_ACCEPT:
-            hits.append((root, residual))
+        m21, b = walk[root]
+        if abs(m21) < _RESIDUAL_ACCEPT or b < _WALK_ACCEPT:
+            hits.append((root, abs(m21)))
         else:  # a converged sign change, so most likely a real resonance
             dropped += 1
             log.warning("root at E = %.12g dropped: |M21| = %.3g is not below "
-                        "residual_accept = %g", root, residual, _RESIDUAL_ACCEPT)
-    hits.sort(key=lambda h: h[0])
-    # adjacent brackets occasionally converge to the same root
-    deduped: list[tuple[float, float]] = []
-    gap = max(10.0 * _REFINE_TOLERANCE, 1e-10) * cfg.m
-    for h in hits:
-        if deduped and abs(h[0] - deduped[-1][0]) < gap:
-            merged += 1
-            if h[1] < deduped[-1][1]:
-                deduped[-1] = h
-            continue
-        deduped.append(h)
-    log.debug("scan of (%.9g, %.9g): %d grid points, %d local minima refined as "
-              "brackets, %d roots accepted, %d rejected where Im M21 keeps its sign, "
-              "%d dropped by the residual gate, %d merged as duplicates, "
-              "%d Brent evaluations", lo, hi, grid.size, minima.size, len(deduped),
-              rejected, dropped, merged, evaluations)
-    widths = _widths(cfg, grid, g, [e for e, _ in deduped], settings, open_zone)
-    return [(e, res, w) for (e, res), w in zip(deduped, widths)]
+                        "residual_accept = %g, nor |b| = %.3g below %g", root, abs(m21),
+                        _RESIDUAL_ACCEPT, b, _WALK_ACCEPT)
+    log.debug("scan of (%.9g, %.9g): %d grid points, %d sign changes refined, "
+              "%d roots accepted, %d dropped where the scalar walk keeps its sign, "
+              "%d dropped by the residual gate, %d scalar walks", lo, hi, grid.size,
+              cells.size, len(hits), unsigned, dropped, len(walk))
+    widths = _widths(walk, grid, f, [e for e, _ in hits], settings, open_zone)
+    return [(e, res, w) for (e, res), w in zip(hits, widths)]
 
 
-def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[float]",
+def _widths(walk: _Walk, grid: np.ndarray, f: np.ndarray, roots: "list[float]",
             settings: SearchSettings, open_zone: bool) -> "list[float | None]":
-    """fwhm of each root, sorted ascending, read off its zone's scan (grid, g).
+    """fwhm of each root, sorted ascending, read off its zone's scan (grid, f).
 
-    |T|^2 = 1/(1 + |M21|^2), so the half-maximum crossings are where
-    |M21|^2 crosses 1.  On each side of a root the nearest grid energy
-    with |M21|^2 >= 1 brackets the crossing with the grid energy next to
-    it toward the root, or with the root itself, and brentq refines it on
-    log|b| - log|tau| of the scalar walk.  Grid energies whose |M21|^2
-    lies within _HALF_BAND of 1 are decided by that scalar walk.  A side
-    is fenced by the neighboring root, else by the grid's end, one margin
-    inside the zone edge.  In the open top zone the last root is fenced
-    _OPEN_ZONE_SPAN m above it, one margin in; where its right side finds
-    no crossing on the grid, it goes on past the grid's end at the zone's
-    spacing, that of a scan from the grid's start to the fence, in array
-    calls of 32 energies doubling up to grid_points_per_zone, and the
-    last of them is the fence itself, so it evaluates fewer than
-    grid_points_per_zone energies past the scan.
+    On each side of a root the nearest grid energy with |f| >= 1 brackets
+    the crossing with the grid energy next to it toward the root, or with
+    the root itself, and brentq refines |Im M21| - 1 on the scalar walk,
+    which also decides grid energies whose |f| lies within _HALF_BAND of
+    1.  A side is fenced by the neighboring root, else by the grid's end,
+    one margin inside the zone edge.  In the open top zone the last root
+    is fenced _OPEN_ZONE_SPAN m above it, one margin in; where its right
+    side finds no crossing on the grid, it goes on past the grid's end at
+    the zone's spacing, that of a scan from the grid's start to the fence,
+    in array calls of 32 energies doubling up to grid_points_per_zone, the
+    last ending at the fence, so fewer than grid_points_per_zone energies.
     fwhm is None where a side finds no crossing before its fence; the
-    right side is then not read.  Raises ValueError where |M21| at a root
-    is not below 1, since no peak lies there.
+    right side is then not read.  It is None with a WARNING where |M21|
+    at the root is not below 1, as at an energy that is no peak or under
+    barriers so thick that the root's residual outgrows the peak, or where
+    the width is no larger than twice Brent's tolerance.
     """
-    if open_zone and roots:
-        end = roots[-1] + _OPEN_ZONE_SPAN * cfg.m - EVAL_MARGIN * cfg.m
-    else:
-        end = float(grid[-1])
-    seen: dict[float, float] = {}
-    refined = past = 0
+    cfg = walk.cfg
+    xtol = _REFINE_TOLERANCE * cfg.m
+    end = (roots[-1] + _OPEN_ZONE_SPAN * cfg.m - EVAL_MARGIN * cfg.m if open_zone and roots
+           else float(grid[-1]))
+    walked, refined, past = len(walk), 0, 0
 
-    def log_m21(e: float) -> float:
-        """log |M21| at E, which crosses 0 where |T|^2 crosses 1/2."""
-        if e not in seen:
-            _, b, tau = _checked_walk(e, cfg)
-            seen[e] = math.log(abs(b)) - math.log(abs(tau))
-        return seen[e]
+    def excess(e: float) -> float:  # crosses 0 where |T|^2 crosses 1/2
+        return abs(walk[e][0].imag) - 1.0
 
-    def crossing(e: np.ndarray, g: np.ndarray, inner: float) -> "float | None":
+    def crossing(e: np.ndarray, f: np.ndarray, inner: float) -> "float | None":
         """Crossing before the first of the energies e, running outward
-        from inner, where |M21|^2 >= 1, or None where none is."""
+        from inner, where |Im M21| >= 1, or None where none is."""
         nonlocal refined
-        for i in np.flatnonzero(g >= 1.0 - _HALF_BAND):
+        for i in np.flatnonzero(np.abs(f) >= 1.0 - _HALF_BAND):
             outer = float(e[i])
-            if abs(g[i] - 1.0) < _HALF_BAND and log_m21(outer) < 0.0:
+            if abs(abs(f[i]) - 1.0) < _HALF_BAND and excess(outer) < 0.0:
                 continue
             near = float(e[i - 1]) if i else inner
-            if near == inner and not log_m21(inner) < 0.0:
-                raise ValueError(f"|M21| = {math.exp(log_m21(inner)):.6g} at E = {inner!r} "
-                                 f"is not below 1, so no peak lies there")
             refined += 1
-            return brentq(log_m21, min(near, outer), max(near, outer),
-                          xtol=_REFINE_TOLERANCE * cfg.m)
+            return brentq(excess, min(near, outer), max(near, outer), xtol=xtol)
         return None
 
-    step = (max(end, grid[-1]) - grid[0]) / (grid.size - 1)
-    out: list[float | None] = []
-    for j, root in enumerate(roots):
+    def fwhm(j: int, root: float) -> "float | None":
+        nonlocal past
+        residual = abs(walk[root][0])
+        if not residual < 1.0:
+            log.warning("fwhm at E = %.12g is None: |M21| = %.6g there is not below 1, "
+                        "so no peak is resolved there", root, residual)
+            return None
         below = slice(np.searchsorted(grid, roots[j - 1]) if j else 0,
                       np.searchsorted(grid, root))
-        left = crossing(grid[below][::-1], g[below][::-1], root)
+        left = crossing(grid[below][::-1], f[below][::-1], root)
         if left is None:
-            out.append(None)
-            continue
+            return None
         fence = roots[j + 1] if j + 1 < len(roots) else end
         above = slice(np.searchsorted(grid, root, side="right"),
                       np.searchsorted(grid, fence, side="right"))
-        right = crossing(grid[above], g[above], root)
+        right = crossing(grid[above], f[above], root)
         inner, n = float(grid[-1]), 32
         while right is None and inner < fence:
             e = inner + step * np.arange(1, n + 1)
@@ -341,15 +330,23 @@ def _widths(cfg: PotentialConfig, grid: np.ndarray, g: np.ndarray, roots: "list[
             if over < e.size:
                 e = e[:over + 1]
                 e[over] = fence
-            _, b, tau = _checked_walk(e, cfg)
             past += e.size
-            right = crossing(e, np.abs(b) ** 2 / np.abs(tau) ** 2, inner)
+            right = crossing(e, _im_m21(e, cfg), inner)
             inner, n = float(e[-1]), min(2 * n, settings.grid_points_per_zone)
-        out.append(None if right is None else right - left)
+        if right is None:
+            return None
+        if not right - left > 2.0 * xtol:
+            log.warning("fwhm at E = %.12g is None: its width %.3g is not above twice "
+                        "the crossing tolerance %.3g", root, right - left, xtol)
+            return None
+        return right - left
+
+    step = (max(end, grid[-1]) - grid[0]) / (grid.size - 1)
+    out = [fwhm(j, root) for j, root in enumerate(roots)]
     log.debug("widths of (%.9g, %.9g): %d of %d resolved, %d crossings refined, "
               "%d scalar walk evaluations, %d energies evaluated past the scan",
               grid[0], grid[-1], sum(w is not None for w in out), len(out),
-              refined, len(seen), past)
+              refined, len(walk) - walked, past)
     return out
 
 
@@ -418,7 +415,8 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
     the list, so that an overlapping neighbor's shoulder is not mistaken
     for a crossing.  fwhm is None where a side never reaches
     |T|^2 = 1/2 before its fence, which is how strongly overlapping
-    broad peaks present themselves.
+    broad peaks present themselves, and, with a WARNING, where the width
+    cannot be resolved, as at an energy that is no peak (_widths).
     """
     if settings is None:
         settings = SearchSettings()
@@ -433,7 +431,7 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
         open_zone = not math.isfinite(hi)
         if open_zone:
             hi = group[-1].energy + _OPEN_ZONE_SPAN * cfg.m
-        grid, g = _scan_record(cfg, lo + margin, hi - margin, settings)
-        widths = _widths(cfg, grid, g, [r.energy for r in group], settings, open_zone)
+        grid, f = _scan_record(cfg, lo + margin, hi - margin, settings)
+        widths = _widths(_Walk(cfg), grid, f, [r.energy for r in group], settings, open_zone)
         out += [replace(r, fwhm=w) for r, w in zip(group, widths)]
     return sorted(out, key=lambda r: r.energy)

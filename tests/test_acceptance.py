@@ -5,6 +5,7 @@ failure) and asserts the same condition, so `pytest -v` doubles as the
 checklist.
 """
 
+import sys
 import time
 import warnings
 
@@ -35,6 +36,7 @@ from frozen_values import (
     HIGHER_KLEIN_ENERGIES,
     LOWER_KLEIN_ENERGIES,
 )
+from well_reference import barrier_decay, well_energies
 
 REFERENCE = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=2.5)
 
@@ -124,15 +126,28 @@ def test_continuity_at_range_boundaries():
 
 
 def test_conventional_count_is_stable_in_barrier_width():
-    counts = []
-    for a_plus in (1.0, 1.5, 2.0, 2.5, 3.0):
+    # thin barriers, then thick ones up to where tau nears underflow; from
+    # a_plus 9 on, each root lies within the barrier decay of its
+    # isolated-well energy, plus both refinements' Brent tolerances, and no
+    # width reads 0
+    counts, off_well, zero_widths = [], [], []
+    for a_plus in (1.0, 1.5, 2.0, 2.5, 3.0, 9.0, 12.0, 16.0, 20.0, 30.0, 200.0):
         cfg = PotentialConfig(v_plus=8.0, v_minus=4.0,
                               a_plus=a_plus, a_minus=2.5)
-        counts.append(len(find_resonances(cfg, [Zone.CONVENTIONAL])))
+        conv = find_resonances(cfg, [Zone.CONVENTIONAL])
+        counts.append(len(conv))
+        zero_widths += [r.energy for r in conv if r.fwhm == 0.0]
+        if a_plus < 9.0 or len(conv) != 4:
+            continue
+        for r, well in zip(conv, well_energies(cfg)):
+            brent = 1e-12 * cfg.m + 4.0 * sys.float_info.epsilon * well
+            if not abs(r.energy - well) <= barrier_decay(well, cfg) + 2.0 * brent:
+                off_well.append((a_plus, r.energy, well))
     _verdict(
-        counts == [4, 4, 4, 4, 4],
+        counts == [4] * 11 and not off_well and not zero_widths,
         f"level count: conventional counts over the barrier-width sweep "
-        f"= {counts} (all 4)",
+        f"= {counts} (all 4); off the well reference {off_well}; "
+        f"zero widths {zero_widths}",
     )
 
 

@@ -102,50 +102,44 @@ def test_refinement_is_converged(reference, monkeypatch):
     PotentialConfig(v_plus=10.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
 ], ids=["reference", "tall"])
 def test_refinement_evaluates_each_energy_once(cfg, monkeypatch):
-    # every bracket's Brent closure evaluates the walk's M21 = b/tau at
-    # distinct energies, counts them, and the residual is |b/tau| at the
-    # root, read from those values
+    # a zone's refinement, gate and widths read one memoised scalar walk
+    # of M21 = b/tau: no energy is walked twice, every root is an energy
+    # Brent evaluated, and the residual is |b/tau| there
     refine = resonance._refine_bracket
     energies: list = []
     roots = []
 
     def counted(e, cfg):
-        energies.append(e)
+        if not isinstance(e, np.ndarray):  # the scan's grid is an array
+            energies.append(e)
         return transfer._checked_walk(e, cfg)
 
-    def checked(cfg, lo, hi):
-        energies.clear()
-        refined = refine(cfg, lo, hi)
-        if refined is None:  # Im M21 keeps its sign; brentq read both ends
-            assert len(energies) == 2
-            return None
-        root, residual, evaluations = refined
-        assert all(type(e) is float for e in energies)
-        assert len(set(energies)) == len(energies) == evaluations
-        assert residual.hex() == abs(walk_m21.m21(root, cfg)).hex()
-        roots.append(root)
-        return root, residual, evaluations
+    def checked(walk, lo, hi):
+        root = refine(walk, lo, hi)
+        if root is not None:
+            assert root in walk
+            roots.append(root)
+        return root
 
     monkeypatch.setattr(resonance, "_checked_walk", counted)
     monkeypatch.setattr(resonance, "_refine_bracket", checked)
     found = find_resonances(cfg, ZONE_ORDER[:-1])
     found += find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
     assert found and {r.energy for r in found} <= set(roots)
+    assert all(type(e) is float for e in energies)
+    assert len(set(energies)) == len(energies)
+    for r in found:
+        assert r.residual.hex() == abs(walk_m21.m21(r.energy, cfg)).hex()
 
 
-def _product_refinement(cfg, lo, hi):
+def _product_refinement(walk, lo, hi):
     """_refine_bracket on Im M21 of the product, the test-side reference."""
-    seen = {}
-
-    def im_m21(e):
-        seen[e] = value = full_matrix(e, cfg).m21
-        return value.imag
-
+    cfg = walk.cfg
     try:
-        root = resonance.brentq(im_m21, lo, hi, xtol=resonance._REFINE_TOLERANCE * cfg.m)
+        return resonance.brentq(lambda e: full_matrix(e, cfg).m21.imag, lo, hi,
+                                xtol=resonance._REFINE_TOLERANCE * cfg.m)
     except ValueError:
         return None
-    return root, abs(seen[root]), len(seen)
 
 
 _THIN_BARRIERS = [
@@ -166,7 +160,7 @@ _THIN_BARRIERS = [
 def test_walk_roots_match_the_product_roots(cfg, monkeypatch):
     # Brent on Im(b/tau) of the walk finds the roots Brent on Im M21 of
     # the product finds, to within their tolerance, and each is a root of
-    # the product by the same gate
+    # the product by the same gate, its |b| read as |M21| |tau|
     def search():
         found = find_resonances(cfg, ZONE_ORDER[:-1])
         return found + find_above_barrier(cfg, cfg.v_plus + 3.0 * cfg.m)
@@ -179,7 +173,10 @@ def test_walk_roots_match_the_product_roots(cfg, monkeypatch):
     assert [(r.zone, r.level) for r in walk] == [(r.zone, r.level) for r in product]
     for w, p in zip(walk, product):
         assert abs(w.energy - p.energy) <= 2.0 * xtol
-        assert abs(full_matrix(w.energy, cfg).m21.imag) < resonance._RESIDUAL_ACCEPT
+        m21 = full_matrix(w.energy, cfg).m21
+        _, tau = walk_m21.b_tau(w.energy, cfg)
+        assert (abs(m21) < resonance._RESIDUAL_ACCEPT
+                or abs(m21) * abs(tau) < resonance._WALK_ACCEPT)
 
 
 def test_search_and_widths_never_call_the_product(reference, monkeypatch):
@@ -193,7 +190,8 @@ def test_search_and_widths_never_call_the_product(reference, monkeypatch):
 
 
 def _scan_counts(caplog) -> list:
-    """Per scan record: points, minima, accepted, rejected, dropped, merged, evaluations."""
+    """Per scan record: points, sign changes, accepted, dropped where the
+    scalar walk keeps its sign, dropped by the gate, scalar walks."""
     return [[int(n) for n in re.findall(r"\b\d+\b", m.split("): ", 1)[1])]
             for m in _records(caplog, logging.DEBUG) if m.startswith("scan of")]
 
@@ -212,51 +210,67 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
     found += find_above_barrier(reference, 11.0)
     counts = _scan_counts(caplog)
     assert len(counts) == len(ZONE_ORDER)
-    for points, minima, accepted, rejected, dropped, merged, _ in counts:
+    for points, changes, accepted, unsigned, dropped, _ in counts:
         assert points == SearchSettings().grid_points_per_zone
-        assert minima == accepted + rejected + dropped + merged
+        assert changes == accepted + unsigned + dropped
     assert [c[2] for c in counts] == [sum(r.zone is z for r in found) for z in ZONE_ORDER]
-    # three minima where Im M21 keeps its sign, one in the gap and two in
-    # the higher Klein zone, each logged with its bracket; no root dropped
-    # or merged
-    assert [sum(c[j] for c in counts) for j in (3, 4, 5)] == [3, 0, 0]
-    assert [m for m in _records(caplog, logging.DEBUG) if m.startswith("bracket")] == [
-        f"bracket near E = {e} rejected: Im M21 keeps its sign over ({lo}, {hi})"
-        for e, lo, hi in (("3.90672677", "3.90622665", "3.9072269"),
-                          ("5.70717709", "5.70667696", "5.70767721"),
-                          ("6.52688119", "6.52638107", "6.52738132"))]
+    # every sign change of the scan is a root: none dropped
+    assert [sum(c[j] for c in counts) for j in (3, 4)] == [0, 0]
+    assert _records(caplog, logging.WARNING) == []
     # the widths read the rest of the scalar walks
-    assert sum(c[6] for c in counts) + sum(w[3] for w in _width_records(caplog)) == len(evaluated)
+    assert sum(c[5] for c in counts) + sum(w[3] for w in _width_records(caplog)) == len(evaluated)
 
-    # at a_plus = 9 the gate drops all four conventional roots
+    # at a_plus = 9 the gate in the walk's scale accepts all four
+    # conventional roots, whose |M21| the absolute gate alone would refuse
     caplog.clear()
     thick = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0, a_minus=2.5)
-    assert find_resonances(thick, [Zone.CONVENTIONAL]) == []
-    assert [c[1:6] for c in _scan_counts(caplog)] == [[4, 0, 0, 4, 0]]
+    assert len(find_resonances(thick, [Zone.CONVENTIONAL])) == 4
+    assert [c[1:5] for c in _scan_counts(caplog)] == [[4, 4, 0, 0]]
 
-    # brackets converging to one root are merged into it
-    caplog.clear()
-    root = CONVENTIONAL_ENERGIES[1]  # a peak, so that its width can be read
-    monkeypatch.setattr(resonance, "_refine_bracket", lambda cfg, lo, hi: (root, 1e-12, 3))
-    assert [r.energy for r in find_resonances(reference, [Zone.CONVENTIONAL])] == [root]
-    assert [c[1:] for c in _scan_counts(caplog)] == [[4, 1, 0, 0, 3, 12]]
+
+def test_a_sign_change_the_scalar_walk_does_not_see_is_a_warned_drop(reference, caplog,
+                                                                     monkeypatch):
+    # the scalar walk rounds otherwise than the array one; where it keeps
+    # its sign over a cell the scan flagged, the refinement gives None and
+    # the scan drops the candidate with a WARNING naming the cell
+    walk = resonance._Walk(reference)
+    assert resonance._refine_bracket(walk, 7.5, 7.501) is None
+    assert sorted(walk) == [7.5, 7.501]
+
+    def scalar_keeps_its_sign(e, cfg):
+        if isinstance(e, np.ndarray):
+            return transfer._checked_walk(e, cfg)
+        return walk_m21.walk_of(1j, 1.0)  # Im M21 = 1 everywhere
+
+    monkeypatch.setattr(resonance, "_checked_walk", scalar_keeps_its_sign)
+    caplog.set_level(logging.DEBUG, logger=resonance.__name__)
+    assert find_resonances(reference, [Zone.CONVENTIONAL]) == []
+    warned = _records(caplog, logging.WARNING)
+    assert len(warned) == len(CONVENTIONAL_ENERGIES)
+    for message, energy in zip(warned, CONVENTIONAL_ENERGIES):
+        lo, hi = map(float, re.fullmatch(
+            r"sign change of Im M21 over \((\S+), (\S+)\) dropped: "
+            r"the scalar walk keeps its sign there", message).groups())
+        assert lo < energy < hi
+    assert [c[1:] for c in _scan_counts(caplog)] == [[4, 0, 4, 0, 8]]
 
 
 def test_scan_brackets_match_the_product(monkeypatch):
-    # the scan reads |M21|^2 off the bounded walk; the brackets it hands
-    # the refinement must be the local minima of the product's |M21|^2
+    # the scan reads Im M21 off the bounded walk; the brackets it hands
+    # the refinement must be the cells where the product's Im M21
+    # changes sign
     walk = transfer._checked_walk
     expected: list = []
     seen: list = []
 
     def scan_with_reference(grid, cfg):
         assert isinstance(grid, np.ndarray)  # only the scan, nothing refined
-        g = np.abs(full_matrix(grid, cfg).m21) ** 2
-        i = np.flatnonzero((g[1:-1] < g[:-2]) & (g[1:-1] < g[2:])) + 1
-        expected.extend(zip(grid[i - 1].tolist(), grid[i + 1].tolist()))
+        negative = np.signbit(full_matrix(grid, cfg).m21.imag)
+        i = np.flatnonzero(negative[:-1] != negative[1:])
+        expected.extend(zip(grid[i].tolist(), grid[i + 1].tolist()))
         return walk(grid, cfg)
 
-    def record(cfg, lo, hi):
+    def record(walk, lo, hi):
         seen.append((lo, hi))
         return None  # recorded, not refined
 
@@ -276,13 +290,17 @@ def test_scan_brackets_match_the_product(monkeypatch):
 
 @pytest.mark.parametrize("a_plus", [200.0, 400.0, 900.0])
 def test_wide_barriers_raise_without_a_warning(a_plus):
-    # |M21|^2 passes double range under the barriers here; the scan must
-    # say so rather than lose the zone to an infinite grid or leak a
-    # RuntimeWarning
+    # Im M21 passes double range under the barriers from a_plus of about
+    # 355 on this floor, where tau underflows; the scan must say so rather
+    # than lose the zone to an infinite grid or leak a RuntimeWarning.
+    # Below that the conventional roots are found: 4 at a_plus = 200.
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalOverflow, match=r"\|M21\|\^2 overflowed at E = "):
+        if a_plus < 350.0:
+            assert len(find_resonances(cfg, [Zone.CONVENTIONAL])) == 4
+            return
+        with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = "):
             find_resonances(cfg)
 
 
@@ -324,27 +342,30 @@ def _records(caplog, level):
     return [r.getMessage() for r in caplog.records if r.levelno == level]
 
 
-def test_roots_dropped_by_the_residual_gate_are_warned(reference, caplog):
-    # at a_plus = 9 the four conventional roots converge, but |M21| there
-    # is 3e-8 to 1.1e-7, above the absolute 1e-8 gate
+def test_roots_dropped_by_the_residual_gate_are_warned(reference, caplog, monkeypatch):
+    # at a_plus = 9 the four conventional roots converge with |M21| from
+    # 1.8e-10 to 2.5e-6 and |b| far below 1e-10; without the gate in the
+    # walk's scale the absolute 1e-8 gate drops the middle two, each with
+    # a WARNING that names it
     thick = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0, a_minus=2.5)
+    monkeypatch.setattr(resonance, "_WALK_ACCEPT", 0.0)
     with caplog.at_level(logging.DEBUG, logger=resonance.__name__):
-        assert find_resonances(thick, [Zone.CONVENTIONAL]) == []
+        kept = find_resonances(thick, [Zone.CONVENTIONAL])
+    assert [round(r.energy, 7) for r in kept] == [7.2054487, 8.6985908]
     warned = _records(caplog, logging.WARNING)
-    assert len(warned) == 4
-    for message, energy in zip(warned, ("7.2054487", "7.7036976", "8.2102841", "8.6985907")):
-        assert f"E = {energy}" in message
+    assert len(warned) == 2
+    for message, energy in zip(warned, ("7.7036976", "8.2102841")):
+        assert f"root at E = {energy}" in message
         assert "residual_accept" in message
-    # minima where Im M21 keeps its sign are no roots and stay at DEBUG
+    assert [c[1:5] for c in _scan_counts(caplog)] == [[4, 2, 0, 2]]
+    # the reference drops nothing, and warns of nothing
     caplog.clear()
+    monkeypatch.undo()
     with caplog.at_level(logging.DEBUG, logger=resonance.__name__):
         find_resonances(reference, ZONE_ORDER[:-1])
         find_above_barrier(reference, 11.0)
     assert _records(caplog, logging.WARNING) == []
-    rejected = [m for m in _records(caplog, logging.DEBUG) if m.startswith("bracket")]
-    assert [m.split(":")[0] for m in rejected] == [
-        f"bracket near E = {e} rejected" for e in ("3.90672677", "5.70717709", "6.52688119")
-    ]
+    assert [c[3:5] for c in _scan_counts(caplog)] == [[0, 0]] * len(ZONE_ORDER)
 
 
 def _random_potentials(count, seed=1):
@@ -357,7 +378,7 @@ def _random_potentials(count, seed=1):
 
 
 # ten random potentials, and a_plus = 9 on the reference floor, whose four
-# conventional roots the residual gate drops with a WARNING each
+# conventional roots the absolute residual gate alone would drop
 @pytest.mark.parametrize("cfg", [*_random_potentials(10),
                                  PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0,
                                                  a_minus=2.5)])
@@ -526,11 +547,11 @@ def test_widths_log_what_they_did(reference, caplog, monkeypatch):
     assert [w[:2] for w in widths] == [
         [sum(r.fwhm is not None for r in found if r.zone is z), sum(r.zone is z for r in found)]
         for z in ZONE_ORDER]
-    # the scan refines a bracket per local minimum and the widths the
+    # the scan refines a bracket per sign change and the widths the
     # rest; the widths make the scalar walks the scan did not, and at
     # these cutoffs none reads past its scan
     assert sum(w[2] for w in widths) == len(refined) - sum(c[1] for c in scans)
-    assert sum(w[3] for w in widths) == len(evaluated) - sum(c[6] for c in scans)
+    assert sum(w[3] for w in widths) == len(evaluated) - sum(c[5] for c in scans)
     assert [w[4] for w in widths] == [0] * len(ZONE_ORDER)
     # the crossings one march at a time refines: the right side of a root
     # whose left side found none is not read
@@ -611,30 +632,32 @@ def test_a_zone_edge_grid_energy_is_a_candidate(reference, reference_resonances)
     settings = SearchSettings()
     lo, hi = zone_interval(Zone.LOWER_KLEIN, reference)
     margin = core.EVAL_MARGIN * reference.m
-    grid, g = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    grid, f = resonance._scan_record(reference, lo + margin, hi - margin, settings)
     first = reference_resonances[0]
     k = np.searchsorted(grid, first.energy)
     keep = np.r_[0, k - 1:grid.size]
-    assert g[0] > 1.0 and g[k - 1] < 1.0
-    (fwhm,) = resonance._widths(reference, grid[keep], g[keep], [first.energy],
-                                settings, False)
+    assert abs(f[0]) > 1.0 and abs(f[k - 1]) < 1.0
+    walk = resonance._Walk(reference)
+    (fwhm,) = resonance._widths(walk, grid[keep], f[keep], [first.energy], settings, False)
     want = scalar_march.widths([first], reference, settings)[0]
     assert abs(fwhm - want) <= _fwhm_bound(reference, first.energy + want)
-    assert resonance._widths(reference, grid[keep[1:]], g[keep[1:]], [first.energy],
+    assert resonance._widths(walk, grid[keep[1:]], f[keep[1:]], [first.energy],
                              settings, False) == [None]
 
 
 def test_flat_transmission_has_no_width(reference, caplog):
-    # against a flat |T|^2 = 0.9 no side reaches 1/2 before its fence,
-    # and nothing is refined or evaluated
+    # against a flat |T|^2 = 0.9 no side of a peak reaches 1/2 before its
+    # fence, and nothing is refined or evaluated
     settings = SearchSettings()
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
     for zone in ZONE_ORDER[:-1]:
         lo, hi = zone_interval(zone, reference)
         grid = np.linspace(lo, hi, 100)[1:-1]
-        flat = np.full(grid.size, 1.0 / 0.9 - 1.0)  # |M21|^2 = 1/|T|^2 - 1
+        flat = np.full(grid.size, math.sqrt(1.0 / 0.9 - 1.0))  # f^2 = 1/|T|^2 - 1
         roots = grid[[30, 60]].tolist()
-        assert resonance._widths(reference, grid, flat, roots, settings, False) == [None] * 2
+        walk = resonance._Walk(reference)
+        walk.update((e, (0j, 0.0)) for e in roots)  # each root a peak, |M21| = 0
+        assert resonance._widths(walk, grid, flat, roots, settings, False) == [None] * 2
     assert [w[2:] for w in _width_records(caplog)] == [[0, 0, 0]] * (len(ZONE_ORDER) - 1)
 
 
@@ -676,12 +699,14 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     def flat_walk(e, cfg):
         screened(e, cfg)
         one = np.ones_like(e) if isinstance(e, np.ndarray) else 1.0
-        return walk_m21.walk_of(one * math.sqrt(1.0 / 0.9 - 1.0), one)  # |M21|^2 = 1/|T|^2 - 1
+        return walk_m21.walk_of(one * 1j * math.sqrt(1.0 / 0.9 - 1.0), one)  # f^2 = 1/|T|^2 - 1
 
     monkeypatch.setattr(resonance, "_checked_walk", flat_walk)
     monkeypatch.setattr(scalar_march, "_t2", flat_t2)
     assert march(reference, start, limit, step, settings) is None
     if march is _scan_side:
+        # the scan over the zone, then the resonance's own |M21|
+        assert seen.pop() == start
         window, count = (lo + margin, hi - margin), settings.grid_points_per_zone
     else:
         window, count = (min(start, limit), max(start, limit)), 4
@@ -693,7 +718,7 @@ def test_a_right_side_is_skipped_after_a_left_side_without_crossing(reference, m
     settings = SearchSettings()
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
     margin = core.EVAL_MARGIN * reference.m
-    grid, g = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    grid, f = resonance._scan_record(reference, lo + margin, hi - margin, settings)
     peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
     refined = []
     port = resonance.brentq
@@ -703,55 +728,60 @@ def test_a_right_side_is_skipped_after_a_left_side_without_crossing(reference, m
         return port(f, a, b, **kwargs)
 
     monkeypatch.setattr(resonance, "brentq", recorded)
-    assert resonance._widths(reference, grid, g, [peak.energy], settings, False) == [peak.fwhm]
+    walk = resonance._Walk(reference)
+    assert resonance._widths(walk, grid, f, [peak.energy], settings, False) == [peak.fwhm]
     assert len(refined) == 2
     refined.clear()
     # no left crossing: |T|^2 = 0.9 below the peak
-    left_flat = np.where(grid < peak.energy, 1.0 / 0.9 - 1.0, g)
-    assert resonance._widths(reference, grid, left_flat, [peak.energy], settings,
+    left_flat = np.where(grid < peak.energy, math.sqrt(1.0 / 0.9 - 1.0), f)
+    assert resonance._widths(walk, grid, left_flat, [peak.energy], settings,
                              False) == [None]
     assert refined == []
 
 
 def test_the_scalar_walk_decides_scan_energies_near_one(reference):
     # two scan energies 1e-9 m to either side of the right half-maximum
-    # crossing of the sharpest peak, whose array |M21|^2 errs by 2e-9 to
+    # crossing of the sharpest peak, whose array |Im M21| errs by 1e-9 to
     # the wrong side of 1: the scalar walk, which refines the crossing,
     # must decide both, for they then bracket the crossing as they would
     # were the array right
     settings = SearchSettings()
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
     margin = core.EVAL_MARGIN * reference.m
-    grid, g = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    grid, f = resonance._scan_record(reference, lo + margin, hi - margin, settings)
     conv = find_resonances(reference, [Zone.CONVENTIONAL])
     peak = conv[SHARPEST_CONV_LEVEL]
     roots = [r.energy for r in conv]
 
-    def log_m21(e):
-        b, tau = walk_m21.b_tau(e, reference)
-        return math.log(abs(b)) - math.log(abs(tau))
+    def excess(e):
+        return abs(walk_m21.m21(e, reference).imag) - 1.0
 
     i = np.searchsorted(grid, peak.energy)
-    i += np.flatnonzero(g[i:] >= 1.0)[0]
-    crossing = resonance.brentq(log_m21, float(grid[i - 1]), float(grid[i]),
+    i += np.flatnonzero(np.abs(f[i:]) >= 1.0)[0]
+    crossing = resonance.brentq(excess, float(grid[i - 1]), float(grid[i]),
                                 xtol=resonance._REFINE_TOLERANCE * reference.m)
     inside, outside = crossing - 1e-9 * reference.m, crossing + 1e-9 * reference.m
-    assert log_m21(inside) < 0.0 < log_m21(outside)
+    assert excess(inside) < 0.0 < excess(outside)
     grid = np.insert(grid, [i, i], [inside, outside])
+    sign = math.copysign(1.0, f[i])
 
     def fwhm(error):
-        record = np.insert(g, [i, i], [1.0 + error, 1.0 - error])
-        return resonance._widths(reference, grid, record, roots, settings,
+        record = np.insert(f, [i, i], [sign * (1.0 + error), sign * (1.0 - error)])
+        return resonance._widths(resonance._Walk(reference), grid, record, roots, settings,
                                  False)[SHARPEST_CONV_LEVEL]
 
-    assert fwhm(2e-9) == fwhm(-1e-3) == pytest.approx(peak.fwhm)
+    assert fwhm(1e-9) == fwhm(-1e-3) == pytest.approx(peak.fwhm)
     # outside the band the array decides, and Brent gets no sign change
     with pytest.raises(ValueError, match="different signs"):
         fwhm(1e-8)
 
 
-def test_widths_of_a_non_peak_name_it(reference):
-    # |T|^2 = 0.037 at E = 1.01, so the scan energy next to it already dips
+def test_widths_of_a_non_peak_name_it(reference, caplog):
+    # |T|^2 = 0.037 at E = 1.01, so no peak is resolved there: its fwhm
+    # is None, with a WARNING that names it
     not_a_peak = resonance.Resonance(energy=1.01, zone=Zone.LOWER_KLEIN, residual=0.0, level=0)
-    with pytest.raises(ValueError, match=r"\|M21\| = 5\.08832 at E = 1\.01 is not below 1"):
-        attach_widths([not_a_peak], reference)
+    with caplog.at_level(logging.WARNING, logger=resonance.__name__):
+        assert attach_widths([not_a_peak], reference) == [not_a_peak]
+    assert _records(caplog, logging.WARNING) == [
+        "fwhm at E = 1.01 is None: |M21| = 5.08832 there is not below 1, "
+        "so no peak is resolved there"]

@@ -195,9 +195,13 @@ def test_m21_squared_is_the_product_element(a_plus):
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=a_plus, a_minus=2.5)
     grid = nudge(np.linspace(1.01, cfg.v_plus + 4.0, 2000), cfg)
     # two contractions of the same factors, each energy to about 1e-12:
-    # the walk's |b|^2/|tau|^2, as the resonance scan reads |M21|^2
-    want = np.abs(full_matrix(grid, cfg).m21) ** 2
+    # the walk's |b|^2/|tau|^2, and Im(b/tau), as the resonance scan reads
+    # Im M21
+    product = full_matrix(grid, cfg).m21
+    want = np.abs(product) ** 2
     assert (np.abs(walk_m21.m21_squared(grid, cfg) - want) / (1.0 + want)).max() < 2e-12
+    scan = resonance._im_m21(grid, cfg)
+    assert (np.abs(scan - product.imag) / (1.0 + np.abs(product))).max() < 2e-12
     # and M21 = b/tau itself, one energy at a time, as the root refinement reads it
     for e in grid[::20].tolist():
         got, want = walk_m21.m21(e, cfg), full_matrix(e, cfg).m21
@@ -205,7 +209,7 @@ def test_m21_squared_is_the_product_element(a_plus):
         assert abs(got - want) / (1.0 + abs(want)) < 2e-12
 
 
-def test_m21_squared_overflows_at_the_first_energy_past_double_range():
+def test_m21_overflows_at_the_first_energy_past_double_range():
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=900.0, a_minus=2.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -216,13 +220,13 @@ def test_m21_squared_overflows_at_the_first_energy_past_double_range():
         assert cmath.isfinite(b[0] / tau[0])
         # the resonance scan and refinement say so at the first such energy
         settings = SearchSettings(grid_points_per_zone=16)
-        with pytest.raises(NumericalOverflow, match=r"\|M21\|\^2 overflowed at E = 7.1$"):
+        with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.1$"):
             resonance._scan_interval(cfg, 6.0, 7.5, settings)
-        with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 7.5$"):
-            resonance._refine_bracket(cfg, 7.5, 7.6)
+        with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.5$"):
+            resonance._refine_bracket(resonance._Walk(cfg), 7.5, 7.6)
         # the refinement screens nothing: the range edge v_plus reaches the walk
-        with pytest.raises(NumericalOverflow, match=r"M21 overflowed at E = 8.0$"):
-            resonance._refine_bracket(cfg, 6.0, cfg.v_plus)
+        with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 8.0$"):
+            resonance._refine_bracket(resonance._Walk(cfg), 6.0, cfg.v_plus)
 
 
 def test_the_search_walk_makes_two_exponentials_and_scatter_three(reference, monkeypatch):

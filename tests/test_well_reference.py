@@ -1,8 +1,8 @@
 """Thick barriers against the isolated well (tests/well_reference.py).
 
-The refinement is read directly, not the search: at these barrier widths
-the search's residual gate drops the conventional roots, but the
-refinement still finds them.
+The refinement is read directly here; the search's public results at
+these barrier widths are gated on the same reference in
+tests/test_acceptance.py.
 """
 
 import sys
@@ -27,8 +27,7 @@ def _floor(a_plus):
 def _root_near(cfg, well):
     """The refinement's root of M21 within 0.05 m of a well energy."""
     span = 0.05 * cfg.m
-    root, _, _ = resonance._refine_bracket(cfg, well - span, well + span)
-    return root
+    return resonance._refine_bracket(resonance._Walk(cfg), well - span, well + span)
 
 
 def test_the_well_energies_of_the_reference_floor():

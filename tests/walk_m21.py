@@ -1,8 +1,8 @@
 """M21 read off the bounded walk: the one place the tests unpack its shape.
 
 transfer._checked_walk returns (a, b, tau), and the resonance search
-reads M21 = b/tau and |M21|^2 = |b|^2/|tau|^2 off it.  Tests that read
-them, or stand in for the walk, go through here.
+reads M21 = b/tau off it.  Tests that read M21 or |M21|^2 =
+|b|^2/|tau|^2, or stand in for the walk, go through here.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ def b_tau(e, cfg) -> tuple:
 
 
 def m21(e, cfg):
-    """M21 = b/tau, as the root refinement reads it."""
+    """M21 = b/tau, as the resonance search reads it."""
     b, tau = b_tau(e, cfg)
     return b / tau
 
 
 def m21_squared(e, cfg):
-    """|M21|^2 = |b|^2/|tau|^2, as the resonance scan reads it."""
+    """|M21|^2 = |b|^2/|tau|^2."""
     b, tau = b_tau(e, cfg)
     return np.abs(b) ** 2 / np.abs(tau) ** 2
 
