@@ -150,6 +150,20 @@ def singular_energies(cfg: PotentialConfig) -> list[float]:
     return [s[0], s[1], s[3], s[4], s[6]]
 
 
+def _span(e: np.ndarray) -> "tuple[float, float]":
+    """(min, max) of an array of energies, (inf, -inf) for none.
+
+    A special energy s with s - max >= tol or min - s >= tol lies at least
+    tol from every energy, as rounding is monotonic, so the threshold
+    screens test only the others: two passes over the array instead of
+    three per special energy.  A NaN span fails both tests and so keeps
+    them all.
+    """
+    if not e.size:
+        return math.inf, -math.inf
+    return e.min(), e.max()
+
+
 def nudge(e: "float | np.ndarray", cfg: PotentialConfig) -> "float | np.ndarray":
     """Copy of E moved off the special energies.
 
@@ -159,10 +173,15 @@ def nudge(e: "float | np.ndarray", cfg: PotentialConfig) -> "float | np.ndarray"
     """
     margin = EVAL_MARGIN * cfg.m
     out = np.array(e, dtype=float)
+    lo, top = _span(out)
     for s in special_energies(cfg):
-        near = np.abs(out - s) < margin
-        if near.any():
-            out[near] = np.where(out[near] >= s, s + margin, s - margin)
+        # within reach of the span (_span), which a move up to s + margin
+        # extends: a later special energy may move that energy again
+        if not (s - top >= margin or lo - s >= margin):
+            top = max(top, s + margin)
+            near = np.abs(out - s) < margin
+            if near.any():
+                out[near] = np.where(out[near] >= s, s + margin, s - margin)
     return out if isinstance(e, np.ndarray) else float(out)
 
 
@@ -201,17 +220,20 @@ def _first_near(e: "float | np.ndarray", table, tol: float,
                 floor: float = -math.inf) -> "tuple[float, float | None] | None":
     """(E, s) for the first energy E within tol of an entry s of table, else None.
 
-    e is one energy or a 1-D array of them, scanned energy-major: the
+    e is one energy or a 0-d or 1-D array of them, scanned energy-major: the
     first such energy in array order, then the first entry of table it
     lies near.  An energy at or below floor counts too, with s = None.
     """
     bad = e <= floor
+    if isinstance(e, np.ndarray):  # only the entries within reach of the span
+        lo, hi = _span(e)
+        table = [s for s in table if not (s - hi >= tol or lo - s >= tol)]
     for s in table:
         bad |= abs(e - s) < tol
     if isinstance(e, np.ndarray):
         if not bad.any():
             return None
-        e = float(e[bad.argmax()])
+        e = float(e.flat[bad.argmax()])  # flat: a 0-d array too
     elif not bad:
         return None
     if e <= floor:

@@ -42,9 +42,12 @@ overflows at any barrier width.  The walk's width half (_walk) holds
 the decays and the recurrence, 2 complex exp per energy; scatter adds
 the phase, a third (_amplitudes).  The resonance search reads only the
 checked walk (_checked_walk): M21 = R/T = b/tau, as a and the phase
-cancel.  scatter runs _media, then _amplitudes; a sweep over widths
-runs _media once per grid (_prepare, which also classifies the
-energies) and _amplitudes per frame (_finish).
+cancel.  It walks its grids in blocks (resonance._BLOCK), whose
+temporaries stay in the heap where one 4,000-energy walk's are handed
+back to the system and fault in again.  scatter runs _media, then
+_amplitudes; a sweep over widths runs _media once per grid (_prepare,
+which also classifies the energies) and _amplitudes per frame
+(_finish).
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -206,11 +209,12 @@ def _media(e: Energy, cfg: PotentialConfig, xp) -> tuple:
     ks, ss = [], []
     try:
         for u in (0.0, cfg.v_plus, cfg.v_minus):
-            d = e - u
+            d = e - u if u else e  # the outside's e - 0.0 is e, without a pass
+            md = m + d
             # factored form keeps the difference of squares accurate near |d| = m
-            k = xp.sqrt((m - d) * (m + d) + 0j)
+            k = xp.sqrt((m - d) * md + 0j)
             ks.append(k)
-            ss.append(k / (m + d))
+            ss.append(k / md)
         s0, sp, sm = ss
         return (e, *ks, (s0 / sp, sp / sm, sm / sp, sp / s0))
     except ZeroDivisionError:

@@ -91,6 +91,96 @@ def test_nudged_points_stay_put_under_a_second_nudge(reference):
     assert core.nudge(once, reference).tolist() == once.tolist()
 
 
+# The threshold screens test only the special energies within reach of an
+# array's span.  The references below test every one of them.
+
+def _nudge_every(e, cfg):
+    """nudge with every special energy tested, in ascending order."""
+    margin = EVAL_MARGIN * cfg.m
+    out = np.array(e, dtype=float)
+    for s in special_energies(cfg):
+        near = np.abs(out - s) < margin
+        if near.any():
+            out[near] = np.where(out[near] >= s, s + margin, s - margin)
+    return out
+
+
+def _first_bad(e, table, tol, floor=-math.inf):
+    """First energy, in array order, at or below floor or within tol of an
+    entry of table, tested against every entry; None where none is."""
+    for x in np.ravel(e).tolist():
+        if x <= floor or any(abs(x - s) < tol for s in table):
+            return x
+    return None
+
+
+def _outcome(check, e, *args):
+    """(type, energy, message) of what check raises on e, or None."""
+    try:
+        check(e, *args)
+    except (BoundaryEnergy, SingularEnergy) as exc:
+        return type(exc), exc.energy, str(exc)
+    return None
+
+
+def _screen_cases():
+    """(cfg, arrays): random arrays, arrays whose span ends at, inside or
+    just past each special energy's bands, 0-d arrays and empty ones."""
+    rng = np.random.default_rng(5)
+    cfgs = [
+        PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+        PotentialConfig(v_plus=16.0, v_minus=8.0, a_plus=1.5, a_minus=1.25, m=2.0),
+        # v_minus + m and v_plus - m 1e-7 m apart, closer than a margin
+        PotentialConfig(v_plus=4.0 + 2.0 + 1e-7, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+        # 1.5 margins apart: a move off the first can land near the second
+        PotentialConfig(v_plus=4.0 + 2.0 + 1.5e-6, v_minus=4.0, a_plus=3.0, a_minus=2.5),
+    ]
+    for cfg in cfgs:
+        margin, tol = EVAL_MARGIN * cfg.m, core.SINGULAR_TOL * cfg.m
+        arrays = [np.array([]), rng.uniform(0.5 * cfg.m, cfg.v_plus + 3.0 * cfg.m, 500)]
+        for s in special_energies(cfg):
+            for d in (-2.0 * margin, -margin, -0.999 * margin, -0.5 * margin, -tol,
+                      -0.5 * tol, 0.0, 0.5 * tol, tol, 0.1 * margin, 0.5 * margin,
+                      margin, 1.001 * margin, 2.0 * margin):
+                edge = s + d
+                arrays.append(np.array(edge))
+                arrays.append(np.array([edge]))
+                inside = rng.uniform(0.0, 0.5 * cfg.m, 40)
+                arrays.append(rng.permutation(np.append(edge + inside, edge)))
+                arrays.append(np.append(edge - inside, edge))
+        yield cfg, arrays
+
+
+@pytest.mark.parametrize("cfg, arrays", list(_screen_cases()), ids=["reference", "m=2",
+                                                                    "1e-7 apart",
+                                                                    "1.5 margins apart"])
+def test_span_limited_screens_match_testing_every_special_energy(cfg, arrays):
+    tol = core.SINGULAR_TOL * cfg.m
+    levels = [cfg.potential(region) for region in Region]
+    for e in arrays:
+        got = core.nudge(e, cfg)
+        assert type(got) is np.ndarray and got.shape == e.shape
+        assert got.tobytes() == _nudge_every(e, cfg).tobytes(), e
+        x = _first_bad(e, special_energies(cfg)[1:], tol, floor=cfg.m + tol)
+        assert _outcome(core.screen, e, cfg) == (
+            None if x is None else _outcome(core.screen, x, cfg)), e
+        table = [s for u in levels for s in (u - cfg.m, u + cfg.m)]
+        x = _first_bad(e, table, tol)
+        assert _outcome(core._reject_singular, e, levels, cfg) == (
+            None if x is None else _outcome(core._reject_singular, x, levels, cfg)), e
+
+
+def test_a_move_chains_onto_a_special_energy_past_the_span():
+    # v_plus - m lies 1.5 margins above v_minus + m; an energy 0.1 margin
+    # above v_minus + m moves up one margin, to within half a margin of
+    # v_plus - m, which then moves it down, although no energy of the
+    # array lay within a margin of v_plus - m
+    cfg = PotentialConfig(v_plus=4.0 + 2.0 + 1.5e-6, v_minus=4.0, a_plus=3.0, a_minus=2.5)
+    margin = EVAL_MARGIN * cfg.m
+    e = np.array([5.0 + 0.1 * margin])
+    assert core.nudge(e, cfg).tolist() == [(cfg.v_plus - cfg.m) - margin]
+
+
 def test_zone_intervals_of_reference(reference):
     assert zone_interval(Zone.LOWER_KLEIN, reference) == (1.0, 3.0)
     assert zone_interval(Zone.GAP_LOWER, reference) == (3.0, 5.0)

@@ -304,6 +304,56 @@ def test_wide_barriers_raise_without_a_warning(a_plus):
             find_resonances(cfg)
 
 
+def _one_call_im_m21(e, cfg):
+    """Im M21 of one array walk over all of e, with no check."""
+    _, b, tau = transfer._checked_walk(e, cfg)
+    with np.errstate(all="ignore"):
+        return (b / tau).imag
+
+
+@pytest.mark.parametrize("block, size", [
+    *((resonance._BLOCK, resonance._BLOCK + k) for k in (-1, 0, 1)),
+    (resonance._BLOCK, 2 * resonance._BLOCK + 1),  # one energy past two blocks
+    (resonance._BLOCK, 2 * resonance._BLOCK + 2),
+    (7, 4000),  # 571 blocks, the last of 8
+])
+def test_the_blocked_scan_is_the_one_call_walk_to_the_bit(reference, monkeypatch, block, size):
+    monkeypatch.setattr(resonance, "_BLOCK", block)
+    margin = core.EVAL_MARGIN * reference.m
+    for zone in ZONE_ORDER:
+        lo, hi = zone_interval(zone, reference)
+        grid = core.nudge(np.linspace(lo + margin, min(hi, 11.0) - margin, size), reference)
+        got = resonance._im_m21(grid, reference)
+        assert got.shape == grid.shape
+        assert got.tobytes() == _one_call_im_m21(grid, reference).tobytes(), zone
+
+
+@pytest.mark.parametrize("block", [resonance._BLOCK, 64])
+def test_an_overflow_in_a_later_block_names_the_one_call_energy(monkeypatch, block):
+    # Im M21 overflows in the middle of the conventional zone at a_plus
+    # 400, about 0.54 m above its bottom, but not below
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=400.0, a_minus=2.5)
+    grid = np.linspace(7.0 + 1e-6, 8.0 - 1e-6, 2 * resonance._BLOCK + 1)
+    bad = ~np.isfinite(_one_call_im_m21(grid, cfg))
+    first = int(bad.argmax())
+    assert bad.any() and first >= block  # not in the first block
+    monkeypatch.setattr(resonance, "_BLOCK", block)
+    with pytest.raises(NumericalOverflow) as info:
+        resonance._im_m21(grid, cfg)
+    assert str(info.value) == f"M21 overflowed at E = {float(grid[first])!r}"
+
+
+def test_a_close_root_pair_is_found_by_the_default_grid():
+    # two lower-Klein roots 1.87 cells of the default grid apart; no cell
+    # holds both, so no sign change cancels.  A grid of 1,000 points puts
+    # them in one cell and loses both without a WARNING (README)
+    cfg = PotentialConfig(v_plus=9.592175667891562, v_minus=6.64129925704799,
+                          a_plus=3.9626575625927556, a_minus=0.38430797630408353)
+    found = [round(r.energy, 10) for r in find_resonances(cfg, [Zone.LOWER_KLEIN])]
+    assert len(found) == 12
+    assert 5.042857441 in found and 5.0450273408 in found
+
+
 #: Potentials (v_plus 8, v_minus 4, a_plus 3) with a root within the
 #: singular tolerance of a matrix-range edge: (a_minus, zone, edge).
 RANGE_EDGE_ROOTS = [

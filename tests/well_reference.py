@@ -16,9 +16,11 @@ here with the package's brentq.  It uses no transfer matrix, no walk and
 no 8x8 solve.  Each resonance approaches its well energy, and its width
 vanishes, like e^{-2 kappa_+ a_plus} with kappa_+ = sqrt(m^2 - (E - v_plus)^2).
 
-The Klein zones have no such limit: there E - v_plus < -m, so k_+ is
-imaginary, the wave propagates under the barriers, and thickening them
-confines nothing.
+The Klein zones have no isolated-well limit.  There every region
+propagates: the barriers have E - v_plus < -m, so k_+ is imaginary and
+the wave propagates under them, and the floor has |E - v_minus| > m.
+No width there decays like e^{-2 kappa_+ a_plus}, and thickening the
+barriers confines nothing.
 """
 
 from __future__ import annotations
