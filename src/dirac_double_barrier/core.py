@@ -273,8 +273,11 @@ def kinematics(e: float, region: Region, cfg: PotentialConfig) -> Kinematics:
                       beta=cmath.sqrt((m + d) / (m - d)))
 
 
-#: Matrix ranges in order of increasing energy.
-_RANGE_ORDER = (MatrixRange.I, MatrixRange.II, MatrixRange.III)
+#: Matrix range and zone between consecutive special energies past m:
+#: ranges II and III start at v_minus and v_plus, zones 2..5 at U +/- m.
+_RANGES = (MatrixRange.I,) * 2 + (MatrixRange.II,) * 3 + (MatrixRange.III,) * 2
+_ZONES = (Zone.LOWER_KLEIN, Zone.GAP_LOWER, Zone.GAP_LOWER, Zone.HIGHER_KLEIN,
+          Zone.CONVENTIONAL, Zone.CONVENTIONAL, Zone.ABOVE_BARRIER)
 
 
 def screen(e: "float | np.ndarray", cfg: PotentialConfig) -> None:
@@ -306,11 +309,9 @@ def classify(e: "float | np.ndarray",
     screen does.
     """
     screen(e, cfg)
-    # ranges II and III start at v_minus and v_plus, zones 2..5 at U +/- m
-    range_cuts, zone_cuts = special_energies(cfg)[2::3], singular_energies(cfg)[1:]
+    cuts = special_energies(cfg)[1:]
     if isinstance(e, np.ndarray):
-        return (
-            np.array(_RANGE_ORDER, dtype=object)[np.searchsorted(range_cuts, e, side="right")],
-            np.array(ZONE_ORDER, dtype=object)[np.searchsorted(zone_cuts, e, side="right")],
-        )
-    return _RANGE_ORDER[bisect_right(range_cuts, e)], ZONE_ORDER[bisect_right(zone_cuts, e)]
+        i = np.searchsorted(cuts, e, side="right")
+        return np.array(_RANGES, dtype=object)[i], np.array(_ZONES, dtype=object)[i]
+    i = bisect_right(cuts, e)
+    return _RANGES[i], _ZONES[i]

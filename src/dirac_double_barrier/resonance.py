@@ -21,9 +21,10 @@ The widths are read off the same scan.  |T|^2 = 1/(1 + f^2), so a
 peak's half-maximum crossings are where |f| crosses 1, bracketed on the
 grid and refined with brentq.  A zone's refinement, gate and crossings
 read one memoised scalar evaluation per energy, (M21, |b|) (_Walk).
-Each zone logs a DEBUG record of its scan and one of its widths, and a
-WARNING for every candidate or root it drops and every width it cannot
-resolve.
+_search is one zone's whole search: scan (_scan), refinement, gate and
+widths (_widths); attach_widths runs only the scan and the widths.  Each
+zone logs a DEBUG record of its scan and one of its widths, and a WARNING
+for every candidate or root it drops and every width it cannot resolve.
 """
 
 from __future__ import annotations
@@ -237,29 +238,34 @@ def _refine_bracket(walk: _Walk, lo: float, hi: float) -> "float | None":
         return None
 
 
-def _scan_record(cfg: PotentialConfig, lo: float, hi: float,
-                 settings: SearchSettings) -> "tuple[np.ndarray, np.ndarray]":
-    """A zone's scan: its grid over [lo, hi] and Im M21 at each grid energy."""
+def _scan(cfg: PotentialConfig, lo: float, hi: float,
+          settings: SearchSettings) -> "tuple[_Walk, np.ndarray, np.ndarray]":
+    """A zone's scan over [lo, hi]: an empty _Walk, the grid and Im M21 on it."""
     grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
     screen(grid, cfg)
-    return grid, _im_m21(grid, cfg)
+    return _Walk(cfg), grid, _im_m21(grid, cfg)
 
 
-def _scan_interval(cfg: PotentialConfig, lo: float, hi: float, settings: SearchSettings,
-                   open_zone: bool = False) -> "list[tuple[float, float, float | None]]":
-    """(energy, residual, fwhm) for the roots of M21 in (lo, hi).
+def _open_fence(last: float, cfg: PotentialConfig) -> float:
+    """Right fence of the open top zone's last root: _OPEN_ZONE_SPAN m up, one margin in."""
+    return last + _OPEN_ZONE_SPAN * cfg.m - EVAL_MARGIN * cfg.m
+
+
+def _search(cfg: PotentialConfig, zone: Zone, top: float,
+            settings: SearchSettings) -> list[Resonance]:
+    """Resonances of the zone from one margin above its bottom up to top.
 
     Each grid cell where the scan's Im M21 changes sign is refined and
     gated; one whose scalar ends keep one sign, as the scalar walk rounds
     otherwise than the array one, is dropped with a WARNING.  The widths
-    are read off the same scan (_widths); open_zone says that (lo, hi) is
-    the open top zone cut at e_max.
+    are read off the same scan (_widths), the open top zone's last one up
+    to its _open_fence.
     """
-    if not hi > lo:
+    lo = zone_interval(zone, cfg)[0] + EVAL_MARGIN * cfg.m
+    if not top > lo:
         return []
-    grid, f = _scan_record(cfg, lo, hi, settings)
+    walk, grid, f = _scan(cfg, lo, top, settings)
     cells = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
-    walk = _Walk(cfg)
     hits: list[tuple[float, float]] = []
     unsigned = dropped = 0
     for i in cells.tolist():
@@ -280,37 +286,38 @@ def _scan_interval(cfg: PotentialConfig, lo: float, hi: float, settings: SearchS
                         _RESIDUAL_ACCEPT, b, _WALK_ACCEPT)
     log.debug("scan of (%.9g, %.9g): %d grid points, %d sign changes refined, "
               "%d roots accepted, %d dropped where the scalar walk keeps its sign, "
-              "%d dropped by the residual gate, %d scalar walks", lo, hi, grid.size,
+              "%d dropped by the residual gate, %d scalar walks", lo, top, grid.size,
               cells.size, len(hits), unsigned, dropped, len(walk))
-    widths = _widths(walk, grid, f, [e for e, _ in hits], settings, open_zone)
-    return [(e, res, w) for (e, res), w in zip(hits, widths)]
+    roots = [e for e, _ in hits]
+    end = _open_fence(roots[-1], cfg) if zone is Zone.ABOVE_BARRIER and roots else None
+    widths = _widths(walk, grid, f, roots, end)
+    return [Resonance(e, zone, res, lvl, w) for lvl, ((e, res), w) in enumerate(zip(hits, widths))]
 
 
 def _widths(walk: _Walk, grid: np.ndarray, f: np.ndarray, roots: "list[float]",
-            settings: SearchSettings, open_zone: bool) -> "list[float | None]":
+            end: "float | None" = None) -> "list[float | None]":
     """fwhm of each root, sorted ascending, read off its zone's scan (grid, f).
 
     On each side of a root the nearest grid energy with |f| >= 1 brackets
     the crossing with the grid energy next to it toward the root, or with
     the root itself, and brentq refines |Im M21| - 1 on the scalar walk,
     which also decides grid energies whose |f| lies within _HALF_BAND of
-    1.  A side is fenced by the neighboring root, else by the grid's end,
-    one margin inside the zone edge.  In the open top zone the last root
-    is fenced _OPEN_ZONE_SPAN m above it, one margin in; where its right
-    side finds no crossing on the grid, it goes on past the grid's end at
-    the zone's spacing, that of a scan from the grid's start to the fence,
-    in array calls of 32 energies doubling up to grid_points_per_zone, the
-    last ending at the fence, so fewer than grid_points_per_zone energies.
-    fwhm is None where a side finds no crossing before its fence; the
-    right side is then not read.  It is None with a WARNING where |M21|
-    at the root is not below 1, as at an energy that is no peak or under
-    barriers so thick that the root's residual outgrows the peak, or where
-    the width is no larger than twice Brent's tolerance.
+    1.  A side is fenced by the neighboring root, the last root's right
+    side by end, by default the grid's end, one margin inside the zone
+    edge.  Where that right side finds no crossing on the grid and end
+    lies past it, as the open top zone's _open_fence may lie past e_max,
+    it goes on past the grid's end at the zone's spacing, that of a scan
+    from the grid's start to end, in array calls of 32 energies doubling
+    up to the grid's size, the last ending at end, so fewer energies than
+    the grid has.  fwhm is None where a side finds no crossing before its
+    fence; the right side is then not read.  It is None with a WARNING
+    where |M21| at the root is not below 1, as at an energy that is no
+    peak or under barriers so thick that the root's residual outgrows the
+    peak, or where the width is no larger than twice Brent's tolerance.
     """
     cfg = walk.cfg
     xtol = _REFINE_TOLERANCE * cfg.m
-    end = (roots[-1] + _OPEN_ZONE_SPAN * cfg.m - EVAL_MARGIN * cfg.m if open_zone and roots
-           else float(grid[-1]))
+    end = float(grid[-1]) if end is None else end
     walked, refined, past = len(walk), 0, 0
 
     def excess(e: float) -> float:  # crosses 0 where |T|^2 crosses 1/2
@@ -354,7 +361,7 @@ def _widths(walk: _Walk, grid: np.ndarray, f: np.ndarray, roots: "list[float]",
                 e[over] = fence
             past += e.size
             right = crossing(e, _im_m21(e, cfg), inner)
-            inner, n = float(e[-1]), min(2 * n, settings.grid_points_per_zone)
+            inner, n = float(e[-1]), min(2 * n, grid.size)
         if right is None:
             return None
         if not right - left > 2.0 * xtol:
@@ -393,16 +400,10 @@ def find_resonances(cfg: PotentialConfig,
             "the above-barrier zone is unbounded; use find_above_barrier "
             "with an explicit e_max"
         )
-    margin = EVAL_MARGIN * cfg.m
     found: list[Resonance] = []
     for zone in sorted(zones, key=lambda z: zone_interval(z, cfg)[0]):
-        lo, hi = zone_interval(zone, cfg)
-        hits = _scan_interval(cfg, lo + margin, hi - margin, settings)
-        found.extend(
-            Resonance(energy=e, zone=zone, residual=res, level=lvl, fwhm=w)
-            for lvl, (e, res, w) in enumerate(hits)
-        )
-    return sorted(found, key=lambda r: r.energy)
+        found += _search(cfg, zone, zone_interval(zone, cfg)[1] - EVAL_MARGIN * cfg.m, settings)
+    return found
 
 
 def find_above_barrier(cfg: PotentialConfig, e_max: float,
@@ -417,11 +418,7 @@ def find_above_barrier(cfg: PotentialConfig, e_max: float,
         raise ValueError(
             f"e_max must exceed v_plus + m = {lo:g}, got {e_max}"
         )
-    hits = _scan_interval(cfg, lo + EVAL_MARGIN * cfg.m, e_max, settings, open_zone=True)
-    return [
-        Resonance(energy=e, zone=Zone.ABOVE_BARRIER, residual=res, level=lvl, fwhm=w)
-        for lvl, (e, res, w) in enumerate(hits)
-    ]
+    return _search(cfg, Zone.ABOVE_BARRIER, e_max, settings)
 
 
 def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
@@ -429,16 +426,16 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
                   settings: SearchSettings | None = None) -> list[Resonance]:
     """Copy of the resonances with fwhm filled in, sorted by energy.
 
-    find_resonances and find_above_barrier fill fwhm from their own
-    scans already.  This reads it for any list of resonances: it scans
-    each of their zones as the search does, the open top zone up to
-    _OPEN_ZONE_SPAN m above its last resonance, and reads every fwhm off
-    that scan (_widths), each side fenced by the neighboring resonance of
-    the list, so that an overlapping neighbor's shoulder is not mistaken
-    for a crossing.  fwhm is None where a side never reaches
-    |T|^2 = 1/2 before its fence, which is how strongly overlapping
-    broad peaks present themselves, and, with a WARNING, where the width
-    cannot be resolved, as at an energy that is no peak (_widths).
+    find_resonances and find_above_barrier fill the same fwhm from their
+    own scans already.  This reads it for any list of resonances: it scans
+    each of their zones as the search does (_scan), the open top zone up
+    to its last resonance's _open_fence, and reads every fwhm off that
+    scan (_widths), each side fenced by the neighboring resonance of the
+    list, so that an overlapping neighbor's shoulder is not mistaken for
+    a crossing.  fwhm is None where a side never reaches |T|^2 = 1/2
+    before its fence, which is how strongly overlapping broad peaks
+    present themselves, and, with a WARNING, where the width cannot be
+    resolved, as at an energy that is no peak (_widths).
     """
     if settings is None:
         settings = SearchSettings()
@@ -449,11 +446,9 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
     out: list[Resonance] = []
     for zone, group in by_zone.items():
         group.sort(key=lambda r: r.energy)
+        roots = [r.energy for r in group]
         lo, hi = zone_interval(zone, cfg)
-        open_zone = not math.isfinite(hi)
-        if open_zone:
-            hi = group[-1].energy + _OPEN_ZONE_SPAN * cfg.m
-        grid, f = _scan_record(cfg, lo + margin, hi - margin, settings)
-        widths = _widths(_Walk(cfg), grid, f, [r.energy for r in group], settings, open_zone)
+        top = hi - margin if math.isfinite(hi) else _open_fence(roots[-1], cfg)
+        widths = _widths(*_scan(cfg, lo + margin, top, settings), roots)
         out += [replace(r, fwhm=w) for r, w in zip(group, widths)]
     return sorted(out, key=lambda r: r.energy)

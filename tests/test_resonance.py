@@ -558,6 +558,9 @@ def test_widths_match_the_scalar_march(cfg, e_max, resolved):
     want = scalar_march.widths(found, cfg, settings)
     again = attach_widths(found, cfg, settings)
     assert [replace(r, fwhm=None) for r in again] == [replace(r, fwhm=None) for r in found]
+    # on a bounded zone they are the search's own widths, to the bit
+    assert [r for r in again if r.zone is not Zone.ABOVE_BARRIER] == [
+        r for r in found if r.zone is not Zone.ABOVE_BARRIER]
     assert [w is None for w in want] == [r.fwhm is None for r in found] == [
         r.fwhm is None for r in again]
     for r, a, w in zip(found, again, want):
@@ -682,23 +685,20 @@ def test_a_zone_edge_grid_energy_is_a_candidate(reference, reference_resonances)
     settings = SearchSettings()
     lo, hi = zone_interval(Zone.LOWER_KLEIN, reference)
     margin = core.EVAL_MARGIN * reference.m
-    grid, f = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    walk, grid, f = resonance._scan(reference, lo + margin, hi - margin, settings)
     first = reference_resonances[0]
     k = np.searchsorted(grid, first.energy)
     keep = np.r_[0, k - 1:grid.size]
     assert abs(f[0]) > 1.0 and abs(f[k - 1]) < 1.0
-    walk = resonance._Walk(reference)
-    (fwhm,) = resonance._widths(walk, grid[keep], f[keep], [first.energy], settings, False)
+    (fwhm,) = resonance._widths(walk, grid[keep], f[keep], [first.energy])
     want = scalar_march.widths([first], reference, settings)[0]
     assert abs(fwhm - want) <= _fwhm_bound(reference, first.energy + want)
-    assert resonance._widths(walk, grid[keep[1:]], f[keep[1:]], [first.energy],
-                             settings, False) == [None]
+    assert resonance._widths(walk, grid[keep[1:]], f[keep[1:]], [first.energy]) == [None]
 
 
 def test_flat_transmission_has_no_width(reference, caplog):
     # against a flat |T|^2 = 0.9 no side of a peak reaches 1/2 before its
     # fence, and nothing is refined or evaluated
-    settings = SearchSettings()
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
     for zone in ZONE_ORDER[:-1]:
         lo, hi = zone_interval(zone, reference)
@@ -707,7 +707,7 @@ def test_flat_transmission_has_no_width(reference, caplog):
         roots = grid[[30, 60]].tolist()
         walk = resonance._Walk(reference)
         walk.update((e, (0j, 0.0)) for e in roots)  # each root a peak, |M21| = 0
-        assert resonance._widths(walk, grid, flat, roots, settings, False) == [None] * 2
+        assert resonance._widths(walk, grid, flat, roots) == [None] * 2
     assert [w[2:] for w in _width_records(caplog)] == [[0, 0, 0]] * (len(ZONE_ORDER) - 1)
 
 
@@ -768,7 +768,7 @@ def test_a_right_side_is_skipped_after_a_left_side_without_crossing(reference, m
     settings = SearchSettings()
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
     margin = core.EVAL_MARGIN * reference.m
-    grid, f = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    walk, grid, f = resonance._scan(reference, lo + margin, hi - margin, settings)
     peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
     refined = []
     port = resonance.brentq
@@ -778,14 +778,12 @@ def test_a_right_side_is_skipped_after_a_left_side_without_crossing(reference, m
         return port(f, a, b, **kwargs)
 
     monkeypatch.setattr(resonance, "brentq", recorded)
-    walk = resonance._Walk(reference)
-    assert resonance._widths(walk, grid, f, [peak.energy], settings, False) == [peak.fwhm]
+    assert resonance._widths(walk, grid, f, [peak.energy]) == [peak.fwhm]
     assert len(refined) == 2
     refined.clear()
     # no left crossing: |T|^2 = 0.9 below the peak
     left_flat = np.where(grid < peak.energy, math.sqrt(1.0 / 0.9 - 1.0), f)
-    assert resonance._widths(walk, grid, left_flat, [peak.energy], settings,
-                             False) == [None]
+    assert resonance._widths(walk, grid, left_flat, [peak.energy]) == [None]
     assert refined == []
 
 
@@ -798,7 +796,7 @@ def test_the_scalar_walk_decides_scan_energies_near_one(reference):
     settings = SearchSettings()
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
     margin = core.EVAL_MARGIN * reference.m
-    grid, f = resonance._scan_record(reference, lo + margin, hi - margin, settings)
+    _, grid, f = resonance._scan(reference, lo + margin, hi - margin, settings)
     conv = find_resonances(reference, [Zone.CONVENTIONAL])
     peak = conv[SHARPEST_CONV_LEVEL]
     roots = [r.energy for r in conv]
@@ -817,8 +815,8 @@ def test_the_scalar_walk_decides_scan_energies_near_one(reference):
 
     def fwhm(error):
         record = np.insert(f, [i, i], [sign * (1.0 + error), sign * (1.0 - error)])
-        return resonance._widths(resonance._Walk(reference), grid, record, roots, settings,
-                                 False)[SHARPEST_CONV_LEVEL]
+        walk = resonance._Walk(reference)
+        return resonance._widths(walk, grid, record, roots)[SHARPEST_CONV_LEVEL]
 
     assert fwhm(1e-9) == fwhm(-1e-3) == pytest.approx(peak.fwhm)
     # outside the band the array decides, and Brent gets no sign change

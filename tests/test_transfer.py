@@ -221,7 +221,7 @@ def test_m21_overflows_at_the_first_energy_past_double_range():
         # the resonance scan and refinement say so at the first such energy
         settings = SearchSettings(grid_points_per_zone=16)
         with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.1$"):
-            resonance._scan_interval(cfg, 6.0, 7.5, settings)
+            resonance._scan(cfg, 6.0, 7.5, settings)
         with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.5$"):
             resonance._refine_bracket(resonance._Walk(cfg), 7.5, 7.6)
         # the refinement screens nothing: the range edge v_plus reaches the walk
