@@ -6,13 +6,17 @@ M21 = i f(E) with f real (the real part is roundoff, below 1e-12 of
 |M11|), so the resonances are the roots of f = Im M21, the one function
 the search scans.  Every value it reads comes off one checked bounded
 walk (transfer._checked_walk, no product, no outside phase): M21 = b/tau.
-The search evaluates f on a uniform grid over a zone, in array walks of
-_BLOCK energies, whose temporaries the allocator keeps where a whole
-4,000-point grid's are handed back and faulted in again every scan.  It
-refines each grid cell where f changes sign on the scalar walk with
-Brent's method, carried here as a port of scipy's brentq.  Two roots in
-one cell show no sign change there, so roots closer than the grid
-spacing can be lost without a WARNING.  A root is kept where
+The resonances are spaced by the waves' round-trip phase, not by the
+energy, and crowd where a wave number goes to 0, as at the floor's
+thresholds v_minus +/- m on wide floors.  So the search evaluates f on a
+grid over a zone that is uniform in that phase and in E (_phase_grid), in
+array walks of at most _BLOCK energies, whose temporaries the allocator
+keeps where a whole 4,000-point grid's are handed back and faulted in
+again every scan.  It refines each grid cell where f changes sign on the
+scalar walk with Brent's method, carried here as a port of scipy's
+brentq.  Two roots in one cell show no sign change there, so roots
+closer than the grid spacing can be lost without a WARNING.  A root is
+kept where
 |M21| < 1e-8 or |b| < 1e-10, its residual in the walk's own scale:
 under thick barriers |tau| is tiny across the whole peak, so
 |M21| = |b|/|tau| is ill-conditioned there while |b| stays small.
@@ -71,11 +75,16 @@ _REFINE_TOLERANCE = 1e-12
 _RESIDUAL_ACCEPT = 1e-8
 _WALK_ACCEPT = 1e-10
 
-#: Energies per array walk of the scan (_im_m21).  One 4,000-energy walk
-#: makes 64 kB complex temporaries, which the allocator hands back after
-#: every scan and the next faults in again; blocks of 2048 make 32 kB ones
-#: that stay in the heap.  1024 faults none either, but scanned ~15% slower.
+#: Most energies per array walk of the scan (_im_m21), so the default
+#: 2,000-point scan is one walk.  One 4,000-energy walk makes 64 kB complex
+#: temporaries, which the allocator hands back after every scan and the
+#: next faults in again; blocks of 2048 make 32 kB ones that stay in the
+#: heap.  1024 faults none either, but scanned ~15% slower.
 _BLOCK = 2048
+
+#: Fewest energies the scan grid's phase is summed over (_phase_grid), so
+#: that a grid of a few dozen points still follows the phase.
+_PHASE_FLOOR = 64
 
 #: Brent defaults, as in scipy.optimize.brentq.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -154,10 +163,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
 class SearchSettings:
     """The one search knob: scan points per zone.
 
-    It sets the grid scan (Im M21 on the bounded walk), which brackets
-    both the roots and the half-maximum crossings of the widths, and the
-    open top zone's step past e_max (the scan spacing) and most energies
-    per array call there.  Roots and crossings are refined on the scalar
+    It sets the grid scan (Im M21 on the bounded walk), placed evenly in
+    the waves' phase and the energy (_phase_grid), which brackets both the
+    roots and the half-maximum crossings of the widths, and the open top
+    zone's step past e_max (the scan's mean spacing) and most energies per
+    array call there.  Roots and crossings are refined on the scalar
     walk, with Brent's tolerance and the gate fixed, _REFINE_TOLERANCE,
     _RESIDUAL_ACCEPT and _WALK_ACCEPT.
     """
@@ -238,10 +248,28 @@ def _refine_bracket(walk: _Walk, lo: float, hi: float) -> "float | None":
         return None
 
 
+def _phase_grid(cfg: PotentialConfig, lo: float, hi: float, n: int) -> np.ndarray:
+    """n energies from lo to hi, evenly spaced in u = (E - lo)/(hi - lo) + phi(E)/phi(hi).
+
+    phi is the arc length of (4 a_minus |k_minus|, 4 a_plus |k_plus|), the
+    round-trip phases of floor and barrier, which resonances are spaced
+    by; the arc, not the sum, as k_minus rises while k_plus falls in the
+    higher Klein zone.  It is summed over max(n // 4, _PHASE_FLOOR)
+    uniform energies, on which np.interp inverts u; |k|/m and a m keep it
+    scale-free.  The ends are lo and hi exactly.
+    """
+    fine = np.linspace(lo, hi, max(n // 4, _PHASE_FLOOR))
+    arcs = [4.0 * a * cfg.m * np.sqrt(np.abs(((fine - v) / cfg.m) ** 2 - 1.0))
+            for a, v in ((cfg.a_minus, cfg.v_minus), (cfg.a_plus, cfg.v_plus))]
+    phi = np.r_[0.0, np.cumsum(np.hypot(*np.diff(arcs)))]
+    u = (fine - lo) / (hi - lo) + phi / phi[-1]
+    return np.interp(np.linspace(0.0, 2.0, n), u, fine)
+
+
 def _scan(cfg: PotentialConfig, lo: float, hi: float,
           settings: SearchSettings) -> "tuple[_Walk, np.ndarray, np.ndarray]":
     """A zone's scan over [lo, hi]: an empty _Walk, the grid and Im M21 on it."""
-    grid = nudge(np.linspace(lo, hi, settings.grid_points_per_zone), cfg)
+    grid = nudge(_phase_grid(cfg, lo, hi, settings.grid_points_per_zone), cfg)
     screen(grid, cfg)
     return _Walk(cfg), grid, _im_m21(grid, cfg)
 
@@ -306,8 +334,9 @@ def _widths(walk: _Walk, grid: np.ndarray, f: np.ndarray, roots: "list[float]",
     side by end, by default the grid's end, one margin inside the zone
     edge.  Where that right side finds no crossing on the grid and end
     lies past it, as the open top zone's _open_fence may lie past e_max,
-    it goes on past the grid's end at the zone's spacing, that of a scan
-    from the grid's start to end, in array calls of 32 energies doubling
+    it goes on past the grid's end at the zone's mean spacing, that of a
+    uniform scan of as many points from the grid's start to end, as the
+    phase grid has no one spacing, in array calls of 32 energies doubling
     up to the grid's size, the last ending at end, so fewer energies than
     the grid has.  fwhm is None where a side finds no crossing before its
     fence; the right side is then not read.  It is None with a WARNING

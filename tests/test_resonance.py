@@ -354,6 +354,23 @@ def test_a_close_root_pair_is_found_by_the_default_grid():
     assert 5.042857441 in found and 5.0450273408 in found
 
 
+#: The reference potential on a floor 80 times wider.
+WIDE_FLOOR = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=200.0)
+
+
+def test_a_wide_floor_keeps_the_roots_crowding_at_its_thresholds(caplog):
+    # k_minus goes to 0 at v_minus +/- m, so the floor's roots crowd there,
+    # down to 9e-5 m apart; the phase grid keeps every one of the 987 sign
+    # changes a 400,000-point uniform grid finds: 982 roots and 5 residual
+    # gate drops, each with a WARNING.  A uniform grid of 4,000 points
+    # found 975 roots and warned of none (README)
+    with caplog.at_level(logging.WARNING, logger=resonance.__name__):
+        found = find_resonances(WIDE_FLOOR)
+    assert [sum(r.zone is z for r in found) for z in resonance.DEFAULT_ZONES] == [361, 357, 264]
+    warned = _records(caplog, logging.WARNING)
+    assert len(warned) == 5 and all("residual_accept" in w for w in warned)
+
+
 #: Potentials (v_plus 8, v_minus 4, a_plus 3) with a root within the
 #: singular tolerance of a matrix-range edge: (a_minus, zone, edge).
 RANGE_EDGE_ROOTS = [
@@ -427,11 +444,13 @@ def _random_potentials(count, seed=1):
                               a_plus=rng.uniform(0.3, 6.0), a_minus=rng.uniform(0.3, 4.0))
 
 
-# ten random potentials, and a_plus = 9 on the reference floor, whose four
-# conventional roots the absolute residual gate alone would drop
+# ten random potentials, a_plus = 9 on the reference floor, whose four
+# conventional roots the absolute residual gate alone would drop, and the
+# wide floor a_minus = 200, whose roots crowd at v_minus +/- m
 @pytest.mark.parametrize("cfg", [*_random_potentials(10),
                                  PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=9.0,
-                                                 a_minus=2.5)])
+                                                 a_minus=2.5),
+                                 WIDE_FLOOR])
 def test_every_sign_change_is_a_root_or_a_warned_drop(cfg, caplog):
     # Im M21 = Im(b/tau) is continuous in a bounded zone, so each of its
     # sign changes on a dense grid is a resonance the search must report

@@ -218,9 +218,14 @@ def test_m21_overflows_at_the_first_energy_past_double_range():
         b, tau = walk_m21.b_tau(np.array([6.0, 7.5, 8.5]), cfg)
         assert np.isfinite(b).all() and tau[0] != 0 and not tau[1:].any()
         assert cmath.isfinite(b[0] / tau[0])
-        # the resonance scan and refinement say so at the first such energy
+        # the resonance scan and refinement say so at the first such energy:
+        # of the 16-point phase grid past 7, 7.0000000188 and 7.04 still walk
+        # to a finite M21 and the next energy, 7.1229, is the first that does not
+        grid = resonance._phase_grid(cfg, 6.0, 7.5, 16)
+        assert grid[9] < 7.0 < grid[10] < grid[11] < grid[12] == 7.122892017285995
+        assert all(cmath.isfinite(walk_m21.m21(float(e), cfg)) for e in grid[10:12])
         settings = SearchSettings(grid_points_per_zone=16)
-        with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.1$"):
+        with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.122892017285995$"):
             resonance._scan(cfg, 6.0, 7.5, settings)
         with pytest.raises(NumericalOverflow, match=r"^M21 overflowed at E = 7.5$"):
             resonance._refine_bracket(resonance._Walk(cfg), 7.5, 7.6)
