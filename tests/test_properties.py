@@ -14,6 +14,7 @@ from dirac_double_barrier import (
     classify,
     full_matrix,
     kinematics,
+    run_verification,
     scatter,
     solve_amplitudes,
     zone_interval,
@@ -181,3 +182,17 @@ def test_mass_rescaling_leaves_probabilities_alone(case, scale):
     other = scatter(e * scale, scaled)
     assert other.t2 == pytest.approx(base.t2, rel=1e-9, abs=1e-12)
     assert other.zone is base.zone
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(potentials(), log_uniform(0.2, 2000.0), log_uniform(0.2, 200.0),
+       st.integers(0, 2**32 - 1))
+def test_verify_holds_on_thick_barriers_and_wide_floors(cfg, a_plus, a_minus, seed):
+    # the stated width range, far past the modest widths drawn above
+    cfg = replace(cfg, a_plus=a_plus, a_minus=a_minus)
+    report = run_verification(cfg, samples=200, seed=seed)
+    assert report.passed, report.render()

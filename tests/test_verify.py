@@ -17,6 +17,7 @@ from dirac_double_barrier import (
 from dirac_double_barrier import transfer
 from dirac_double_barrier import verify as verify_mod
 from dirac_double_barrier.core import EVAL_MARGIN, nudge
+from dirac_double_barrier.errors import NumericalOverflow, SingularSystem
 
 FLUX = "flux |T|^2 + |R|^2 = 1"
 MIRROR = "mirror Re(R conj T) = 0"
@@ -252,3 +253,121 @@ def test_oracle_is_called_once_per_chunk_at_most(reference, monkeypatch):
     assert verify_mod.run_verification(reference, samples=samples, seed=3).passed
     assert len(calls) <= math.ceil(samples / oracle._CHUNK)
     assert sum(calls) == samples
+
+
+def one_shot(cfg, samples, seed):
+    """Each check's (worst, at_energy) from one walk and one oracle solve
+    over all samples, as verify once reduced them."""
+    energies = sample_energies(cfg, samples, seed)
+    e = np.array(energies)
+    walk, matched = scatter(e, cfg), solve_amplitudes(e, cfg)
+    devs = (
+        np.abs(walk.t2 + walk.r2 - 1.0),
+        np.abs((walk.r * walk.t.conjugate()).real),
+        np.maximum(np.abs(walk.t - matched.t), np.abs(walk.r - matched.r)),
+    )
+    return [(float(d.max()), energies[int(d.argmax())]) for d in devs]
+
+
+# one energy past a whole block joins it; 16,385 is past the 16,384-energy
+# size at which numpy's temporary elision can change an array's rounding
+@pytest.mark.parametrize("seed", [1, 4])
+@pytest.mark.parametrize("samples", [1, 2, 2047, 2048, 2049, 4097, 16_385, 20_000])
+def test_the_streamed_worsts_are_those_of_one_pass(reference, samples, seed):
+    report = run_verification(reference, samples=samples, seed=seed)
+    got = [(c.worst, c.at_energy) for c in report.checks]
+    assert [(w.hex(), e.hex()) for w, e in got] == \
+        [(w.hex(), e.hex()) for w, e in one_shot(reference, samples, seed)]
+
+
+def corrupt_samples(monkeypatch, energies, changes):
+    """Patch verify.scatter to set t2 = value, r2 = 0 at the sample of each
+    index -> value, so flux reads |value - 1| there."""
+    def corrupted(e, cfg):
+        s = scatter(e, cfg)
+        t2, r2 = s.t2.copy(), s.r2.copy()
+        for index, value in changes.items():
+            at = e == energies[index]
+            t2[at], r2[at] = value, 0.0
+        return s._replace(t2=t2, r2=r2)
+
+    monkeypatch.setattr(verify_mod, "scatter", corrupted)
+
+
+def flux_check(report):
+    (check,) = (c for c in report.checks if c.name == FLUX)
+    return check
+
+
+def test_the_first_nan_is_named_past_a_finite_maximum(reference, monkeypatch):
+    block = verify_mod._BLOCK
+    energies = sample_energies(reference, 3 * block, 2)
+    corrupt_samples(monkeypatch, energies,
+                    {5: 9.0, block + 17: math.nan, 2 * block + 3: math.nan})
+    report = verify_mod.run_verification(reference, samples=3 * block, seed=2)
+    check = flux_check(report)
+    assert math.isnan(check.worst)
+    assert check.at_energy == energies[block + 17]
+    assert not report.passed
+
+
+def test_the_first_of_equal_maxima_is_named(reference, monkeypatch):
+    block = verify_mod._BLOCK
+    energies = sample_energies(reference, 3 * block, 2)
+    corrupt_samples(monkeypatch, energies, {block + 40: 5.0, 2 * block + 7: 5.0})
+    report = verify_mod.run_verification(reference, samples=3 * block, seed=2)
+    check = flux_check(report)
+    assert check.worst == 4.0
+    assert check.at_energy == energies[block + 40]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 2049, 2050, 4097, 5000])
+def test_no_call_takes_more_than_one_block(reference, monkeypatch, samples):
+    # one block plus the one energy that joins the last, which numpy
+    # would round otherwise in an array of its own
+    sizes = {"scatter": [], "solve_amplitudes": []}
+
+    def counted(name, func):
+        def call(e, cfg):
+            sizes[name].append(np.size(e))
+            return func(e, cfg)
+        return call
+
+    monkeypatch.setattr(verify_mod, "scatter", counted("scatter", scatter))
+    monkeypatch.setattr(verify_mod, "solve_amplitudes",
+                        counted("solve_amplitudes", solve_amplitudes))
+    assert verify_mod.run_verification(reference, samples=samples, seed=5).passed
+    assert verify_mod._BLOCK % oracle._CHUNK == 0
+    for calls in sizes.values():
+        assert max(calls) <= verify_mod._BLOCK + 1
+        assert min(calls) > 1 or samples == 1
+        assert sum(calls) == samples
+
+
+@pytest.mark.parametrize("oracle_fails, walk_fails, raised", [
+    # the first block with a failing sample decides, whatever fails there
+    (0, 1, SingularSystem),
+    (1, 0, NumericalOverflow),
+    # within a block, the walk is checked first
+    (1, 1, NumericalOverflow),
+])
+def test_the_first_failing_block_decides_the_error(reference, monkeypatch,
+                                                   oracle_fails, walk_fails, raised):
+    block = verify_mod._BLOCK
+    energies = sample_energies(reference, 3 * block, 1)
+
+    def failing_at(index, error, func):
+        def call(e, cfg):
+            if energies[index] in e:
+                raise error(f"sample {index}")
+            return func(e, cfg)
+        return call
+
+    oracle_at, walk_at = oracle_fails * block + 100, walk_fails * block + 200
+    monkeypatch.setattr(verify_mod, "scatter",
+                        failing_at(walk_at, NumericalOverflow, scatter))
+    monkeypatch.setattr(verify_mod, "solve_amplitudes",
+                        failing_at(oracle_at, SingularSystem, solve_amplitudes))
+    index = walk_at if raised is NumericalOverflow else oracle_at
+    with pytest.raises(raised, match=f"^sample {index}$"):
+        verify_mod.run_verification(reference, samples=3 * block, seed=1)
