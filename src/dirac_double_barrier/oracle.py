@@ -21,13 +21,23 @@ ratio form behind the transfer matrices, so the two routes to T and R
 share no transcription and can cross-check each other; nothing here
 comes from transfer.py.
 
+The system is banded: interface i couples only the unknowns of regions
+i and i + 1, so each row holds 3 or 4 of the 8 columns, at most two
+below the diagonal and two above, 28 nonzeros of 64 (_POSITIONS).
+
 solve_amplitudes takes one energy or a 1-D array of them and builds the
-same matrix entries either way: a float goes through cmath into one 8x8
-system, an array through numpy into an (n, 8, 8) stack that a single
-np.linalg.solve call handles.  Arrays are solved _CHUNK energies at a
-time, because a stack and the temporaries of its solve and residual take
-about 1.3 kB per energy: unsplit, the 10,000 energies of a default verify
-run would add some 13 MB, a third, to its peak memory.
+same 28 entries either way.  A float goes through cmath into a dense 8x8
+system and one np.linalg.solve.  An array goes through numpy into
+(28, n) entries, energies last, and one banded elimination solves all n
+systems with partial pivoting, as LAPACK's gbsv does for one (_eliminate).
+Its ~240 numpy calls on (n,) arrays take about 0.7 ms on one energy, ten
+times the scalar solve, so floats keep LAPACK; on a 1,024-energy stack
+they take about 60% of the time of np.linalg.solve, which calls LAPACK
+once per matrix.  Arrays are solved _CHUNK energies at a time, because
+the entries, the eliminated rows and the residual's temporaries take
+about 1.3 kB per energy (the dense stack and its LAPACK solve took
+1.7 kB): unsplit, the 10,000 energies of a default verify run would add
+some 13 MB, a third, to its peak memory.
 """
 
 from __future__ import annotations
@@ -52,6 +62,14 @@ _LEVELS = (Region.ZERO, Region.PLUS, Region.MINUS)
 
 #: Region index, left to right -> its level, an index into _LEVELS.
 _LEVEL_OF = (0, 1, 2, 1, 0)
+
+#: (row, column) of each nonzero of the matching matrix, in the order
+#: _system builds them: interface i fills rows 2i and 2i + 1 in the
+#: columns of regions i and i + 1, those of A1 and B5 excepted.
+_POSITIONS = tuple((row, col) for i in range(4)
+                   for col in range(max(2 * i - 1, 0), min(2 * i + 3, 8))
+                   for row in (2 * i, 2 * i + 1))
+_ROWS, _COLS = zip(*_POSITIONS)
 
 
 @dataclass(frozen=True)
@@ -126,21 +144,23 @@ def _references(edges: tuple[float, ...]) -> list[tuple[float, float]]:
 
 
 def _system(e, cfg: PotentialConfig, xp) -> tuple[np.ndarray, np.ndarray]:
-    """Matching matrix and right-hand side at E, with xp = cmath or numpy.
+    """Nonzero entries of the matching matrix and its right-hand side at E.
 
-    Shapes (8, 8) and (8,) for a float, (n, 8, 8) and (n, 8) for n
-    energies.  Unknown ordering is (B1, A2, B2, A3, B3, A4, B4, A5): A
-    and B of region r = 0..4 sit in columns 2r - 1 and 2r.  Rows come in
-    pairs, upper then lower spinor component, one pair per interface.
+    xp = cmath or numpy.  The entries come in the order of _POSITIONS and
+    the right-hand side's are its rows 0 and 1, energies last: shapes
+    (28,) and (2,) for a float, (28, n) and (2, n) for n energies.
+    Unknown ordering is (B1, A2, B2, A3, B3, A4, B4, A5): A and B of
+    region r = 0..4 sit in columns 2r - 1 and 2r.  Rows come in pairs,
+    upper then lower spinor component, one pair per interface.
     """
     waves = _waves(e, cfg)
     edges = _edges(cfg)
     references = _references(edges)
     weights = {}  # (level, signed offset) -> its exponential, each computed once
-    mat = np.zeros(np.shape(e) + (8, 8), dtype=complex)
-    rhs = np.zeros(np.shape(e) + (8,), dtype=complex)
+    entries = np.empty((len(_POSITIONS),) + np.shape(e), dtype=complex)
+    rhs = np.empty((2,) + np.shape(e), dtype=complex)
+    at = 0  # the next entry of _POSITIONS
     for i, x in enumerate(edges):
-        row = 2 * i
         for region in (i, i + 1):
             level = _LEVEL_OF[region]
             k, s = waves[level]
@@ -157,12 +177,13 @@ def _system(e, cfg: PotentialConfig, xp) -> tuple[np.ndarray, np.ndarray]:
                 if region > i:
                     w = -w  # the right-hand region's side of the equation
                 if col < 0:  # A1 = 1 moves to the right-hand side
-                    rhs[..., row] = -w
-                    rhs[..., row + 1] = rhs[..., row] * slope
+                    rhs[0] = -w
+                    rhs[1] = rhs[0] * slope
                 else:
-                    mat[..., row, col] = w
-                    mat[..., row + 1, col] = w * slope
-    return mat, rhs
+                    entries[at] = w
+                    entries[at + 1] = w * slope
+                    at += 2
+    return entries, rhs
 
 
 def _reject_residual(e: float, residual: float) -> None:
@@ -172,28 +193,88 @@ def _reject_residual(e: float, residual: float) -> None:
         )
 
 
-def _solve_stack(e: np.ndarray, cfg: PotentialConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Solution vectors (n, 8) and relative residuals (n,) at n energies."""
-    # at a scale m far from 1 the entries overflow; the residual and
-    # LinAlgError checks decide, so numpy's warnings stay off
+def _eliminate(entries: np.ndarray, rhs: np.ndarray) -> tuple[list, list]:
+    """Unknowns of n banded systems, and the modulus of each pivot.
+
+    Gaussian elimination with partial pivoting inside the band, as
+    LAPACK's gbsv: the pivot of column j is the first largest in modulus
+    of the rows j..j + 2 that hold column j, and swaps into row j.  Each
+    row is a dict column -> (n,) array of the entries that can be
+    nonzero, the right-hand side as column 8; the swaps fill U to 3
+    columns right of the diagonal.  Every product and sum takes two
+    (n,) arrays into a new one, never in place: numpy rounds an in-place
+    complex product of one element otherwise than the same entry of a
+    longer array, and an energy's result would then depend on the stack
+    it is solved in.  (Past 16,384 elements numpy turns temporaries into
+    in-place operands itself, one reason _CHUNK stays below that.)
+    Returns 8 arrays (n,) each.
+    """
+    rows = [{} for _ in range(8)]
+    for (r, c), v in zip(_POSITIONS, entries):
+        rows[r][c] = v
+    rows[0][8], rows[1][8] = rhs
+    sizes = []
+    for j in range(8):
+        slots = [s for s in range(j, min(j + 3, 8)) if j in rows[s]]
+        cols = sorted(set().union(*(rows[s] for s in slots)))
+        pivot = {c: rows[j].get(c, 0.0) for c in cols}
+        size = np.abs(pivot[j])
+        others = []
+        for s in slots[1:]:
+            # a later row swaps in where strictly larger: the first largest wins
+            row = {c: rows[s].get(c, 0.0) for c in cols}
+            other = np.abs(row[j])
+            swap = other > size
+            size = np.where(swap, other, size)
+            pivot, row = ({c: np.where(swap, row[c], pivot[c]) for c in cols},
+                          {c: np.where(swap, pivot[c], row[c]) for c in cols})
+            others.append((s, row))
+        for s, row in others:
+            factor = row[j] / pivot[j]
+            rows[s] = {c: row[c] - factor * pivot[c] for c in cols[1:]}
+        rows[j] = pivot
+        sizes.append(size)
+    x = [None] * 8
+    for j in reversed(range(8)):
+        acc = rows[j][8]
+        for c in range(j + 1, 8):
+            if c in rows[j]:
+                acc = acc - rows[j][c] * x[c]
+        x[j] = acc / rows[j][j]
+    return x, sizes
+
+
+def _residual(entries: np.ndarray, rhs: np.ndarray, x: list) -> np.ndarray:
+    """|A x - b| / |b| per energy, from the assembled entries."""
+    ax = [None] * 8
+    for (r, c), v in zip(_POSITIONS, entries):
+        term = v * x[c]
+        ax[r] = term if ax[r] is None else ax[r] + term
+    ax[0] = ax[0] - rhs[0]
+    ax[1] = ax[1] - rhs[1]
+    # summed row by row, as the products, so no energy's sum depends on n
+    num = sum(d.real ** 2 + d.imag ** 2 for d in ax)
+    den = sum(d.real ** 2 + d.imag ** 2 for d in rhs)
+    return np.sqrt(num) / np.sqrt(den)
+
+
+def _solve_stack(e: np.ndarray, cfg: PotentialConfig) -> tuple[list, np.ndarray]:
+    """Unknowns as 8 arrays (n,) and relative residuals (n,) at n energies."""
+    # at a scale m far from 1 the entries overflow; the residual decides,
+    # so numpy's warnings stay off
     with np.errstate(all="ignore"):
-        mat, rhs = _system(e, cfg, np)
-        try:
-            v = np.linalg.solve(mat, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # the stack fails as a whole; energy by energy names the first bad one
-            for x in e.tolist():
-                solve_amplitudes(x, cfg)
-            raise SingularSystem(
-                f"boundary matching failed for E in [{float(e.min())!r}, {float(e.max())!r}]"
-            ) from None
-        residual = (np.linalg.norm((mat @ v[..., None])[..., 0] - rhs, axis=-1)
-                    / np.linalg.norm(rhs, axis=-1))
+        entries, rhs = _system(e, cfg, np)
+        x, sizes = _eliminate(entries, rhs)
+        residual = _residual(entries, rhs, x)
+    # a zero pivot divides by 0, which leaves the residual inf or NaN
     miss = ~(residual < RESIDUAL_LIMIT)
     if miss.any():
         j = int(miss.argmax())
+        if any(size[j] == 0.0 for size in sizes):
+            raise SingularSystem(
+                f"boundary matching failed at E = {float(e[j])!r}: Singular matrix")
         _reject_residual(float(e[j]), float(residual[j]))
-    return v, residual
+    return x, residual
 
 
 def solve_amplitudes(e: float | np.ndarray, cfg: PotentialConfig) -> AmplitudeSet:
@@ -204,14 +285,18 @@ def solve_amplitudes(e: float | np.ndarray, cfg: PotentialConfig) -> AmplitudeSe
     RESIDUAL_LIMIT; for an array, at the first such energy.
     """
     if isinstance(e, np.ndarray):
-        v = np.empty(e.shape + (8,), dtype=complex)
+        v = np.empty((8,) + e.shape, dtype=complex)
         residual = np.empty(e.shape)
         for lo in range(0, e.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            v[part], residual[part] = _solve_stack(e[part], cfg)
+            v[:, part], residual[part] = _solve_stack(e[part], cfg)
         one, zero = np.ones(e.shape, dtype=complex), np.zeros(e.shape, dtype=complex)
     else:
-        mat, rhs = _system(e, cfg, cmath)
+        entries, head = _system(e, cfg, cmath)
+        mat = np.zeros((8, 8), dtype=complex)
+        mat[_ROWS, _COLS] = entries
+        rhs = np.zeros(8, dtype=complex)
+        rhs[:2] = head
         try:
             v = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError as exc:
@@ -219,7 +304,7 @@ def solve_amplitudes(e: float | np.ndarray, cfg: PotentialConfig) -> AmplitudeSe
         residual = float(np.linalg.norm(mat @ v - rhs) / np.linalg.norm(rhs))
         _reject_residual(e, residual)
         one, zero = 1.0 + 0.0j, 0.0 + 0.0j
-    return AmplitudeSet(a=(one, *v.T[1::2]), b=(*v.T[0::2], zero), residual=residual)
+    return AmplitudeSet(a=(one, *v[1::2]), b=(*v[0::2], zero), residual=residual)
 
 
 def wavefunction_profile(e: float, cfg: PotentialConfig,

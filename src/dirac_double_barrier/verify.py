@@ -8,10 +8,10 @@ agreement with the independent boundary-matching solve (the oracle).
 
 The samples are checked in blocks of _BLOCK energies, each walked and
 solved on its own, and only each block's worst deviations are kept, so
-beyond the list of samples verify holds the same memory at any sample
-count.  The report names the same first maximum or first NaN as one
-pass over all samples would.  The first block that fails decides which
-error is raised, the walk's before the oracle's within a block.
+beyond the array of samples, 8 B each, verify holds the same memory at
+any sample count.  The report names the same first maximum or first NaN
+as one pass over all samples would.  The first block that fails decides
+which error is raised, the walk's before the oracle's within a block.
 """
 
 from __future__ import annotations
@@ -98,12 +98,18 @@ def sample_energies(cfg: PotentialConfig, n: int, seed: int,
     for n < 1 and for a window that core.check_window refuses, one that
     lies entirely inside a single band among them.
     """
+    return _draws(cfg, n, seed, e_min, e_max).tolist()
+
+
+def _draws(cfg: PotentialConfig, n: int, seed: int,
+           e_min: float | None, e_max: float | None) -> np.ndarray:
+    """sample_energies as an array, 8 B per sample where the list takes 32."""
     e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     check_window(cfg, e_min, e_max)
     draws = np.random.default_rng(seed).uniform(e_min, e_max, size=n)
-    return nudge(draws, cfg).tolist()
+    return nudge(draws, cfg)
 
 
 def run_verification(cfg: PotentialConfig,
@@ -135,7 +141,7 @@ def run_verification(cfg: PotentialConfig,
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
-    energies = sample_energies(cfg, samples, seed, e_min, e_max)
+    energies = _draws(cfg, samples, seed, e_min, e_max)
     names = (
         "flux |T|^2 + |R|^2 = 1",
         "mirror Re(R conj T) = 0",
@@ -147,7 +153,7 @@ def run_verification(cfg: PotentialConfig,
     worst = np.empty((len(starts), len(names)))
     at = np.empty_like(worst)
     for k, (start, stop) in enumerate(zip(starts, [*starts[1:], samples])):
-        e = np.array(energies[start:stop])
+        e = energies[start:stop]
         walk = scatter(e, cfg)
         oracle = solve_amplitudes(e, cfg)
         devs = (

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import re
 import warnings
 
@@ -220,7 +222,7 @@ def test_array_singular_system_names_the_first(reference, monkeypatch):
     def singular_at_broken(x, cfg, xp):
         mat, rhs = system(x, cfg, xp)
         if isinstance(x, np.ndarray):
-            mat[np.isin(x, list(broken))] = 0.0
+            mat[:, np.isin(x, list(broken))] = 0.0
         elif x in broken:
             mat[:] = 0.0
         return mat, rhs
@@ -230,23 +232,64 @@ def test_array_singular_system_names_the_first(reference, monkeypatch):
         solve_amplitudes(e, reference)
 
 
+def test_a_zero_diagonal_entry_takes_the_row_swap(reference, monkeypatch):
+    # with entry (0, 0) set to 0 the system stays regular, but elimination
+    # without a row swap would divide by it and miss RESIDUAL_LIMIT
+    e = np.array(sample_energies(reference, 30, seed=6))
+    system = oracle._system
+    corner = oracle._POSITIONS.index((0, 0))
+
+    def zero_corner(x, cfg, xp):
+        entries, rhs = system(x, cfg, xp)
+        entries[corner] = 0.0
+        return entries, rhs
+
+    monkeypatch.setattr(oracle, "_system", zero_corner)
+    amps = solve_amplitudes(e, reference)
+    entries, rhs = zero_corner(e, reference, np)
+    mat = np.zeros((e.size, 8, 8), dtype=complex)
+    mat[:, oracle._ROWS, oracle._COLS] = entries.T
+    full = np.zeros((e.size, 8), dtype=complex)
+    full[:, :2] = rhs.T
+    want = np.linalg.solve(mat, full[..., None])[..., 0].T
+    assert (mat[:, 0, 0] == 0.0).all()
+    # the unknowns (B1, A2, B2, A3, B3, A4, B4, A5) alternate b and a
+    assert np.abs(np.array(amps.b[:4]) - want[0::2]).max() < 1e-12
+    assert np.abs(np.array(amps.a[1:]) - want[1::2]).max() < 1e-12
+
+
 # T and R of the five SCALAR_PINS energies solved together in one array
-# call, as hex floats from the same script; the batched LAPACK solve rounds
-# differently from the one-energy solve, so these differ from SCALAR_PINS
-# in the last bits at 1.3, 3.5 and 11.4 (with the same numpy and LAPACK
-# build)
+# call, as hex floats from the same script; the array path's banded
+# elimination rounds otherwise than the one-energy LAPACK solve, so these
+# differ from SCALAR_PINS in the last bits at every energy (with the same
+# numpy build)
 ARRAY_PINS = {
-    1.3: ('-0x1.558a9351d339cp-7', '0x1.38b58ee90e300p-1',
-          '0x1.9550c23d2614dp-1', '0x1.baaf9a719e392p-7'),
-    3.5: ('0x1.6b2bf01633b4ap-7', '-0x1.4561d386d9da8p-7',
-          '-0x1.559dfbd46604fp-1', '-0x1.7d4ac9588f423p-1'),
-    6.0: ('-0x1.0b4f0bccc709dp-2', '0x1.540c139db5f72p-2',
-          '0x1.6cd96e44bdda3p-1', '0x1.1ece3af04e3e5p-1'),
-    8.5: ('0x1.3b7f3395df2aap-9', '-0x1.3cbc72960d3b0p-7',
-          '0x1.f0cd6cfd368edp-1', '0x1.eedbd2ca42b20p-3'),
-    11.4: ('0x1.dc2c43afbde10p-1', '0x1.72b08b00661bdp-2',
-           '0x1.783d4816c9ee3p-6', '-0x1.e34d49aed96a1p-5'),
+    1.3: ('-0x1.558a9351d3399p-7', '0x1.38b58ee90e2fep-1',
+          '0x1.9550c23d2614cp-1', '0x1.baaf9a719e361p-7'),
+    3.5: ('0x1.6b2bf01633b4ap-7', '-0x1.4561d386d9daap-7',
+          '-0x1.559dfbd466051p-1', '-0x1.7d4ac9588f420p-1'),
+    6.0: ('-0x1.0b4f0bccc709ap-2', '0x1.540c139db5f70p-2',
+          '0x1.6cd96e44bdda5p-1', '0x1.1ece3af04e3e6p-1'),
+    8.5: ('0x1.3b7f3395df2afp-9', '-0x1.3cbc72960d3b3p-7',
+          '0x1.f0cd6cfd368eap-1', '0x1.eedbd2ca42b2ep-3'),
+    11.4: ('0x1.dc2c43afbde0fp-1', '0x1.72b08b00661bap-2',
+           '0x1.783d4816c9ec6p-6', '-0x1.e34d49aed96c3p-5'),
 }
+
+
+def test_the_array_path_runs_no_lapack_and_nothing_from_transfer(reference, monkeypatch):
+    # the cross-check stays independent of the walk, and arrays take the
+    # banded elimination
+    tree = ast.parse(inspect.getsource(oracle))
+    assert "transfer" not in {node.module for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve ran on the array path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    amps = solve_amplitudes(np.array(sorted(ARRAY_PINS)), reference)
+    assert amps.residual.max() < oracle.RESIDUAL_LIMIT
 
 
 def test_array_solve_is_pinned_bit_for_bit(reference):

@@ -14,7 +14,9 @@ from dirac_double_barrier import (
     classify,
     full_matrix,
     kinematics,
+    oracle,
     run_verification,
+    sample_energies,
     scatter,
     solve_amplitudes,
     zone_interval,
@@ -196,3 +198,24 @@ def test_verify_holds_on_thick_barriers_and_wide_floors(cfg, a_plus, a_minus, se
     cfg = replace(cfg, a_plus=a_plus, a_minus=a_minus)
     report = run_verification(cfg, samples=200, seed=seed)
     assert report.passed, report.render()
+
+
+@settings(max_examples=40, deadline=None)
+@given(potentials(), log_uniform(0.2, 2000.0), log_uniform(0.2, 200.0),
+       st.integers(0, 2**32 - 1))
+def test_array_oracle_agrees_with_the_scalar_solve_and_with_itself(cfg, a_plus, a_minus,
+                                                                     seed):
+    # verify's draws: the banded elimination against the one-energy LAPACK
+    # solve, and each energy solved alone against the same energy in the array
+    cfg = replace(cfg, a_plus=a_plus, a_minus=a_minus)
+    e = np.array(sample_energies(cfg, 50, seed=seed))
+    amps = solve_amplitudes(e, cfg)
+    assert amps.residual.max() < oracle.RESIDUAL_LIMIT
+    whole = np.array([*amps.a, *amps.b, amps.residual])
+    for i, x in enumerate(e.tolist()):
+        one = solve_amplitudes(x, cfg)
+        assert abs(amps.t[i] - one.t) < 1e-12
+        assert abs(amps.r[i] - one.r) < 1e-12
+        alone = solve_amplitudes(e[i:i + 1], cfg)
+        assert np.array([*alone.a, *alone.b, alone.residual]).tobytes() == \
+            whole[:, i:i + 1].tobytes()
