@@ -2,13 +2,15 @@
 elevated floor: transfer matrices, transmission resonances, widths, and
 an independent boundary-matching cross-check.
 
-A bare import loads ``core``, ``errors`` and numpy.  The walk
-(``transfer``), the search (``resonance``), the oracle and the verifier
-load on first use of one of their names (PEP 562), so a caller that needs
-only part of the package does not compile the rest.  ``cli`` and ``emit``
-bind their names from the other layers the same way, so each CLI
-subcommand loads only the layers it runs (besides ``core``, ``errors``,
-``defaults`` and ``cli``):
+A bare import loads ``core`` and ``errors``, and no numpy: the
+configuration, the zone and special-energy helpers and every scalar path
+of ``core`` are pure Python and cmath, and ``core`` imports numpy only on
+its array paths.  The walk (``transfer``), the search (``resonance``), the
+oracle and the verifier load on first use of one of their names (PEP
+562), so a caller that needs only part of the package does not compile
+the rest.  ``cli`` and ``emit`` bind their names from the other layers the
+same way, so each CLI subcommand loads only the layers it runs (besides
+``core``, ``errors``, ``defaults`` and ``cli``):
 
 * ``transmission``: ``emit``, ``transfer``, ``_printf``, and ``svg`` with
   ``--svg``;
@@ -16,6 +18,9 @@ subcommand loads only the layers it runs (besides ``core``, ``errors``,
 * ``sweep``: ``emit``, ``transfer``, ``_printf``, and ``resonance`` with
   ``--with-resonances``;
 * ``verify``: ``transfer``, ``oracle``, ``verify``.
+
+Each of these loads numpy; a command that computes nothing (help, a
+usage error, an invalid potential) does not.
 """
 
 from .core import (

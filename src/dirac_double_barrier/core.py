@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import BoundaryEnergy, ConfigError, SingularEnergy
 
@@ -150,6 +149,13 @@ def singular_energies(cfg: PotentialConfig) -> list[float]:
     return [s[0], s[1], s[3], s[4], s[6]]
 
 
+def _is_array(e) -> bool:
+    """Whether e is an ndarray.  One exists only once numpy is loaded, so
+    a float never makes this module import numpy."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(e, np.ndarray)
+
+
 def _span(e: np.ndarray) -> "tuple[float, float]":
     """(min, max) of an array of energies, (inf, -inf) for none.
 
@@ -171,18 +177,36 @@ def nudge(e: "float | np.ndarray", cfg: PotentialConfig) -> "float | np.ndarray"
     exactly that distance from it, to the side it lies on (up when it
     sits on it).  A float stays a float.
     """
+    import numpy as np
+
+    out = _nudge_in_place(np.array(e, dtype=float), cfg)
+    return out if isinstance(e, np.ndarray) else float(out)
+
+
+def _nudge_in_place(out: np.ndarray, cfg: PotentialConfig) -> np.ndarray:
+    """nudge on a float array the caller owns: moves its entries, returns it.
+
+    Only the entries between the fences s - margin and s + margin, as
+    rounded, take nudge's test.  An entry past a fence lies more than a
+    margin from s, so its difference from s rounds to a margin or more
+    and fails the test: two boolean passes per special energy in reach,
+    and no float temporary of the array's size.
+    """
+    import numpy as np
+
     margin = EVAL_MARGIN * cfg.m
-    out = np.array(e, dtype=float)
     lo, top = _span(out)
     for s in special_energies(cfg):
         # within reach of the span (_span), which a move up to s + margin
         # extends: a later special energy may move that energy again
         if not (s - top >= margin or lo - s >= margin):
             top = max(top, s + margin)
-            near = np.abs(out - s) < margin
-            if near.any():
-                out[near] = np.where(out[near] >= s, s + margin, s - margin)
-    return out if isinstance(e, np.ndarray) else float(out)
+            at = np.flatnonzero((out >= s - margin) & (out <= s + margin))
+            if at.size:
+                e = out.flat[at]
+                near = np.abs(e - s) < margin
+                out.flat[at[near]] = np.where(e[near] >= s, s + margin, s - margin)
+    return out
 
 
 def check_window(cfg: PotentialConfig, e_min: float, e_max: float) -> None:
@@ -224,13 +248,14 @@ def _first_near(e: "float | np.ndarray", table, tol: float,
     first such energy in array order, then the first entry of table it
     lies near.  An energy at or below floor counts too, with s = None.
     """
+    array = _is_array(e)
     bad = e <= floor
-    if isinstance(e, np.ndarray):  # only the entries within reach of the span
+    if array:  # only the entries within reach of the span
         lo, hi = _span(e)
         table = [s for s in table if not (s - hi >= tol or lo - s >= tol)]
     for s in table:
         bad |= abs(e - s) < tol
-    if isinstance(e, np.ndarray):
+    if array:
         if not bad.any():
             return None
         e = float(e.flat[bad.argmax()])  # flat: a 0-d array too
@@ -310,7 +335,9 @@ def classify(e: "float | np.ndarray",
     """
     screen(e, cfg)
     cuts = special_energies(cfg)[1:]
-    if isinstance(e, np.ndarray):
+    if _is_array(e):
+        import numpy as np
+
         i = np.searchsorted(cuts, e, side="right")
         return np.array(_RANGES, dtype=object)[i], np.array(_ZONES, dtype=object)[i]
     i = bisect_right(cuts, e)

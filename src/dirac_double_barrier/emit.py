@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _lazy_attributes
-from .core import ZONE_ORDER, PotentialConfig, Zone, check_window, nudge, zone_interval
+from .core import (ZONE_ORDER, PotentialConfig, Zone, _nudge_in_place, check_window,
+                   zone_interval)
 from .defaults import SWEEP_PARAMS
 from .transfer import ScatteringResult, _finish, _prepare, scatter
 
@@ -62,7 +63,7 @@ def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
     check_window(cfg, e_min, e_max)
     if points < 2:
         raise ValueError(f"points must be at least 2, got {points}")
-    return nudge(np.linspace(e_min, e_max, points), cfg)
+    return _nudge_in_place(np.linspace(e_min, e_max, points), cfg)
 
 
 def transmission_curve(cfg: PotentialConfig, e_min: float, e_max: float,

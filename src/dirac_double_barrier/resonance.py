@@ -41,7 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EVAL_MARGIN, PotentialConfig, Zone, nudge, screen, zone_interval
+from .core import (EVAL_MARGIN, PotentialConfig, Zone, _nudge_in_place, screen,
+                   zone_interval)
 from .defaults import GRID_POINTS_PER_ZONE
 from .errors import NumericalOverflow
 from .transfer import _checked_walk
@@ -269,7 +270,7 @@ def _phase_grid(cfg: PotentialConfig, lo: float, hi: float, n: int) -> np.ndarra
 def _scan(cfg: PotentialConfig, lo: float, hi: float,
           settings: SearchSettings) -> "tuple[_Walk, np.ndarray, np.ndarray]":
     """A zone's scan over [lo, hi]: an empty _Walk, the grid and Im M21 on it."""
-    grid = nudge(_phase_grid(cfg, lo, hi, settings.grid_points_per_zone), cfg)
+    grid = _nudge_in_place(_phase_grid(cfg, lo, hi, settings.grid_points_per_zone), cfg)
     screen(grid, cfg)
     return _Walk(cfg), grid, _im_m21(grid, cfg)
 

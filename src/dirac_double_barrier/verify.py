@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialConfig, check_window, nudge
+from .core import PotentialConfig, _nudge_in_place, check_window
 from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, window
 from .oracle import _CHUNK, solve_amplitudes
 from .transfer import scatter
@@ -109,7 +109,7 @@ def _draws(cfg: PotentialConfig, n: int, seed: int,
         raise ValueError(f"n must be at least 1, got {n}")
     check_window(cfg, e_min, e_max)
     draws = np.random.default_rng(seed).uniform(e_min, e_max, size=n)
-    return nudge(draws, cfg)
+    return _nudge_in_place(draws, cfg)
 
 
 def run_verification(cfg: PotentialConfig,

@@ -143,11 +143,15 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
-    # a bare import loads only core and errors; the other layers load on first use
+    # a bare import loads only core and errors, and no numpy; the other
+    # layers load on first use
     code = ("import sys, dirac_double_barrier; "
-            "print(*sorted(k for k in sys.modules if k.split('.')[0] == 'dirac_double_barrier'))")
+            "print(*sorted(k for k in sys.modules if k.split('.')[0] == 'dirac_double_barrier')); "
+            "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["dirac_double_barrier", "dirac_double_barrier.core",
-                                   "dirac_double_barrier.errors"]
+    modules, numpy_loaded = proc.stdout.splitlines()
+    assert modules.split() == ["dirac_double_barrier", "dirac_double_barrier.core",
+                               "dirac_double_barrier.errors"]
+    assert numpy_loaded == "False"
 

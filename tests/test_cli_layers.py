@@ -20,14 +20,14 @@ PACKAGE = "dirac_double_barrier"
 SRC = str(Path(dirac_double_barrier.__file__).resolve().parents[1])
 REF = ["--v-plus", "8", "--v-minus", "4", "--a-plus", "3", "--a-minus", "2.5"]
 
-#: Runs cli.main on argv, then prints its exit code and the package's
-#: modules in sys.modules.
+#: Runs cli.main on argv, then prints its exit code, the package's
+#: modules in sys.modules and whether numpy was loaded.
 LOADED = f"""\
 import json, sys
 from {PACKAGE}.cli import main
 code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
-                               if m.startswith("{PACKAGE}."))]))
+                               if m.startswith("{PACKAGE}.")), "numpy" in sys.modules]))
 """
 
 
@@ -43,25 +43,31 @@ def _python(code: str, *args: str, cwd) -> str:
 BASE = {"cli", "core", "defaults", "errors"}
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["transmission", *REF, "--points", "50", "--svg", "curve.svg"],
-     BASE | {"emit", "transfer", "svg", "_printf"}),
-    (["resonances", *REF, "--zone", "conventional", "--grid-points", "64"],
-     BASE | {"emit", "transfer", "resonance"}),
+# every command that computes loads numpy; one that computes nothing
+# (help, a usage error, an invalid potential) loads none
+@pytest.mark.parametrize("argv, exit_code, loaded, numpy_loaded", [
+    (["transmission", *REF, "--points", "50", "--svg", "curve.svg"], 0,
+     BASE | {"emit", "transfer", "svg", "_printf"}, True),
+    (["resonances", *REF, "--zone", "conventional", "--grid-points", "64"], 0,
+     BASE | {"emit", "transfer", "resonance"}, True),
     (["sweep", *REF, "--param", "a-minus", "--from", "1", "--to", "2",
-      "--frames", "2", "--points", "50"],
-     BASE | {"emit", "transfer", "_printf"}),
+      "--frames", "2", "--points", "50"], 0,
+     BASE | {"emit", "transfer", "_printf"}, True),
     (["sweep", *REF, "--param", "a-minus", "--from", "1", "--to", "2",
-      "--frames", "2", "--points", "50", "--with-resonances"],
-     BASE | {"emit", "transfer", "_printf", "resonance"}),
-    (["verify", *REF, "--samples", "100"],
-     BASE | {"transfer", "oracle", "verify"}),
-    (["verify", "--help"], BASE),
-], ids=["transmission", "resonances", "sweep", "sweep-with-resonances", "verify", "help"])
-def test_subcommand_loads_only_its_layers(tmp_path, argv, loaded):
-    code, modules = json.loads(_python(LOADED, json.dumps(argv), cwd=tmp_path))
-    assert code == 0
+      "--frames", "2", "--points", "50", "--with-resonances"], 0,
+     BASE | {"emit", "transfer", "_printf", "resonance"}, True),
+    (["verify", *REF, "--samples", "100"], 0,
+     BASE | {"transfer", "oracle", "verify"}, True),
+    (["verify", "--help"], 0, BASE, False),
+    (["verify", *REF, "--samples", "many"], 2, BASE, False),
+    (["transmission", *REF, "--v-plus", "5"], 3, BASE, False),
+], ids=["transmission", "resonances", "sweep", "sweep-with-resonances", "verify", "help",
+        "usage-error", "config-error"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, loaded, numpy_loaded):
+    code, modules, numpy = json.loads(_python(LOADED, json.dumps(argv), cwd=tmp_path))
+    assert code == exit_code
     assert set(modules) == loaded
+    assert numpy is numpy_loaded
 
 
 #: Runs cli.main on the command line's argv, then prints its exit code and

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,9 @@ def test_span_limited_screens_match_testing_every_special_energy(cfg, arrays):
         got = core.nudge(e, cfg)
         assert type(got) is np.ndarray and got.shape == e.shape
         assert got.tobytes() == _nudge_every(e, cfg).tobytes(), e
+        # the callers' fresh arrays are nudged in place, to the same bits
+        own = np.array(e, dtype=float)
+        assert core._nudge_in_place(own, cfg) is own and own.tobytes() == got.tobytes()
         x = _first_bad(e, special_energies(cfg)[1:], tol, floor=cfg.m + tol)
         assert _outcome(core.screen, e, cfg) == (
             None if x is None else _outcome(core.screen, x, cfg)), e
@@ -203,14 +210,28 @@ def test_zone_intervals_of_reference(reference):
         (30.0, MatrixRange.III, Zone.ABOVE_BARRIER),
     ],
 )
-def test_classification(reference, e, rng, zone):
+def test_classification(reference, monkeypatch, e, rng, zone):
     assert classify(e, reference) == (rng, zone)
+    # a 0-d or one-element array takes the array path, which bisects nothing
+    monkeypatch.setattr(core, "bisect_right", None)
+    assert classify(np.array(e), reference) == (rng, zone)
+    ranges, zones = classify(np.array([e]), reference)
+    assert ranges.tolist() == [rng] and zones.tolist() == [zone]
 
 
 @pytest.mark.parametrize("e", [0.5, 1.0, 3.0, 4.0 + 1e-12, 5.0, 7.0, 8.0, 9.0 - 1e-13])
-def test_classify_rejects_boundaries(reference, e):
-    with pytest.raises(BoundaryEnergy):
+def test_classify_rejects_boundaries(reference, monkeypatch, e):
+    with pytest.raises(BoundaryEnergy) as alone:
         classify(e, reference)
+    # a 0-d or one-element array is screened as an array, over its span,
+    # and raises what its energy raises alone
+    spans, span = [], core._span
+    monkeypatch.setattr(core, "_span", lambda a: spans.append(a.shape) or span(a))
+    for array in (np.array(e), np.array([e])):
+        with pytest.raises(BoundaryEnergy) as got:
+            classify(array, reference)
+        assert (got.value.energy, str(got.value)) == (alone.value.energy, str(alone.value))
+    assert spans == [(), (1,)]
 
 
 def test_wave_vector_oscillatory_branch(reference):
@@ -257,3 +278,41 @@ def test_singular_energies_are_rejected(reference, e, region):
 def test_weight_product_sign(reference, e, region, sign):
     kin = kinematics(e, region, reference)
     assert abs(kin.alpha * kin.beta - sign) < 1e-12
+
+
+#: Scalar calls into core, as reprs or error messages.  The test runs them
+#: here and in a fresh interpreter where numpy cannot be imported.
+SCALAR_CALLS = """\
+from dirac_double_barrier import (DoubleBarrierError, PotentialConfig, Region, Zone,
+                                  classify, kinematics, singular_energies, special_energies,
+                                  zone_interval)
+from dirac_double_barrier.core import screen
+
+def call(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DoubleBarrierError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=3.0, a_minus=2.5)
+results = [repr(cfg), call(PotentialConfig, 5.0, 4.0, 3.0, 2.5),
+           repr(special_energies(cfg)), repr(singular_energies(cfg)),
+           *(repr(zone_interval(zone, cfg)) for zone in Zone)]
+for e in (0.5, 1.0, 2.0, 3.0, 4.0 + 1e-12, 4.5, 6.0, 7.0, 7.5, 8.5, 9.0 - 1e-13, 30.0):
+    results += [call(classify, e, cfg), call(screen, e, cfg),
+                *(call(kinematics, e, region, cfg) for region in Region)]
+"""
+
+
+def test_scalar_paths_run_without_numpy():
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # None in sys.modules makes every import of numpy raise ImportError
+    code = "import sys\nsys.modules['numpy'] = None\n" + SCALAR_CALLS + "print(repr(results))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    namespace = {}
+    exec(SCALAR_CALLS, namespace)
+    assert proc.stdout.strip() == repr(namespace["results"])
