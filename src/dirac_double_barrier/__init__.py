@@ -79,8 +79,7 @@ def _lazy_attributes(namespace: dict, owners: dict):
 #: Submodule -> the exports it defines, imported on first access.
 _LAZY = {
     "oracle": ("AmplitudeSet", "SpinorSample", "solve_amplitudes", "wavefunction_profile"),
-    "resonance": ("Resonance", "SearchSettings", "attach_widths", "find_above_barrier",
-                  "find_resonances"),
+    "resonance": ("Resonance", "attach_widths", "find_above_barrier", "find_resonances"),
     "transfer": ("Matrix2x2", "ScatteringResult", "factor_matrices", "full_matrix",
                  "scatter"),
     "verify": ("CheckResult", "VerificationReport", "run_verification", "sample_energies"),
@@ -116,7 +115,6 @@ __all__ = [
     "Region",
     "Resonance",
     "ScatteringResult",
-    "SearchSettings",
     "SINGULAR_TOL",
     "SingularEnergy",
     "SingularSystem",

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import _lazy_attributes
-from .core import ZONE_ORDER, PotentialConfig, Zone, zone_interval
+from .core import ZONE_ORDER, PotentialConfig, Zone, check_window, zone_interval
 from .defaults import (
     CURVE_E_MIN,
     DEFAULT_SAMPLES,
@@ -37,13 +37,14 @@ from .defaults import (
 from .errors import ConfigError, DoubleBarrierError
 
 # each layer loads when a handler first calls into it, so a subcommand
-# compiles only the layers it runs.  transmission_rows is called by no
-# handler, but the benchmark tracer (perfbench/tracing.py) wraps the name
-# cli.transmission_rows, so it resolves too.
+# compiles only the layers it runs; a handler checks its window
+# (core.check_window) before that, so a refused window loads no numpy.
+# transmission_rows is called by no handler, but the benchmark tracer
+# (perfbench/tracing.py) wraps the name cli.transmission_rows, so it
+# resolves too.
 __getattr__ = _lazy_attributes(globals(), {
     "emit": ("run_sweep", "transmission_curve", "transmission_rows",
              "write_curve_csv", "write_json", "zone_report"),
-    "resonance": ("SearchSettings",),
     "svg": ("render_curve_svg",),
     "verify": ("run_verification",),
 })
@@ -160,6 +161,7 @@ def _cmd_transmission(args: argparse.Namespace) -> int:
     e_min, e_max = window(cfg, args.e_min, args.e_max, CURVE_E_MIN)
     out = Path(args.out or "transmission.csv")
     _check_outputs(out, args.svg)
+    check_window(cfg, e_min, e_max)
     curve = _module.transmission_curve(cfg, e_min, e_max, args.points)
     out = _module.write_curve_csv(out, curve)
     print(f"wrote {len(curve.e)} rows to {out}")
@@ -184,10 +186,9 @@ def _cmd_resonances(args: argparse.Namespace) -> int:
             f"--e-max must exceed v_plus + m = {cfg.v_plus + cfg.m:g} "
             "to search the above-barrier zone"
         )
-    settings = _module.SearchSettings(grid_points_per_zone=args.grid_points)
     out = Path(args.out or "resonances.json")
     _check_outputs(out)
-    report = _module.zone_report(cfg, zones, e_max, settings)
+    report = _module.zone_report(cfg, zones, e_max, args.grid_points)
     out = _module.write_json(out, report)
     total = 0
     for entry in report["zones"]:
@@ -202,6 +203,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_threads(args)
     e_min, e_max = window(cfg, args.e_min, args.e_max, CURVE_E_MIN)
+    check_window(cfg, e_min, e_max)
     manifest = _module.run_sweep(
         cfg,
         args.param,
@@ -221,6 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_outputs(args.out)
+    check_window(cfg, *window(cfg, args.e_min, args.e_max, VERIFY_E_MIN))
     report = _module.run_verification(
         cfg,
         samples=args.samples,

@@ -209,6 +209,18 @@ def _nudge_in_place(out: np.ndarray, cfg: PotentialConfig) -> np.ndarray:
     return out
 
 
+def _blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of size entries over n, in order, at least one.
+
+    One entry left past the last whole block joins that block: numpy
+    rounds a one-element array in its scalar loop, otherwise than the SIMD
+    one an entry of a longer array takes, so every block of two or more
+    reads the bits that one call over all n would.
+    """
+    starts = range(0, max(n - 1, 1), size)
+    return [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+
+
 def check_window(cfg: PotentialConfig, e_min: float, e_max: float) -> None:
     """Raise ValueError unless m < e_min < e_max < inf and the window
     leaves each special energy's EVAL_MARGIN band, which nudge empties."""

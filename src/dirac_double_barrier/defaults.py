@@ -10,8 +10,8 @@ from __future__ import annotations
 #: Swept parameter names accepted by emit.run_sweep, as spelled on the CLI.
 SWEEP_PARAMS = ("a-minus", "a-plus")
 
-#: Scan points per zone of the resonance search (SearchSettings), spaced
-#: evenly in the waves' phase: 2,000 keep every root of the potentials
+#: Scan points per zone of the resonance search (grid_points_per_zone),
+#: spaced evenly in the waves' phase: 2,000 keep every root of the potentials
 #: README tests, where 1,750 lose 4.
 GRID_POINTS_PER_ZONE = 2000
 

@@ -39,15 +39,14 @@ import numpy as np
 from . import _lazy_attributes
 from .core import (ZONE_ORDER, PotentialConfig, Zone, _nudge_in_place, check_window,
                    zone_interval)
-from .defaults import SWEEP_PARAMS
+from .defaults import GRID_POINTS_PER_ZONE, SWEEP_PARAMS
 from .transfer import ScatteringResult, _finish, _prepare, scatter
 
 # the search loads on first use, by zone_report; curves and sweeps
 # without resonances never compile it.  attach_widths is unused here, but
 # the benchmark tracer (perfbench/tracing.py) wraps emit.attach_widths
 __getattr__ = _lazy_attributes(globals(), {
-    "resonance": ("SearchSettings", "attach_widths", "find_above_barrier",
-                  "find_resonances"),
+    "resonance": ("attach_widths", "find_above_barrier", "find_resonances"),
 })
 #: This module: zone_report calls the search through it, so a
 #: replacement set on the module is the one that runs.
@@ -135,22 +134,21 @@ def _sig12(x: float) -> float:
 
 
 def zone_report(cfg: PotentialConfig, zones: "list[Zone] | tuple[Zone, ...]",
-                e_max: float, settings: SearchSettings | None = None) -> dict:
+                e_max: float, grid_points_per_zone: int = GRID_POINTS_PER_ZONE) -> dict:
     """JSON-ready resonance report for the requested zones.
 
     Bounded zones are searched over their full interval; the open top
     zone, when asked for, is searched up to e_max.  The search fills
-    each fwhm from its own scan.
+    each fwhm from its own scan, on grid_points_per_zone points per zone.
     """
-    if settings is None:
-        settings = _module.SearchSettings()
     wanted = [z for z in ZONE_ORDER if z in set(zones)]
     if not wanted:
         raise ValueError("zones must be nonempty")
     bounded = [z for z in wanted if z is not Zone.ABOVE_BARRIER]
-    resonances = _module.find_resonances(cfg, bounded, settings) if bounded else []
+    resonances = (_module.find_resonances(cfg, bounded, grid_points_per_zone)
+                  if bounded else [])
     if Zone.ABOVE_BARRIER in wanted:
-        resonances += _module.find_above_barrier(cfg, e_max, settings)
+        resonances += _module.find_above_barrier(cfg, e_max, grid_points_per_zone)
 
     zone_entries = []
     for zone in wanted:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (EVAL_MARGIN, PotentialConfig, Zone, _nudge_in_place, screen,
+from .core import (EVAL_MARGIN, PotentialConfig, Zone, _blocks, _nudge_in_place, screen,
                    zone_interval)
 from .defaults import GRID_POINTS_PER_ZONE
 from .errors import NumericalOverflow
@@ -161,28 +161,6 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
 
 
 @dataclass(frozen=True)
-class SearchSettings:
-    """The one search knob: scan points per zone.
-
-    It sets the grid scan (Im M21 on the bounded walk), placed evenly in
-    the waves' phase and the energy (_phase_grid), which brackets both the
-    roots and the half-maximum crossings of the widths, and the open top
-    zone's step past e_max (the scan's mean spacing) and most energies per
-    array call there.  Roots and crossings are refined on the scalar
-    walk, with Brent's tolerance and the gate fixed, _REFINE_TOLERANCE,
-    _RESIDUAL_ACCEPT and _WALK_ACCEPT.
-    """
-
-    grid_points_per_zone: int = GRID_POINTS_PER_ZONE
-
-    def __post_init__(self):
-        if self.grid_points_per_zone < 16:
-            raise ValueError(
-                f"grid_points_per_zone must be at least 16, got {self.grid_points_per_zone}"
-            )
-
-
-@dataclass(frozen=True)
 class Resonance:
     """A refined full-transmission energy."""
 
@@ -220,17 +198,12 @@ def _im_m21(e: np.ndarray, cfg: PotentialConfig) -> np.ndarray:
     """Im M21 = Im(b/tau) of the checked walk at each energy of an array;
     raises NumericalOverflow at the first energy where it is not finite.
 
-    The walk runs over consecutive blocks of _BLOCK energies, in array
-    order, so an error of the walk names the first energy it fails at, as
-    one call would.  One energy left over joins the last block: numpy
-    multiplies a one-element array in place in its scalar loop, which
-    rounds otherwise than the SIMD one an energy of a longer array takes,
-    and every longer block reads the bits of one call.
+    The walk runs over consecutive blocks of _BLOCK energies (core._blocks),
+    in array order, so an error of the walk names the first energy it
+    fails at, as one call would.
     """
     f = np.empty(e.shape)
-    starts = range(0, max(e.size - 1, 1), _BLOCK)
-    for start, stop in zip(starts, [*starts[1:], e.size]):
-        part = slice(start, stop)
+    for part in _blocks(e.size, _BLOCK):
         _, b, tau = _checked_walk(e[part], cfg)
         with np.errstate(all="ignore"):
             f[part] = np.divide(b, tau, out=b).imag
@@ -268,9 +241,20 @@ def _phase_grid(cfg: PotentialConfig, lo: float, hi: float, n: int) -> np.ndarra
 
 
 def _scan(cfg: PotentialConfig, lo: float, hi: float,
-          settings: SearchSettings) -> "tuple[_Walk, np.ndarray, np.ndarray]":
-    """A zone's scan over [lo, hi]: an empty _Walk, the grid and Im M21 on it."""
-    grid = _nudge_in_place(_phase_grid(cfg, lo, hi, settings.grid_points_per_zone), cfg)
+          grid_points_per_zone: int) -> "tuple[_Walk, np.ndarray, np.ndarray]":
+    """A zone's scan over [lo, hi]: an empty _Walk, the grid and Im M21 on it.
+
+    The grid's size is the search's one setting, which sets the scan
+    (placed evenly in the waves' phase and the energy, _phase_grid) that
+    brackets both the roots and the half-maximum crossings of the widths,
+    and the open top zone's step past e_max (_widths).  Raises ValueError
+    below 16 points.
+    """
+    if grid_points_per_zone < 16:
+        raise ValueError(
+            f"grid_points_per_zone must be at least 16, got {grid_points_per_zone}"
+        )
+    grid = _nudge_in_place(_phase_grid(cfg, lo, hi, grid_points_per_zone), cfg)
     screen(grid, cfg)
     return _Walk(cfg), grid, _im_m21(grid, cfg)
 
@@ -281,7 +265,7 @@ def _open_fence(last: float, cfg: PotentialConfig) -> float:
 
 
 def _search(cfg: PotentialConfig, zone: Zone, top: float,
-            settings: SearchSettings) -> list[Resonance]:
+            grid_points_per_zone: int) -> list[Resonance]:
     """Resonances of the zone from one margin above its bottom up to top.
 
     Each grid cell where the scan's Im M21 changes sign is refined and
@@ -293,7 +277,7 @@ def _search(cfg: PotentialConfig, zone: Zone, top: float,
     lo = zone_interval(zone, cfg)[0] + EVAL_MARGIN * cfg.m
     if not top > lo:
         return []
-    walk, grid, f = _scan(cfg, lo, top, settings)
+    walk, grid, f = _scan(cfg, lo, top, grid_points_per_zone)
     cells = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
     hits: list[tuple[float, float]] = []
     unsigned = dropped = 0
@@ -411,15 +395,13 @@ def _widths(walk: _Walk, grid: np.ndarray, f: np.ndarray, roots: "list[float]",
 
 def find_resonances(cfg: PotentialConfig,
                     zones: "tuple[Zone, ...] | list[Zone] | None" = None,
-                    settings: SearchSettings | None = None) -> list[Resonance]:
+                    grid_points_per_zone: int = GRID_POINTS_PER_ZONE) -> list[Resonance]:
     """Resonances of the requested bounded zones, sorted by energy.
 
     Levels number the resonances within each zone from the bottom up.
     The open-ended top zone is excluded here because it needs an explicit
     cutoff; use find_above_barrier for it.
     """
-    if settings is None:
-        settings = SearchSettings()
     if zones is None:
         zones = DEFAULT_ZONES
     zones = list(dict.fromkeys(zones))
@@ -432,15 +414,14 @@ def find_resonances(cfg: PotentialConfig,
         )
     found: list[Resonance] = []
     for zone in sorted(zones, key=lambda z: zone_interval(z, cfg)[0]):
-        found += _search(cfg, zone, zone_interval(zone, cfg)[1] - EVAL_MARGIN * cfg.m, settings)
+        found += _search(cfg, zone, zone_interval(zone, cfg)[1] - EVAL_MARGIN * cfg.m,
+                         grid_points_per_zone)
     return found
 
 
 def find_above_barrier(cfg: PotentialConfig, e_max: float,
-                       settings: SearchSettings | None = None) -> list[Resonance]:
+                       grid_points_per_zone: int = GRID_POINTS_PER_ZONE) -> list[Resonance]:
     """Resonances of the open top zone up to e_max, sorted by energy."""
-    if settings is None:
-        settings = SearchSettings()
     lo, _ = zone_interval(Zone.ABOVE_BARRIER, cfg)
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
@@ -448,12 +429,12 @@ def find_above_barrier(cfg: PotentialConfig, e_max: float,
         raise ValueError(
             f"e_max must exceed v_plus + m = {lo:g}, got {e_max}"
         )
-    return _search(cfg, Zone.ABOVE_BARRIER, e_max, settings)
+    return _search(cfg, Zone.ABOVE_BARRIER, e_max, grid_points_per_zone)
 
 
 def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
                   cfg: PotentialConfig,
-                  settings: SearchSettings | None = None) -> list[Resonance]:
+                  grid_points_per_zone: int = GRID_POINTS_PER_ZONE) -> list[Resonance]:
     """Copy of the resonances with fwhm filled in, sorted by energy.
 
     find_resonances and find_above_barrier fill the same fwhm from their
@@ -467,8 +448,6 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
     present themselves, and, with a WARNING, where the width cannot be
     resolved, as at an energy that is no peak (_widths).
     """
-    if settings is None:
-        settings = SearchSettings()
     margin = EVAL_MARGIN * cfg.m
     by_zone: dict[Zone, list[Resonance]] = {}
     for r in resonances:
@@ -479,6 +458,6 @@ def attach_widths(resonances: "list[Resonance] | tuple[Resonance, ...]",
         roots = [r.energy for r in group]
         lo, hi = zone_interval(zone, cfg)
         top = hi - margin if math.isfinite(hi) else _open_fence(roots[-1], cfg)
-        widths = _widths(*_scan(cfg, lo + margin, top, settings), roots)
+        widths = _widths(*_scan(cfg, lo + margin, top, grid_points_per_zone), roots)
         out += [replace(r, fwhm=w) for r, w in zip(group, widths)]
     return sorted(out, key=lambda r: r.energy)

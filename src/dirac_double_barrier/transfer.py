@@ -20,13 +20,10 @@ transfer matrix itself, for library callers; no command reads it.  The
 paper tables (tests/paper_tables.py) build their own factors and are
 checked against it.  Each det P = s_R / s_L, which telescopes to
 det M = 1, and with M11 = conj(M22) and M12 = conj(M21) this gives
-|T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.  The structure is
-mirror-symmetric, so P4 is P1 and P3 is P2 seen from the other side:
-the exponents at +x are those at -x, with the e^{+-v} pair swapped, to
-the bit.  Each mirrored pair therefore shares its four exponentials,
-8 complex exp per energy instead of 16.  Its entries grow like
-e^{2 kappa a_plus} under the barriers, so it overflows once a_plus
-passes a few hundred.
+|T|^2 + |R|^2 = 1 for T = 1/M11 and R = M21/M11.  Each factor is built
+on its own (_step), with four complex exp per energy.  The entries grow
+like e^{2 kappa a_plus} under the barriers, so the product overflows
+once a_plus passes a few hundred.
 
 The bounded walk (scatter) gets T and R, which every command prints and
 verify checks, from the same waves without forming M, the
@@ -109,48 +106,38 @@ def _first_failure(ok, e: Energy):
     return None if ok else e
 
 
-def _interface(rho, eu, emu, up, down) -> Matrix2x2:
-    """[[c e^u, f up], [f down, c e^-u]] with c = (1 + rho)/2, f = (1 - rho)/2."""
+def _step(x: float, kl, kr, rho, xp) -> Matrix2x2:
+    """Interface matrix W_L(x)^-1 W_R(x) between regions L and R meeting at x.
+
+    With u = (k_R - k_L) x and v = (k_R + k_L) x it is
+    [[c e^u, f e^-v], [f e^v, c e^-u]], where c = (1 + rho)/2,
+    f = (1 - rho)/2 and rho = s_R / s_L.
+    """
     same = 0.5 * (1.0 + rho)
     flip = 0.5 * (1.0 - rho)
-    # each product takes a fresh copy (+z), so that it rounds as a product
-    # with a fresh exp() result does (tests/step_reference.py): numpy
-    # multiplies into a large temporary in place with the operands
-    # swapped, and its SIMD complex product is not bitwise commutative
-    return Matrix2x2(same * +eu, flip * +up, flip * +down, same * +emu)
+    u = (kr - kl) * x
+    v = (kr + kl) * x
+    return Matrix2x2(same * xp.exp(u), flip * xp.exp(-v), flip * xp.exp(v), same * xp.exp(-u))
 
 
-def _step_pair(x: float, ko, ki, rho_in, rho_out, xp) -> tuple[Matrix2x2, Matrix2x2]:
-    """Interface matrices W_L(x)^-1 W_R(x) at -x (outer to inner) and at +x (back out).
-
-    With u = (k_in - k_out)(-x) and v = (k_in + k_out)(-x) the matrix at
-    -x is [[c e^u, f e^-v], [f e^v, c e^-u]], where c = (1 + rho)/2,
-    f = (1 - rho)/2 and rho = s_R / s_L, rho_in going in and rho_out
-    coming back.  The mirrored matrix at +x has the arguments
-    (k_out - k_in)x = u and (k_out + k_in)x = -v exactly, since negation
-    is exact and addition commutes, so it reuses the four exponentials
-    with e^v and e^-v trading places.
-    """
-    u, v = (ki - ko) * -x, (ki + ko) * -x
-    eu, emu, ev, emv = xp.exp(u), xp.exp(-u), xp.exp(v), xp.exp(-v)
-    return _interface(rho_in, eu, emu, emv, ev), _interface(rho_out, eu, emu, ev, emv)
-
-
-def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool, xp=cmath) -> tuple[Matrix2x2, ...]:
-    """P1..P4, or their product alone, with overflow raised as NumericalOverflow.
-
-    cmath raises OverflowError where numpy returns inf, so both the
-    exception and non-finite entries count.
-    """
-    if isinstance(e, np.ndarray) and xp is cmath:
+def _product(e: Energy, cfg: PotentialConfig, contract) -> tuple[Matrix2x2, ...]:
+    """contract(P1, P2, P3, P4) at screened energies, every matrix of it
+    checked finite; only an array enters numpy's error state."""
+    screen(e, cfg)
+    if isinstance(e, np.ndarray):
         with np.errstate(**_QUIET):
-            return _evaluate(e, cfg, multiply, np)
+            return _checked_product(e, cfg, contract, np)
+    return _checked_product(e, cfg, contract, cmath)
+
+
+def _checked_product(e: Energy, cfg: PotentialConfig, contract, xp) -> tuple[Matrix2x2, ...]:
+    """_product's body.  cmath raises OverflowError where numpy returns
+    inf, so that and a non-finite entry both raise NumericalOverflow."""
     media = _media(e, cfg, xp)
     _, k0, kp, km, (rho0, rho1, rho2, rho3) = media  # from x = +a inward
     try:
-        p1, p4 = _step_pair(cfg.a, k0, kp, rho3, rho0, xp)
-        p2, p3 = _step_pair(cfg.a_minus, kp, km, rho2, rho1, xp)
-        mats = (p1 @ p2 @ p3 @ p4,) if multiply else (p1, p2, p3, p4)
+        mats = contract(_step(-cfg.a, k0, kp, rho3, xp), _step(-cfg.a_minus, kp, km, rho2, xp),
+                        _step(cfg.a_minus, km, kp, rho1, xp), _step(cfg.a, kp, k0, rho0, xp))
         for mat in mats:
             # inf and nan survive summation, so a finite sum means
             # finite entries; inf - inf is why this stays in errstate
@@ -166,14 +153,12 @@ def _evaluate(e: Energy, cfg: PotentialConfig, multiply: bool, xp=cmath) -> tupl
 
 def factor_matrices(e: Energy, cfg: PotentialConfig) -> tuple[Matrix2x2, Matrix2x2, Matrix2x2, Matrix2x2]:
     """The four interface matrices P1..P4, left to right."""
-    screen(e, cfg)
-    return _evaluate(e, cfg, multiply=False)
+    return _product(e, cfg, lambda *factors: factors)
 
 
 def full_matrix(e: Energy, cfg: PotentialConfig) -> Matrix2x2:
     """Transfer matrix spanning the whole structure, P1 P2 P3 P4."""
-    screen(e, cfg)
-    return _evaluate(e, cfg, multiply=True)[0]
+    return _product(e, cfg, lambda p1, p2, p3, p4: (p1 @ p2 @ p3 @ p4,))[0]
 
 
 class ScatteringResult(NamedTuple):
@@ -264,7 +249,8 @@ def _walk(media: tuple, cfg: PotentialConfig, xp) -> tuple:
         delta = a - b
         # rho (a - b) into the temporary, not into rho, which the frames
         # of a sweep share; written as a product, numpy would reuse a
-        # large temporary with the operands swapped (see _interface)
+        # large temporary with the operands swapped, and its SIMD complex
+        # product is not bitwise commutative
         delta = rho * delta if xp is cmath else np.multiply(rho, delta, out=delta)
         b += a         # sigma = a + b
         a = b + delta  # sigma + delta

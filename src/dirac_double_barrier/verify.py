@@ -6,10 +6,10 @@ of three invariants of the amplitudes every command prints, the bounded
 walk's (transfer.scatter): flux, the structure's mirror symmetry, and
 agreement with the independent boundary-matching solve (the oracle).
 
-The samples are checked in blocks of _BLOCK energies, each walked and
-solved on its own, and only each block's worst deviations are kept, so
-beyond the array of samples, 8 B each, verify holds the same memory at
-any sample count.  The report names the same first maximum or first NaN
+The samples are checked in blocks of _BLOCK energies (core._blocks),
+each walked and solved on its own, and only each block's worst
+deviations are kept, so beyond the array of samples, 8 B each, verify
+holds the same memory at any sample count.  The report names the same first maximum or first NaN
 as one pass over all samples would.  The first block that fails decides
 which error is raised, the walk's before the oracle's within a block.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PotentialConfig, _nudge_in_place, check_window
+from .core import PotentialConfig, _blocks, _nudge_in_place, check_window
 from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, window
 from .oracle import _CHUNK, solve_amplitudes
 from .transfer import scatter
@@ -147,13 +147,11 @@ def run_verification(cfg: PotentialConfig,
         "mirror Re(R conj T) = 0",
         "walk vs boundary matching",
     )
-    # one sample left past the last whole block joins it: numpy rounds a
-    # one-element array otherwise than a longer one (see resonance._im_m21)
-    starts = range(0, max(samples - 1, 1), _BLOCK)
-    worst = np.empty((len(starts), len(names)))
+    blocks = _blocks(samples, _BLOCK)
+    worst = np.empty((len(blocks), len(names)))
     at = np.empty_like(worst)
-    for k, (start, stop) in enumerate(zip(starts, [*starts[1:], samples])):
-        e = energies[start:stop]
+    for k, block in enumerate(blocks):
+        e = energies[block]
         walk = scatter(e, cfg)
         oracle = solve_amplitudes(e, cfg)
         devs = (

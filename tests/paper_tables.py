@@ -9,12 +9,16 @@ Production evaluates one general interface-matrix formula instead; the
 product of these tables is the independent reference it is tested
 against (T = 1/M11 and R = M21/M11 agree, the matrices themselves need
 not, since the inner regions use a different amplitude normalization).
+The analytic determinants of production's own four matrices
+(factor_determinants) live here too.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+
+import numpy as np
 
 from dirac_double_barrier import (
     Kinematics,
@@ -26,6 +30,7 @@ from dirac_double_barrier import (
     classify,
     kinematics,
 )
+from dirac_double_barrier.transfer import _media
 
 
 @dataclass(frozen=True)
@@ -202,3 +207,14 @@ def amplitudes(e: float, cfg: PotentialConfig) -> tuple[complex, complex]:
     """(T, R) = (1/M11, M21/M11) from the paper's product."""
     m = full_matrix(e, cfg)
     return 1.0 / m.m11, m.m21 / m.m11
+
+
+def factor_determinants(e, cfg: PotentialConfig) -> tuple:
+    """Analytic determinants s_R/s_L of production's P1..P4, at a float or
+    an array of energies; their product is exactly 1.
+
+    Each is the ratio of the lower-component weights of the two regions
+    meeting at the step, so telescoping kills everything in the product.
+    """
+    rho0, rho1, rho2, rho3 = _media(e, cfg, np if isinstance(e, np.ndarray) else cmath)[4]
+    return rho3, rho2, rho1, rho0

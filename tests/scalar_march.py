@@ -15,12 +15,12 @@ import math
 
 from dirac_double_barrier import (
     PotentialConfig,
-    SearchSettings,
     scatter,
     singular_energies,
     zone_interval,
 )
 from dirac_double_barrier import core, resonance
+from dirac_double_barrier.defaults import GRID_POINTS_PER_ZONE
 
 
 def _t2(e: float, cfg: PotentialConfig) -> float:
@@ -28,7 +28,7 @@ def _t2(e: float, cfg: PotentialConfig) -> float:
 
 
 def half_crossing(cfg: PotentialConfig, start: float, limit: float,
-                  step: float, settings: SearchSettings) -> float | None:
+                  step: float) -> float | None:
     """March from start toward limit until |T|^2 dips to 1/2, then refine.
 
     The step's sign sets the direction.  Returns None when the limit is
@@ -62,7 +62,8 @@ def half_crossing(cfg: PotentialConfig, start: float, limit: float,
         prev = e
 
 
-def widths(resonances, cfg: PotentialConfig, settings: SearchSettings) -> list:
+def widths(resonances, cfg: PotentialConfig,
+           grid_points_per_zone: int = GRID_POINTS_PER_ZONE) -> list:
     """fwhm of each resonance, in order of energy, one march at a time.
 
     Within each zone a resonance's marches are fenced by its neighbors'
@@ -83,8 +84,8 @@ def widths(resonances, cfg: PotentialConfig, settings: SearchSettings) -> list:
                 zhi = max(r.energy, zlo) + 4.0 * cfg.m
             lo = group[i - 1].energy if i > 0 else zlo + margin
             hi = group[i + 1].energy if i + 1 < len(group) else zhi - margin
-            step = (zhi - zlo) / settings.grid_points_per_zone
-            left = half_crossing(cfg, r.energy, lo, -step, settings)
-            right = None if left is None else half_crossing(cfg, r.energy, hi, step, settings)
+            step = (zhi - zlo) / grid_points_per_zone
+            left = half_crossing(cfg, r.energy, lo, -step)
+            right = None if left is None else half_crossing(cfg, r.energy, hi, step)
             out.append((r.energy, None if right is None else right - left))
     return [w for _, w in sorted(out, key=lambda p: p[0])]

@@ -19,6 +19,8 @@ from dirac_double_barrier import _lazy_attributes, verify
 PACKAGE = "dirac_double_barrier"
 SRC = str(Path(dirac_double_barrier.__file__).resolve().parents[1])
 REF = ["--v-plus", "8", "--v-minus", "4", "--a-plus", "3", "--a-minus", "2.5"]
+#: A window inside the band around v_plus, which nothing can be sampled in.
+BAND = ["--e-min", "7.9999996", "--e-max", "8.0000004"]
 
 #: Runs cli.main on argv, then prints its exit code, the package's
 #: modules in sys.modules and whether numpy was loaded.
@@ -44,7 +46,8 @@ BASE = {"cli", "core", "defaults", "errors"}
 
 
 # every command that computes loads numpy; one that computes nothing
-# (help, a usage error, an invalid potential) loads none
+# (help, a usage error, an invalid potential, a window with nothing in it)
+# loads none
 @pytest.mark.parametrize("argv, exit_code, loaded, numpy_loaded", [
     (["transmission", *REF, "--points", "50", "--svg", "curve.svg"], 0,
      BASE | {"emit", "transfer", "svg", "_printf"}, True),
@@ -61,8 +64,13 @@ BASE = {"cli", "core", "defaults", "errors"}
     (["verify", "--help"], 0, BASE, False),
     (["verify", *REF, "--samples", "many"], 2, BASE, False),
     (["transmission", *REF, "--v-plus", "5"], 3, BASE, False),
+    (["transmission", *REF, *BAND, "--points", "5"], 2, BASE, False),
+    (["sweep", *REF, "--param", "a-minus", "--from", "1", "--to", "2",
+      "--frames", "2", *BAND], 2, BASE, False),
+    (["verify", *REF, *BAND, "--samples", "100"], 2, BASE, False),
 ], ids=["transmission", "resonances", "sweep", "sweep-with-resonances", "verify", "help",
-        "usage-error", "config-error"])
+        "usage-error", "config-error", "transmission-window-error", "sweep-window-error",
+        "verify-window-error"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, loaded, numpy_loaded):
     code, modules, numpy = json.loads(_python(LOADED, json.dumps(argv), cwd=tmp_path))
     assert code == exit_code

@@ -286,7 +286,7 @@ SCALAR_CALLS = """\
 from dirac_double_barrier import (DoubleBarrierError, PotentialConfig, Region, Zone,
                                   classify, kinematics, singular_energies, special_energies,
                                   zone_interval)
-from dirac_double_barrier.core import screen
+from dirac_double_barrier.core import _blocks, screen
 
 def call(fn, *args):
     try:
@@ -301,7 +301,20 @@ results = [repr(cfg), call(PotentialConfig, 5.0, 4.0, 3.0, 2.5),
 for e in (0.5, 1.0, 2.0, 3.0, 4.0 + 1e-12, 4.5, 6.0, 7.0, 7.5, 8.5, 9.0 - 1e-13, 30.0):
     results += [call(classify, e, cfg), call(screen, e, cfg),
                 *(call(kinematics, e, region, cfg) for region in Region)]
+results += [repr(_blocks(n, 4)) for n in (1, 2, 4, 5, 8, 9, 10)]
 """
+
+
+def test_blocks_cover_every_entry_in_order_with_none_alone():
+    # one entry past the last whole block joins it, as numpy rounds a
+    # one-element array otherwise than a longer one
+    for n in range(1, 30):
+        parts = core._blocks(n, 4)
+        sizes = [part.stop - part.start for part in parts]
+        assert [i for part in parts for i in range(n)[part]] == list(range(n))
+        assert sizes[:-1] == [4] * (len(sizes) - 1)
+        assert 2 <= sizes[-1] <= 5 or n == 1
+    assert core._blocks(9, 4) == [slice(0, 4), slice(4, 9)]
 
 
 def test_scalar_paths_run_without_numpy():

@@ -21,7 +21,7 @@ from dirac_double_barrier import (
     solve_amplitudes,
     zone_interval,
 )
-from step_reference import factor_determinants
+from paper_tables import factor_determinants
 
 # widths stay modest so evanescent growth factors keep the conditioning
 # of products and linear solves within a few orders of magnitude

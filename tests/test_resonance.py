@@ -13,7 +13,6 @@ from dirac_double_barrier import (
     ZONE_ORDER,
     NumericalOverflow,
     PotentialConfig,
-    SearchSettings,
     Zone,
     attach_widths,
     core,
@@ -25,6 +24,7 @@ from dirac_double_barrier import (
     transfer,
     zone_interval,
 )
+from dirac_double_barrier.defaults import GRID_POINTS_PER_ZONE
 from dirac_double_barrier.emit import zone_report
 from frozen_values import (
     ABOVE_BARRIER_ENERGIES,
@@ -211,7 +211,7 @@ def test_scan_logs_what_it_did(reference, caplog, monkeypatch):
     counts = _scan_counts(caplog)
     assert len(counts) == len(ZONE_ORDER)
     for points, changes, accepted, unsigned, dropped, _ in counts:
-        assert points == SearchSettings().grid_points_per_zone
+        assert points == GRID_POINTS_PER_ZONE
         assert changes == accepted + unsigned + dropped
     assert [c[2] for c in counts] == [sum(r.zone is z for r in found) for z in ZONE_ORDER]
     # every sign change of the scan is a root: none dropped
@@ -489,9 +489,17 @@ def test_near_empty_open_interval_is_quiet(reference):
 @pytest.mark.parametrize("kwargs", [
     dict(grid_points_per_zone=8),
 ])
-def test_settings_validation(kwargs):
-    with pytest.raises(ValueError):
-        SearchSettings(**kwargs)
+def test_settings_validation(reference, reference_resonances, kwargs):
+    # the search's one setting is a keyword of each entry point, checked
+    # where a zone's scan is built
+    message = f"^grid_points_per_zone must be at least 16, got {kwargs['grid_points_per_zone']}$"
+    for search in (lambda: find_resonances(reference, **kwargs),
+                   lambda: find_above_barrier(reference, 11.0, **kwargs),
+                   lambda: attach_widths(reference_resonances, reference, **kwargs),
+                   lambda: zone_report(reference, ZONE_ORDER, 11.0, **kwargs)):
+        with pytest.raises(ValueError, match=message):
+            search()
+    assert find_resonances(reference, [Zone.CONVENTIONAL], grid_points_per_zone=16)
 
 
 def test_sharpest_conventional_width_against_dense_grid(reference_widths):
@@ -572,10 +580,9 @@ _WIDTH_CASES = {
 def test_widths_match_the_scalar_march(cfg, e_max, resolved):
     # the widths the search reads off its scan, and those attach_widths
     # reads off its own, against one march at a time on scatter's |T|^2
-    settings = SearchSettings()
     found = find_resonances(cfg, ZONE_ORDER[:-1]) + find_above_barrier(cfg, e_max)
-    want = scalar_march.widths(found, cfg, settings)
-    again = attach_widths(found, cfg, settings)
+    want = scalar_march.widths(found, cfg)
+    again = attach_widths(found, cfg)
     assert [replace(r, fwhm=None) for r in again] == [replace(r, fwhm=None) for r in found]
     # on a bounded zone they are the search's own widths, to the bit
     assert [r for r in again if r.zone is not Zone.ABOVE_BARRIER] == [
@@ -628,11 +635,11 @@ def test_widths_log_what_they_did(reference, caplog, monkeypatch):
     # the crossings one march at a time refines: the right side of a root
     # whose left side found none is not read
     refined.clear()
-    scalar_march.widths(found, reference, SearchSettings())
+    scalar_march.widths(found, reference)
     assert sum(w[2] for w in widths) == len(refined) > 2 * sum(w[0] for w in widths)
 
 
-def _last_open_crossings(cfg, found, e_max, settings):
+def _last_open_crossings(cfg, found, e_max):
     """Left and right crossing of the last open-zone root by the scalar
     march, stepping at the zone's spacing (that of a scan from the zone's
     start to the right fence, or to e_max if that is higher), and its
@@ -642,9 +649,9 @@ def _last_open_crossings(cfg, found, e_max, settings):
     last = found[-1].energy
     fence = found[-2].energy if len(found) > 1 else lo + margin
     cap = last + 4.0 * cfg.m - margin
-    step = (max(cap, e_max) - (lo + margin)) / (settings.grid_points_per_zone - 1)
-    left = scalar_march.half_crossing(cfg, last, fence, -step, settings)
-    return left, scalar_march.half_crossing(cfg, last, cap, step, settings), cap, step
+    step = (max(cap, e_max) - (lo + margin)) / (GRID_POINTS_PER_ZONE - 1)
+    left = scalar_march.half_crossing(cfg, last, fence, -step)
+    return left, scalar_march.half_crossing(cfg, last, cap, step), cap, step
 
 
 @pytest.mark.parametrize("e_max, resolved", [(9.13, True), (9.42, False)],
@@ -654,7 +661,6 @@ def test_open_zone_reads_its_last_width_past_e_max(reference, caplog, monkeypatc
     # the last open-zone root has a left crossing on the scan and none on
     # it to the right: its right side goes on past e_max at the zone's
     # spacing, up to 4 m above the root, one margin in, and no further
-    settings = SearchSettings()
     past = []
     walk = resonance._checked_walk
 
@@ -667,14 +673,14 @@ def test_open_zone_reads_its_last_width_past_e_max(reference, caplog, monkeypatc
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
     found = find_above_barrier(reference, e_max)
     ((*_, logged),) = _width_records(caplog)
-    left, right, cap, step = _last_open_crossings(reference, found, e_max, settings)
+    left, right, cap, step = _last_open_crossings(reference, found, e_max)
     assert left is not None and logged == len(past) > 0
-    assert len(past) < settings.grid_points_per_zone
+    assert len(past) < GRID_POINTS_PER_ZONE
     assert past == pytest.approx([e_max + (i + 1) * step for i in range(len(past) - 1)]
                                  + [past[-1]], rel=0, abs=1e-12)
     if resolved:
         assert right > e_max
-        want = scalar_march.widths(found, reference, settings)[-1]
+        want = scalar_march.widths(found, reference)[-1]
         assert abs(found[-1].fwhm - want) <= _fwhm_bound(reference, right)
         assert past[-1] < cap
     else:
@@ -687,30 +693,28 @@ def test_no_search_reads_more_than_a_scan_past_e_max(caplog, name):
     # wherever e_max falls above the barrier, the last open-zone width
     # reads fewer energies past the scan than the scan has grid points
     cfg = _WIDTH_CASES[name][0]
-    settings = SearchSettings()
     caplog.set_level(logging.DEBUG, logger=resonance.__name__)
     lo = cfg.v_plus + cfg.m
     for e_max in np.linspace(lo + 0.02 * cfg.m, lo + 3.0 * cfg.m, 25).tolist():
-        find_above_barrier(cfg, e_max, settings)
+        find_above_barrier(cfg, e_max)
     past = [w[4] for w in _width_records(caplog)]
     assert len(past) == 25 and max(past) > 0
-    assert max(past) < settings.grid_points_per_zone
+    assert max(past) < GRID_POINTS_PER_ZONE
 
 
 def test_a_zone_edge_grid_energy_is_a_candidate(reference, reference_resonances):
     # the scan's first energy, one margin inside the zone edge, brackets
     # a crossing as any other grid energy: left of the first lower-Klein
     # peak only that energy is kept
-    settings = SearchSettings()
     lo, hi = zone_interval(Zone.LOWER_KLEIN, reference)
     margin = core.EVAL_MARGIN * reference.m
-    walk, grid, f = resonance._scan(reference, lo + margin, hi - margin, settings)
+    walk, grid, f = resonance._scan(reference, lo + margin, hi - margin, GRID_POINTS_PER_ZONE)
     first = reference_resonances[0]
     k = np.searchsorted(grid, first.energy)
     keep = np.r_[0, k - 1:grid.size]
     assert abs(f[0]) > 1.0 and abs(f[k - 1]) < 1.0
     (fwhm,) = resonance._widths(walk, grid[keep], f[keep], [first.energy])
-    want = scalar_march.widths([first], reference, settings)[0]
+    want = scalar_march.widths([first], reference)[0]
     assert abs(fwhm - want) <= _fwhm_bound(reference, first.energy + want)
     assert resonance._widths(walk, grid[keep[1:]], f[keep[1:]], [first.energy]) == [None]
 
@@ -730,12 +734,12 @@ def test_flat_transmission_has_no_width(reference, caplog):
     assert [w[2:] for w in _width_records(caplog)] == [[0, 0, 0]] * (len(ZONE_ORDER) - 1)
 
 
-def _scan_side(cfg, start, limit, step, settings):
+def _scan_side(cfg, start, limit, step):
     """fwhm attach_widths gives a resonance at start: its zone's scan
     ends at the limit, one margin inside the zone edge."""
     (zone,) = [z for z in ZONE_ORDER if zone_interval(z, cfg)[0] < start < zone_interval(z, cfg)[1]]
     peak = resonance.Resonance(energy=start, zone=zone, residual=0.0, level=0)
-    (found,) = attach_widths([peak], cfg, settings)
+    (found,) = attach_widths([peak], cfg)
     return found.fwhm
 
 
@@ -751,7 +755,6 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
     # nudged on past the edge it would leave the window (below threshold,
     # m - margin raises BoundaryEnergy).  The scan the widths are read
     # off ends at that same limit, in one array call over the zone.
-    settings = SearchSettings()
     margin = core.EVAL_MARGIN * reference.m
     lo, hi = zone_interval(zone, reference)
     limit = lo + margin if step < 0 else hi - margin
@@ -772,11 +775,11 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
 
     monkeypatch.setattr(resonance, "_checked_walk", flat_walk)
     monkeypatch.setattr(scalar_march, "_t2", flat_t2)
-    assert march(reference, start, limit, step, settings) is None
+    assert march(reference, start, limit, step) is None
     if march is _scan_side:
         # the scan over the zone, then the resonance's own |M21|
         assert seen.pop() == start
-        window, count = (lo + margin, hi - margin), settings.grid_points_per_zone
+        window, count = (lo + margin, hi - margin), GRID_POINTS_PER_ZONE
     else:
         window, count = (min(start, limit), max(start, limit)), 4
     assert len(seen) == count and limit in seen and start not in seen
@@ -784,10 +787,9 @@ def test_march_limit_stays_in_the_window(reference, monkeypatch, march, zone, st
 
 
 def test_a_right_side_is_skipped_after_a_left_side_without_crossing(reference, monkeypatch):
-    settings = SearchSettings()
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
     margin = core.EVAL_MARGIN * reference.m
-    walk, grid, f = resonance._scan(reference, lo + margin, hi - margin, settings)
+    walk, grid, f = resonance._scan(reference, lo + margin, hi - margin, GRID_POINTS_PER_ZONE)
     peak = find_resonances(reference, [Zone.CONVENTIONAL])[SHARPEST_CONV_LEVEL]
     refined = []
     port = resonance.brentq
@@ -812,10 +814,9 @@ def test_the_scalar_walk_decides_scan_energies_near_one(reference):
     # the wrong side of 1: the scalar walk, which refines the crossing,
     # must decide both, for they then bracket the crossing as they would
     # were the array right
-    settings = SearchSettings()
     lo, hi = zone_interval(Zone.CONVENTIONAL, reference)
     margin = core.EVAL_MARGIN * reference.m
-    _, grid, f = resonance._scan(reference, lo + margin, hi - margin, settings)
+    _, grid, f = resonance._scan(reference, lo + margin, hi - margin, GRID_POINTS_PER_ZONE)
     conv = find_resonances(reference, [Zone.CONVENTIONAL])
     peak = conv[SHARPEST_CONV_LEVEL]
     roots = [r.energy for r in conv]

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import dirac_double_barrier
-from dirac_double_barrier.emit import run_sweep
+from dirac_double_barrier import attach_widths, find_above_barrier, find_resonances
+from dirac_double_barrier.defaults import GRID_POINTS_PER_ZONE
+from dirac_double_barrier.emit import run_sweep, zone_report
 
 PACKAGE = "dirac_double_barrier"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -41,7 +43,6 @@ EXPORTS = [
     "Region",
     "Resonance",
     "ScatteringResult",
-    "SearchSettings",
     "SINGULAR_TOL",
     "SingularEnergy",
     "SingularSystem",
@@ -115,6 +116,13 @@ def test_every_wrapped_name_resolves():
 
 def test_run_sweep_still_takes_workers():
     assert "workers" in inspect.signature(run_sweep).parameters
+
+
+def test_the_search_takes_its_grid_size_as_a_keyword():
+    # the search's one setting, defaulted as the command line's is
+    for search in (find_resonances, find_above_barrier, attach_widths, zone_report):
+        param = inspect.signature(search).parameters["grid_points_per_zone"]
+        assert param.default == GRID_POINTS_PER_ZONE, search.__name__
 
 
 def _export_owners() -> list:
