@@ -32,6 +32,7 @@ from .defaults import (
     RESONANCE_E_MAX_ABOVE_V_PLUS,
     SWEEP_PARAMS,
     VERIFY_E_MIN,
+    check_count,
     window,
 )
 from .errors import ConfigError, DoubleBarrierError
@@ -121,12 +122,6 @@ def _number(key: str, value) -> float:
     raise UsageError(f"config value {key} must be a number, got {value!r}")
 
 
-def _check_threads(args: argparse.Namespace) -> None:
-    # --threads does nothing, but a value below 1 stays a usage error
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
-
-
 def _check_outputs(*paths: "str | Path | None") -> None:
     """Raise the OSError that writing each given path would, before any work.
 
@@ -157,11 +152,12 @@ def _expand_zones(selected: "list[str] | None") -> list[Zone]:
 
 def _cmd_transmission(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    _check_threads(args)
+    check_count("--threads", args.threads)
     e_min, e_max = window(cfg, args.e_min, args.e_max, CURVE_E_MIN)
     out = Path(args.out or "transmission.csv")
     _check_outputs(out, args.svg)
     check_window(cfg, e_min, e_max)
+    check_count("points", args.points)
     curve = _module.transmission_curve(cfg, e_min, e_max, args.points)
     out = _module.write_curve_csv(out, curve)
     print(f"wrote {len(curve.e)} rows to {out}")
@@ -188,6 +184,7 @@ def _cmd_resonances(args: argparse.Namespace) -> int:
         )
     out = Path(args.out or "resonances.json")
     _check_outputs(out)
+    check_count("grid_points_per_zone", args.grid_points)
     report = _module.zone_report(cfg, zones, e_max, args.grid_points)
     out = _module.write_json(out, report)
     total = 0
@@ -201,9 +198,10 @@ def _cmd_resonances(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    _check_threads(args)
+    check_count("--threads", args.threads)
     e_min, e_max = window(cfg, args.e_min, args.e_max, CURVE_E_MIN)
     check_window(cfg, e_min, e_max)
+    check_count("frames", args.frames)
     manifest = _module.run_sweep(
         cfg,
         args.param,
@@ -224,6 +222,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     _check_outputs(args.out)
     check_window(cfg, *window(cfg, args.e_min, args.e_max, VERIFY_E_MIN))
+    check_count("samples", args.samples)
     report = _module.run_verification(
         cfg,
         samples=args.samples,

@@ -29,6 +29,16 @@ E_MAX_ABOVE_V_PLUS = 4.0
 #: Default above-barrier cutoff of the resonance report: v_plus + this times m.
 RESONANCE_E_MAX_ABOVE_V_PLUS = 3.0
 
+#: Least value of each count, by the name check_count's error gives it.
+LEAST_COUNTS = {"points": 2, "frames": 2, "grid_points_per_zone": 16, "samples": 1,
+                "n": 1, "workers": 1, "--threads": 1}
+
+
+def check_count(name: str, value: int) -> None:
+    """Raise ValueError where the count called name is below its LEAST_COUNTS."""
+    if value < LEAST_COUNTS[name]:
+        raise ValueError(f"{name} must be at least {LEAST_COUNTS[name]}, got {value}")
+
 
 def window(cfg, e_min: float | None, e_max: float | None,
            start: float) -> tuple[float, float]:

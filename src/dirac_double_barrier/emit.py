@@ -11,8 +11,8 @@ _printf.csv_blocks formats them, a block of rows at a time, in numpy and
 byte for byte as C's printf("%.12g").  Each block goes to the file as it
 comes, so the text is never held whole.
 
-run_sweep scans widths only, so the grid's zones, waves and interface
-ratios are the same in every frame: it runs scatter's width-free half
+run_sweep scans widths only, so the grid's waves and interface ratios
+are the same in every frame: it runs scatter's width-free half
 (transfer._prepare) once and its width half (transfer._finish) per frame.
 Every frame's energy column is that grid, so its CSV cells are formatted
 once per sweep (_printf.column_words) and copied into every frame.
@@ -39,7 +39,7 @@ import numpy as np
 from . import _lazy_attributes
 from .core import (ZONE_ORDER, PotentialConfig, Zone, _nudge_in_place, check_window,
                    zone_interval)
-from .defaults import GRID_POINTS_PER_ZONE, SWEEP_PARAMS
+from .defaults import GRID_POINTS_PER_ZONE, SWEEP_PARAMS, check_count
 from .transfer import ScatteringResult, _finish, _prepare, scatter
 
 # the search loads on first use, by zone_report; curves and sweeps
@@ -60,8 +60,7 @@ def admissible_grid(cfg: PotentialConfig, e_min: float, e_max: float,
                     points: int) -> np.ndarray:
     """Uniform energy grid nudged off the special energies."""
     check_window(cfg, e_min, e_max)
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
+    check_count("points", points)
     return _nudge_in_place(np.linspace(e_min, e_max, points), cfg)
 
 
@@ -215,20 +214,18 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
-    if frames < 2:
-        raise ValueError(f"frames must be at least 2, got {frames}")
+    check_count("frames", frames)
     if not stop > start:
         raise ValueError("sweep range must be increasing")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_count("workers", workers)
     # the swept widths leave the special energies where they are, so one
     # grid and its width-free half serve every frame; building it first
     # refuses a bad window before anything is written
-    prepared = _prepare(admissible_grid(cfg, e_min, e_max, points), cfg)
+    media = _prepare(admissible_grid(cfg, e_min, e_max, points), cfg)
     from ._printf import column_words, csv_blocks
 
     # every frame's energy column is the grid: its cells are formatted once
-    energies = column_words(prepared[2][0])
+    energies = column_words(media[0])
     created = _created()
     field = param.replace("-", "_")
     values = np.linspace(start, stop, frames)
@@ -241,7 +238,7 @@ def run_sweep(cfg: PotentialConfig, param: str, start: float, stop: float,
         manifest_frames = []
         for i, (frame_cfg, value) in enumerate(zip(configs, values)):
             name = f"frame_{i:04d}.csv"
-            columns = _csv_columns(_finish(prepared, frame_cfg))
+            columns = _csv_columns(_finish(media, frame_cfg))
             written.append(_write_lines(outdir / name, csv_blocks(columns, energies)))
             entry = {"value": _sig12(float(value)), "file": name}
             if with_resonances:

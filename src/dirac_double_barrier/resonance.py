@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import (EVAL_MARGIN, PotentialConfig, Zone, _blocks, _nudge_in_place, screen,
                    zone_interval)
-from .defaults import GRID_POINTS_PER_ZONE
+from .defaults import GRID_POINTS_PER_ZONE, check_count
 from .errors import NumericalOverflow
 from .transfer import _checked_walk
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
@@ -247,13 +247,9 @@ def _scan(cfg: PotentialConfig, lo: float, hi: float,
     The grid's size is the search's one setting, which sets the scan
     (placed evenly in the waves' phase and the energy, _phase_grid) that
     brackets both the roots and the half-maximum crossings of the widths,
-    and the open top zone's step past e_max (_widths).  Raises ValueError
-    below 16 points.
+    and the open top zone's step past e_max (_widths); check_count bounds it.
     """
-    if grid_points_per_zone < 16:
-        raise ValueError(
-            f"grid_points_per_zone must be at least 16, got {grid_points_per_zone}"
-        )
+    check_count("grid_points_per_zone", grid_points_per_zone)
     grid = _nudge_in_place(_phase_grid(cfg, lo, hi, grid_points_per_zone), cfg)
     screen(grid, cfg)
     return _Walk(cfg), grid, _im_m21(grid, cfg)

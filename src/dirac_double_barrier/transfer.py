@@ -42,9 +42,8 @@ checked walk (_checked_walk): M21 = R/T = b/tau, as a and the phase
 cancel.  It walks its grids in blocks (resonance._BLOCK), whose
 temporaries stay in the heap where one 4,000-energy walk's are handed
 back to the system and fault in again.  scatter runs _media, then
-_amplitudes; a sweep over widths runs _media once per grid (_prepare,
-which also classifies the energies) and _amplitudes per frame
-(_finish).
+_amplitudes; a sweep over widths runs _media once per grid (_prepare)
+and _amplitudes per frame (_finish).
 
 Every function here takes either a float or a 1-D numpy array of
 energies and runs the same formula on it: a float goes through cmath and
@@ -62,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MatrixRange, PotentialConfig, Zone, classify, screen
+from .core import PotentialConfig, screen
 from .errors import DegenerateMatrix, NumericalOverflow
 
 #: One energy, or a 1-D array of them.
@@ -132,7 +131,8 @@ def _product(e: Energy, cfg: PotentialConfig, contract) -> tuple[Matrix2x2, ...]
 
 def _checked_product(e: Energy, cfg: PotentialConfig, contract, xp) -> tuple[Matrix2x2, ...]:
     """_product's body.  cmath raises OverflowError where numpy returns
-    inf, so that and a non-finite entry both raise NumericalOverflow."""
+    inf, and ValueError where an exponent's imaginary part is infinite, so
+    those and a non-finite entry all raise NumericalOverflow."""
     media = _media(e, cfg, xp)
     _, k0, kp, km, (rho0, rho1, rho2, rho3) = media  # from x = +a inward
     try:
@@ -144,7 +144,7 @@ def _checked_product(e: Energy, cfg: PotentialConfig, contract, xp) -> tuple[Mat
             ok = xp.isfinite(mat.m11 + mat.m12 + mat.m21 + mat.m22)
             if _first_failure(ok, e) is not None:
                 raise _out_of_range(media, ok, "transfer-matrix entry overflowed")
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise NumericalOverflow(
             f"boundary exponential overflowed for a = {cfg.a:g}"
         ) from None
@@ -165,10 +165,9 @@ class ScatteringResult(NamedTuple):
     """Amplitudes and probabilities of one scattering event.
 
     For an array of energies every field is an array with one entry per
-    energy; matrix_range and zone are then object arrays of enum members.
-    An immutable named tuple, like Matrix2x2: a curve split into rows
-    builds one per energy, and tuple construction keeps that cheap.
-    Change a field with _replace.
+    energy; core.classify labels the energies e.  An immutable named
+    tuple, like Matrix2x2: a curve split into rows builds one per energy,
+    and tuple construction keeps that cheap.  Change a field with _replace.
     """
 
     e: float | np.ndarray
@@ -176,8 +175,6 @@ class ScatteringResult(NamedTuple):
     r: complex | np.ndarray
     t2: float | np.ndarray
     r2: float | np.ndarray
-    matrix_range: MatrixRange | np.ndarray
-    zone: Zone | np.ndarray
 
 
 def _media(e: Energy, cfg: PotentialConfig, xp) -> tuple:
@@ -288,23 +285,22 @@ def _amplitudes(media: tuple, cfg: PotentialConfig, xp) -> tuple:
 
 
 def _prepare(e: Energy, cfg: PotentialConfig) -> tuple:
-    """scatter's width-free half: the matrix ranges and zones of E, and _media."""
-    rng, zone = classify(e, cfg)
+    """scatter's width-free half: _media at screened energies."""
+    screen(e, cfg)
     if isinstance(e, np.ndarray):
         with np.errstate(**_QUIET):
-            return rng, zone, _media(e, cfg, np)
-    return rng, zone, _media(e, cfg, cmath)
+            return _media(e, cfg, np)
+    return _media(e, cfg, cmath)
 
 
-def _finish(prepared: tuple, cfg: PotentialConfig) -> ScatteringResult:
+def _finish(media: tuple, cfg: PotentialConfig) -> ScatteringResult:
     """scatter's width half: the result at cfg's widths on a _prepare of its heights."""
-    rng, zone, media = prepared
     if isinstance(media[0], np.ndarray):
         with np.errstate(**_QUIET):
             t, r = _amplitudes(media, cfg, np)
     else:
         t, r = _amplitudes(media, cfg, cmath)
-    return ScatteringResult(media[0], t, r, abs(t) ** 2, abs(r) ** 2, rng, zone)
+    return ScatteringResult(media[0], t, r, abs(t) ** 2, abs(r) ** 2)
 
 
 def scatter(e: Energy, cfg: PotentialConfig) -> ScatteringResult:

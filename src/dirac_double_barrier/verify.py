@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PotentialConfig, _blocks, _nudge_in_place, check_window
-from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, window
+from .defaults import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, VERIFY_E_MIN, check_count, window
 from .oracle import _CHUNK, solve_amplitudes
 from .transfer import scatter
 # unused here, but the benchmark tracer (perfbench/tracing.py) wraps the
@@ -105,8 +105,7 @@ def _draws(cfg: PotentialConfig, n: int, seed: int,
            e_min: float | None, e_max: float | None) -> np.ndarray:
     """sample_energies as an array, 8 B per sample where the list takes 32."""
     e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_count("n", n)
     check_window(cfg, e_min, e_max)
     draws = np.random.default_rng(seed).uniform(e_min, e_max, size=n)
     return _nudge_in_place(draws, cfg)
@@ -138,8 +137,7 @@ def run_verification(cfg: PotentialConfig,
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_count("samples", samples)
     e_min, e_max = window(cfg, e_min, e_max, VERIFY_E_MIN)
     energies = _draws(cfg, samples, seed, e_min, e_max)
     names = (

@@ -179,6 +179,27 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["transmission", "--points", "1"], "points must be at least 2, got 1"),
+    (["transmission", "--threads", "0"], "--threads must be at least 1, got 0"),
+    (["resonances", "--grid-points", "8"], "grid_points_per_zone must be at least 16, got 8"),
+    (["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "1"],
+     "frames must be at least 2, got 1"),
+    (["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "2",
+      "--points", "1"], "points must be at least 2, got 1"),
+    (["sweep", "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "2",
+      "--threads", "0"], "--threads must be at least 1, got 0"),
+    (["verify", "--samples", "0"], "samples must be at least 1, got 0"),
+], ids=["transmission-points", "transmission-threads", "resonances-grid-points",
+        "sweep-frames", "sweep-points", "sweep-threads", "verify-samples"])
+def test_a_count_below_its_least_exits_2_with_its_message(command, message, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], *REF_FLAGS, *command[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, target", [
     (["transmission", "--out", "{missing}/curve.csv"], "{missing}/curve.csv"),
     (["transmission", "--out", "curve.csv", "--svg", "{missing}/curve.svg"],

@@ -68,9 +68,15 @@ BASE = {"cli", "core", "defaults", "errors"}
     (["sweep", *REF, "--param", "a-minus", "--from", "1", "--to", "2",
       "--frames", "2", *BAND], 2, BASE, False),
     (["verify", *REF, *BAND, "--samples", "100"], 2, BASE, False),
+    (["resonances", *REF, "--grid-points", "8"], 2, BASE, False),
+    (["transmission", *REF, "--points", "1"], 2, BASE, False),
+    (["sweep", *REF, "--param", "a-minus", "--from", "1", "--to", "2", "--frames", "1"],
+     2, BASE, False),
+    (["verify", *REF, "--samples", "0"], 2, BASE, False),
 ], ids=["transmission", "resonances", "sweep", "sweep-with-resonances", "verify", "help",
         "usage-error", "config-error", "transmission-window-error", "sweep-window-error",
-        "verify-window-error"])
+        "verify-window-error", "resonances-grid-points-error", "transmission-points-error",
+        "sweep-frames-error", "verify-samples-error"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, loaded, numpy_loaded):
     code, modules, numpy = json.loads(_python(LOADED, json.dumps(argv), cwd=tmp_path))
     assert code == exit_code

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_double_barrier import ScatteringResult, Zone, _printf, transfer
+from dirac_double_barrier import ScatteringResult, Zone, _printf, classify, transfer
 from dirac_double_barrier.emit import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -53,8 +53,7 @@ def test_cells_carry_twelve_significant_digits(reference):
 
 
 def _split(batch):
-    columns = (batch.e, batch.t, batch.r, batch.t2, batch.r2,
-               batch.matrix_range, batch.zone)
+    columns = (batch.e, batch.t, batch.r, batch.t2, batch.r2)
     return [ScatteringResult(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
@@ -67,9 +66,7 @@ def test_columnar_csv_matches_per_cell_formatter_on_edge_values():
     col = [np.roll(np.array(edge), k) for k in range(7)]
     t = np.array([complex(a, b) for a, b in zip(col[3], col[4])])
     r = np.array([complex(a, b) for a, b in zip(col[5], col[6])])
-    nothing = np.full(len(edge), None, dtype=object)
-    batch = ScatteringResult(e=col[0], t=t, r=r, t2=col[1], r2=col[2],
-                             matrix_range=nothing, zone=nothing)
+    batch = ScatteringResult(e=col[0], t=t, r=r, t2=col[1], r2=col[2])
     text = _written_csv(batch)
     assert text == format_rows_csv(_split(batch))
     assert "-0," in text and "nan" in text and "-inf" in text
@@ -86,9 +83,7 @@ def _columns_batch(cells):
     col = cells.T.copy()
     t, r = np.empty((2, len(cells)), complex)
     t.real, t.imag, r.real, r.imag = col[3:]
-    nothing = np.full(len(cells), None, dtype=object)
-    return ScatteringResult(e=col[0], t=t, r=r, t2=col[1], r2=col[2],
-                            matrix_range=nothing, zone=nothing)
+    return ScatteringResult(e=col[0], t=t, r=r, t2=col[1], r2=col[2])
 
 
 def _printf_csv(cells):
@@ -297,7 +292,7 @@ def test_sweep_frames_from_a_tie_energy_match_their_curves(reference, tmp_path):
 
 
 def test_a_sweep_computes_its_width_free_half_once(reference, tmp_path, monkeypatch):
-    calls = {"_media": 0, "classify": 0}
+    calls = {"_media": 0, "screen": 0}
     for name in calls:
         def spy(*args, _name=name, _real=getattr(transfer, name)):
             calls[_name] += 1
@@ -305,7 +300,7 @@ def test_a_sweep_computes_its_width_free_half_once(reference, tmp_path, monkeypa
 
         monkeypatch.setattr(transfer, name, spy)
     run_sweep(reference, "a-minus", 1.0, 3.0, 5, tmp_path, 1.01, 12.0, 300)
-    assert calls == {"_media": 1, "classify": 1}
+    assert calls == {"_media": 1, "screen": 1}
 
 
 def _bits(row):
@@ -318,6 +313,7 @@ def test_transmission_rows_split_the_batch(reference):
     points = 300
     batch = transmission_curve(reference, 1.05, 11.5, points)
     rows = transmission_rows(reference, 1.05, 11.5, points)
+    ranges, zones = classify(batch.e, reference)
     assert len(rows) == points
     for i, row in enumerate(rows):
         assert type(row) is ScatteringResult
@@ -326,8 +322,7 @@ def test_transmission_rows_split_the_batch(reference):
         assert (row.e, row.t, row.r, row.t2, row.r2) == (
             batch.e[i], batch.t[i], batch.r[i], batch.t2[i], batch.r2[i])
         assert _bits(row) == _bits(ScatteringResult(*(c[i] for c in batch)))
-        assert row.matrix_range is batch.matrix_range[i]
-        assert row.zone is batch.zone[i]
+        assert classify(row.e, reference) == (ranges[i], zones[i])
         # built with tuple.__new__, each row is the named tuple its fields make
         rebuilt = ScatteringResult(*row)
         assert row == rebuilt

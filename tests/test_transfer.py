@@ -98,7 +98,7 @@ def test_scatter_conserves_flux(reference, e):
     s = scatter(e, reference)
     assert abs(s.t2 + s.r2 - 1.0) < 1e-12
     assert 0.0 <= s.t2 <= 1.0 + 1e-12
-    assert (s.matrix_range, s.zone) == classify(e, reference)
+    assert classify(s.e, reference) == classify(e, reference)
 
 
 @pytest.mark.parametrize("e", SAMPLE_ENERGIES)
@@ -145,7 +145,7 @@ def test_amplitude_continuity_across_range_boundaries(reference, boundary):
     eps = 1e-6
     below = scatter(boundary - eps, reference)
     above = scatter(boundary + eps, reference)
-    assert below.matrix_range is not above.matrix_range
+    assert classify(below.e, reference)[0] is not classify(above.e, reference)[0]
     assert abs(below.t - above.t) < 1e-4
     assert abs(below.r - above.r) < 1e-4
 
@@ -154,6 +154,34 @@ def test_wide_barrier_overflows_cleanly():
     cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=900.0, a_minus=2.5)
     with pytest.raises(NumericalOverflow):
         full_matrix(7.5, cfg)
+
+
+@pytest.mark.parametrize("product", [full_matrix, factor_matrices])
+def test_an_exponent_past_double_range_overflows_the_product_on_floats_and_arrays(product):
+    # cmath's exp raises ValueError on an infinite imaginary part, where
+    # numpy returns nan: both become NumericalOverflow
+    cfg = PotentialConfig(v_plus=8.0, v_minus=4.0, a_plus=1e308, a_minus=2.5)
+    with pytest.raises(NumericalOverflow, match="^boundary exponential overflowed for a = 1e"):
+        product(7.5, cfg)
+    with pytest.raises(NumericalOverflow, match="^transfer-matrix entry overflowed at E = 7.5$"):
+        product(np.array([7.5]), cfg)
+
+
+def test_no_scattering_path_classifies_its_energies(reference, monkeypatch):
+    # energy labels come from classify alone: scatter, the curve and verify
+    # screen their energies but never label them
+    from dirac_double_barrier.emit import transmission_curve
+    from dirac_double_barrier.verify import run_verification
+
+    def refuse(*args):
+        raise AssertionError("classify was called")
+
+    monkeypatch.setattr(core, "classify", refuse)
+    monkeypatch.setattr(transfer, "classify", refuse, raising=False)
+    assert scatter(7.5, reference).t2 > 0.0
+    assert scatter(np.array(SAMPLE_ENERGIES), reference).t2.shape == (len(SAMPLE_ENERGIES),)
+    assert transmission_curve(reference, 1.01, 12.0, 200).t2.shape == (200,)
+    assert run_verification(reference, samples=200, seed=1).passed
 
 
 def test_wide_barrier_overflows_cleanly_on_arrays():
@@ -282,11 +310,12 @@ def test_array_path_matches_scalar_path(reference):
     mat = full_matrix(energies, reference)
     steps = factor_matrices(energies, reference)
     dets = factor_determinants(energies, reference)
+    ranges, zones = classify(batch.e, reference)
     for i, e in enumerate(SAMPLE_ENERGIES):
         one = scatter(e, reference)
         assert abs(batch.t[i] - one.t) < 1e-13
         assert abs(batch.r[i] - one.r) < 1e-13
-        assert (batch.matrix_range[i], batch.zone[i]) == classify(e, reference)
+        assert (ranges[i], zones[i]) == classify(one.e, reference)
         for got, want in zip(mat, full_matrix(e, reference)):
             assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
         for p_arr, p_one in zip(steps, factor_matrices(e, reference)):
@@ -304,7 +333,7 @@ def test_scalar_path_returns_python_numbers(reference):
 
 
 def test_scattering_result_is_an_immutable_named_tuple(reference):
-    assert ScatteringResult._fields == ("e", "t", "r", "t2", "r2", "matrix_range", "zone")
+    assert ScatteringResult._fields == ("e", "t", "r", "t2", "r2")
     s = scatter(7.5, reference)
     assert isinstance(s, tuple)
     with pytest.raises(AttributeError):
@@ -320,9 +349,10 @@ def test_scatter_fields_follow_the_energy_type(reference):
     assert type(one.e) is float
     assert type(one.t) is complex and type(one.r) is complex
     assert type(one.t2) is float and type(one.r2) is float
-    assert isinstance(one.matrix_range, MatrixRange) and isinstance(one.zone, Zone)
+    rng, zone = classify(one.e, reference)
+    assert isinstance(rng, MatrixRange) and isinstance(zone, Zone)
     batch = scatter(np.array(SAMPLE_ENERGIES), reference)
-    for field in batch:
+    for field in (*batch, *classify(batch.e, reference)):
         assert isinstance(field, np.ndarray) and field.shape == (len(SAMPLE_ENERGIES),)
 
 
@@ -413,8 +443,8 @@ def test_the_width_free_half_serves_any_widths(reference):
         for field in ("t", "r", "t2", "r2"):
             assert _bits(getattr(got, field)) == _bits(getattr(want, field))
         assert got.e is grid
-        assert (got.matrix_range == want.matrix_range).all()
-        assert (got.zone == want.zone).all()
+        for got_labels, want_labels in zip(classify(got.e, cfg), classify(want.e, cfg)):
+            assert (got_labels == want_labels).all()
 
 
 @st.composite
